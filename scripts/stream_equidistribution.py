@@ -34,8 +34,7 @@ def main(argv=None):
 
     p, n = args.prime, args.level
     period = p**n
-    values = list(full_cycle_stream(f, n, args.seed, period,
-                                    certificate=verdict))
+    values = list(full_cycle_stream(f, n, args.seed, period))
     print(f"f = {f}, level {n}, period {period}, seed {args.seed % period}")
     deviations = 0
     for m in range(1, n + 1):

@@ -10,9 +10,6 @@ from .padic import (
     ValuationResult,
     canonicalize,
     is_prime,
-    mod_inverse,
-    reduce_precision,
-    valuation,
 )
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
@@ -28,11 +25,9 @@ from .dynamics import (
     TaylorData,
     cycle_decomposition,
     derivative,
-    evaluate,
     full_cycle_check,
     is_bijective_mod,
     is_full_cycle,
-    iterate,
     lift_check,
     normalize_unit_constant,
     reduced_map_table,
@@ -43,6 +38,7 @@ from .criteria import (
     ConditionCheck,
     CrossValidationReport,
     MinimalityVerdict,
+    closed_form,
     coefficient_sums,
     cross_validate,
     decide,

@@ -14,16 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
 
-from .criteria import (
-    MinimalityVerdict,
-    decision_level,
-    minimal_general,
-    minimal_z2,
-    minimal_z3,
-)
+from .criteria import MinimalityVerdict, closed_form, decision_level, minimal_general
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
@@ -36,20 +30,8 @@ from .sweep import DEFAULT_WORK_BUDGET, SweepConfig, run_sweep
 TABLE_BOUND_ENV = "PADICDYN_TABLE_BOUND"
 WORK_BUDGET_ENV = "PADICDYN_WORK_BUDGET"
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    prime: int
-    coeffs: tuple[int, ...] | None
-    level: int | None
-    n_max: int | None
-    seed: int
-    count: int | None
-    output_format: str
-    table_bound: int
-    work_budget: int
-    threads: int
+# a value such as "-1,2"; no option of the parser starts with a digit
+_SIGNED_VALUE = re.compile(r"-\d")
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -81,33 +63,29 @@ def _render_verdict(v: MinimalityVerdict) -> list[str]:
     return lines
 
 
-def _parse_poly(cfg: CliConfig) -> IntPolynomial:
-    if not cfg.coeffs:
+def _parse_poly(args: argparse.Namespace) -> IntPolynomial:
+    if not args.coeffs:
         raise PadicError("no coefficients given")
-    return IntPolynomial(cfg.prime, cfg.coeffs)
+    return IntPolynomial.from_text(args.prime, args.coeffs)
 
 
-def cmd_analyze(cfg: CliConfig) -> int:
-    f = _parse_poly(cfg)
-    delta_verdict = minimal_general(f, table_bound=cfg.table_bound)
-    closed = None
-    if cfg.prime == 2:
-        closed = minimal_z2(f)
-    elif cfg.prime == 3:
-        closed = minimal_z3(f)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    f = _parse_poly(args)
+    delta_verdict = minimal_general(f, table_bound=args.table_bound)
+    closed = closed_form(f)
     agree = None if closed is None else closed.minimal == delta_verdict.minimal
 
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         _emit({
             "command": "analyze",
-            "prime": cfg.prime,
+            "prime": args.prime,
             "coeffs": list(f.coefficients),
             "closed_form": closed.to_record() if closed is not None else None,
             "delta_rule": delta_verdict.to_record(),
             "agree": agree,
         })
     else:
-        print(f"f = {f} over Z_{cfg.prime}")
+        print(f"f = {f} over Z_{args.prime}")
         if closed is not None:
             print("\n".join(_render_verdict(closed)))
         print("\n".join(_render_verdict(delta_verdict)))
@@ -120,14 +98,14 @@ def cmd_analyze(cfg: CliConfig) -> int:
     return 0 if final else 1
 
 
-def cmd_cycles(cfg: CliConfig) -> int:
-    f = _parse_poly(cfg)
-    n = cfg.level if cfg.level is not None else decision_level(cfg.prime)
-    dec = cycle_decomposition(f, n, table_bound=cfg.table_bound)
-    if cfg.output_format == "structured":
+def cmd_cycles(args: argparse.Namespace) -> int:
+    f = _parse_poly(args)
+    n = args.level if args.level is not None else decision_level(args.prime)
+    dec = cycle_decomposition(f, n, table_bound=args.table_bound)
+    if args.format == "structured":
         _emit({
             "command": "cycles",
-            "prime": cfg.prime,
+            "prime": args.prime,
             "coeffs": list(f.coefficients),
             "level": n,
             "bijective": dec.bijective,
@@ -135,7 +113,7 @@ def cmd_cycles(cfg: CliConfig) -> int:
             "non_periodic": dec.non_periodic_count,
         })
         return 0
-    print(f"f = {f} mod {cfg.prime}^{n}")
+    print(f"f = {f} mod {args.prime}^{n}")
     print(f"bijective: {'yes' if dec.bijective else 'no'}")
     print(f"cycles ({len(dec.cycles)}):")
     for c in dec.cycles:
@@ -144,14 +122,14 @@ def cmd_cycles(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_conjugacy(cfg: CliConfig) -> int:
-    f = _parse_poly(cfg)
-    if cfg.n_max is not None:
-        report = verify_conjugacy_tower(f, cfg.n_max, table_bound=cfg.table_bound)
-        if cfg.output_format == "structured":
+def cmd_conjugacy(args: argparse.Namespace) -> int:
+    f = _parse_poly(args)
+    if args.nmax is not None:
+        report = verify_conjugacy_tower(f, args.nmax, table_bound=args.table_bound)
+        if args.format == "structured":
             _emit({
                 "command": "conjugacy",
-                "prime": cfg.prime,
+                "prime": args.prime,
                 "coeffs": list(f.coefficients),
                 "n_max": report.n_max,
                 "levels": [
@@ -168,12 +146,12 @@ def cmd_conjugacy(cfg: CliConfig) -> int:
                       f"{'ok' if c.projection_ok else 'FAIL'}")
             print(f"tower: {'ok' if report.passed else 'FAIL'}")
         return 0 if report.passed else 2
-    n = cfg.level if cfg.level is not None else decision_level(cfg.prime)
-    table = build_psi(f, n, table_bound=cfg.table_bound)
-    if cfg.output_format == "structured":
+    n = args.level if args.level is not None else decision_level(args.prime)
+    table = build_psi(f, n, table_bound=args.table_bound)
+    if args.format == "structured":
         _emit({
             "command": "conjugacy",
-            "prime": cfg.prime,
+            "prime": args.prime,
             "coeffs": list(f.coefficients),
             "level": n,
             "orbit_index": list(table.orbit_index),
@@ -186,17 +164,17 @@ def cmd_conjugacy(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_stream(cfg: CliConfig) -> int:
-    f = _parse_poly(cfg)
-    n = cfg.level if cfg.level is not None else decision_level(cfg.prime)
-    count = cfg.count if cfg.count is not None else cfg.prime**n
-    size = cfg.prime**n
-    seed = cfg.seed % size
-    values = full_cycle_stream(f, n, seed, count, table_bound=cfg.table_bound)
-    if cfg.output_format == "structured":
+def cmd_stream(args: argparse.Namespace) -> int:
+    f = _parse_poly(args)
+    n = args.level if args.level is not None else decision_level(args.prime)
+    count = args.count if args.count is not None else args.prime**n
+    size = args.prime**n
+    seed = args.seed % size
+    values = full_cycle_stream(f, n, seed, count, table_bound=args.table_bound)
+    if args.format == "structured":
         _emit({
             "command": "stream",
-            "prime": cfg.prime,
+            "prime": args.prime,
             "coeffs": list(f.coefficients),
             "level": n,
             "seed": seed,
@@ -204,13 +182,13 @@ def cmd_stream(cfg: CliConfig) -> int:
             "values": list(values),
         })
         return 0
-    if cfg.output_format == "packed":
-        print(f"{cfg.prime} {n} {count} {seed}")
-        sep = "" if cfg.prime <= 10 else "."
+    if args.format == "packed":
+        print(f"{args.prime} {n} {count} {seed}")
+        sep = "" if args.prime <= 10 else "."
         for v in values:
             digits = []
             for _ in range(n):
-                v, d = divmod(v, cfg.prime)
+                v, d = divmod(v, args.prime)
                 digits.append(str(d))
             print(sep.join(digits))
         return 0
@@ -219,24 +197,24 @@ def cmd_stream(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: CliConfig, args) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_cfg = SweepConfig(
-        prime=cfg.prime,
+        prime=args.prime,
         degree=args.degree,
         bound=args.bound,
         a0=args.a0,
-        n_max=cfg.n_max,
-        table_bound=cfg.table_bound,
-        work_budget=cfg.work_budget,
+        n_max=args.nmax,
+        table_bound=args.table_bound,
+        work_budget=args.work_budget,
         samples=args.samples,
         seed=args.rng_seed,
-        workers=cfg.threads,
+        workers=args.threads,
     )
     report = run_sweep(sweep_cfg)
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         _emit({
             "command": "sweep",
-            "prime": cfg.prime,
+            "prime": args.prime,
             "degree": args.degree,
             "bound": args.bound,
             "coeffs_constant": args.a0,
@@ -252,11 +230,11 @@ def cmd_sweep(cfg: CliConfig, args) -> int:
             "first_routes": report.first_routes,
             "sampled": report.sampled,
             "seed": sweep_cfg.seed,
-            "workers": cfg.threads,
+            "workers": args.threads,
         })
     else:
         mode = "sampled" if report.sampled else "exhaustive"
-        print(f"sweep p={cfg.prime} degree<={args.degree} bound={args.bound} "
+        print(f"sweep p={args.prime} degree<={args.degree} bound={args.bound} "
               f"a0={args.a0} n_max={sweep_cfg.resolved_n_max()} ({mode})")
         print(f"total: {report.total}")
         print(f"agree-minimal: {report.agree_minimal}")
@@ -291,18 +269,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", parents=[common, poly, fmt],
                           help="decide minimality, closed form plus decision-level check")
+    p_an.set_defaults(run=cmd_analyze)
 
     p_cy = sub.add_parser("cycles", parents=[common, poly, fmt],
                           help="cycle decomposition of the reduced map")
+    p_cy.set_defaults(run=cmd_cycles)
     p_cy.add_argument("--level", type=int, default=None)
 
     p_co = sub.add_parser("conjugacy", parents=[common, poly, fmt],
                           help="orbit index table, or tower verification with --nmax")
+    p_co.set_defaults(run=cmd_conjugacy)
     p_co.add_argument("--level", type=int, default=None)
     p_co.add_argument("--nmax", type=int, default=None)
 
     p_st = sub.add_parser("stream", parents=[common, poly],
                           help="emit the maximal-period residue stream")
+    p_st.set_defaults(run=cmd_stream)
     p_st.add_argument("--level", type=int, default=None)
     p_st.add_argument("--seed", type=int, default=0)
     p_st.add_argument("--count", type=int, default=None)
@@ -311,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", parents=[common, fmt],
                           help="agreement sweep over a coefficient box")
+    p_sw.set_defaults(run=cmd_sweep)
     p_sw.add_argument("--degree", type=int, required=True)
     p_sw.add_argument("--bound", type=int, required=True,
                       help="coefficients range over [0, bound)")
@@ -319,47 +302,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--samples", type=int, default=None,
                       help="sample size when the box exceeds the work budget")
     p_sw.add_argument("--rng-seed", type=int, default=0)
-    p_sw.add_argument("--threads", type=int, default=None,
-                      help="worker processes for the sweep (default: cpu count)")
+    p_sw.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                      help="worker processes for the sweep, at most one per "
+                           "CPU (default: cpu count)")
 
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    # argparse reads "--coeffs -1,2" as an option followed by an unknown
+    # option; "--coeffs=-1,2" is unambiguous
+    out: list[str] = []
+    for arg in argv:
+        if out and _SIGNED_VALUE.match(arg) and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(
+        sys.argv[1:] if argv is None else argv))
     try:
-        table_bound = (args.table_bound if args.table_bound is not None
-                       else _env_int(TABLE_BOUND_ENV, DEFAULT_TABLE_BOUND))
-        work_budget = _env_int(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET)
-        threads = getattr(args, "threads", None)
-        if threads is None:
-            threads = os.cpu_count() or 1 if args.command == "sweep" else 1
-        cfg = CliConfig(
-            command=args.command,
-            prime=args.prime,
-            coeffs=(IntPolynomial.from_text(args.prime, args.coeffs).coefficients
-                    if getattr(args, "coeffs", None) else None),
-            level=getattr(args, "level", None),
-            n_max=getattr(args, "nmax", None),
-            seed=getattr(args, "seed", 0),
-            count=getattr(args, "count", None),
-            output_format=getattr(args, "format", "text"),
-            table_bound=table_bound,
-            work_budget=work_budget,
-            threads=threads,
-        )
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "cycles":
-            return cmd_cycles(cfg)
-        if args.command == "conjugacy":
-            return cmd_conjugacy(cfg)
-        if args.command == "stream":
-            return cmd_stream(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args)
-        raise PadicError(f"unknown command {args.command}")
+        if args.table_bound is None:
+            args.table_bound = _env_int(TABLE_BOUND_ENV, DEFAULT_TABLE_BOUND)
+        args.work_budget = _env_int(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET)
+        return args.run(args)
     except (PadicError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
+    _check_table_size,
     full_cycle_check,
     is_full_cycle,
-    reduced_map_table,
 )
 from .padic import PadicError
 
@@ -327,14 +327,15 @@ def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
 
 def _cycle_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[int, ...]:
     """The eventual cycle reached from 0 under f mod p^n."""
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
+    # the walk may hold every residue, so it is bounded like a table
+    size = _check_table_size(f.prime, n, table_bound)
     seen_at: dict[int, int] = {}
     order: list[int] = []
     x = 0
     while x not in seen_at:
         seen_at[x] = len(order)
         order.append(x)
-        x = table[x]
+        x = f.eval_mod(x, size)
     return tuple(order[seen_at[x]:])
 
 
@@ -355,16 +356,25 @@ def minimal_general(
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 
 
+def closed_form(f: IntPolynomial) -> MinimalityVerdict | None:
+    """The closed-form verdict, minimal_z2 at p = 2 and minimal_z3 at
+    p = 3; None for every other prime, which has no closed form."""
+    if f.prime == 2:
+        return minimal_z2(f)
+    if f.prime == 3:
+        return minimal_z3(f)
+    return None
+
+
 def decide(
     f: IntPolynomial, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> MinimalityVerdict:
     """Closed form where one exists (p = 2, 3), decision-level check
     otherwise."""
-    if f.prime == 2:
-        return minimal_z2(f)
-    if f.prime == 3:
-        return minimal_z3(f)
-    return minimal_general(f, table_bound=table_bound)
+    verdict = closed_form(f)
+    if verdict is None:
+        verdict = minimal_general(f, table_bound=table_bound)
+    return verdict
 
 
 @dataclass(frozen=True)

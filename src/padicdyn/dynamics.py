@@ -7,7 +7,7 @@ finite reductions; iteration is always pointwise, never symbolic.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .padic import (
     NonUnitError,
@@ -48,6 +48,8 @@ class IntPolynomial:
     prime: int
     coefficients: tuple[int, ...]
     allow_constant: InitVar[bool] = False
+    # highest degree first, the order Horner's rule consumes them
+    _horner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, allow_constant: bool):
         _check_prime(self.prime)
@@ -57,6 +59,7 @@ class IntPolynomial:
         if not coeffs:
             coeffs = (0,)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_horner", coeffs[::-1])
         if len(coeffs) < 2 and not allow_constant:
             raise PadicError(
                 "degree 0 polynomial rejected; pass allow_constant=True for formal use"
@@ -83,11 +86,15 @@ class IntPolynomial:
         return ",".join(str(c) for c in self.coefficients)
 
     def eval_mod(self, x: int, modulus: int) -> int:
-        # Horner, everything reduced as it goes
+        """f(x) mod modulus.  The one Horner loop of the package: every
+        table, orbit walk and stream evaluates through it."""
+        # exact integers throughout and a single reduction at the end;
+        # for the residues and degrees used here that is faster than
+        # reducing after every step
         acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * x + c) % modulus
-        return acc
+        for c in self._horner:
+            acc = acc * x + c
+        return acc % modulus
 
     def __str__(self) -> str:
         parts = []
@@ -101,26 +108,6 @@ class IntPolynomial:
             else:
                 parts.append(f"{c}*x^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def evaluate(f: IntPolynomial, x: PadicApprox) -> PadicApprox:
-    """f(x) at the precision of x."""
-    if f.prime != x.prime:
-        raise PadicError(f"prime mismatch: {f.prime} vs {x.prime}")
-    return PadicApprox(x.prime, x.precision, f.eval_mod(x.value, x.modulus))
-
-
-def iterate(f: IntPolynomial, x: PadicApprox, k: int) -> PadicApprox:
-    """k-fold pointwise iteration f(f(...f(x))) at the precision of x."""
-    if k < 0:
-        raise PadicError("iteration count must be nonnegative")
-    if f.prime != x.prime:
-        raise PadicError(f"prime mismatch: {f.prime} vs {x.prime}")
-    m = x.modulus
-    v = x.value
-    for _ in range(k):
-        v = f.eval_mod(v, m)
-    return PadicApprox(x.prime, x.precision, v)
 
 
 def derivative(f: IntPolynomial, order: int = 1) -> IntPolynomial:
@@ -158,14 +145,8 @@ def reduced_map_table(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ReducedMapTable:
     size = _check_table_size(f.prime, n, table_bound)
-    coeffs = f.coefficients
-    entries = []
-    for x in range(size):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % size
-        entries.append(acc)
-    return ReducedMapTable(f.prime, n, tuple(entries))
+    eval_mod = f.eval_mod
+    return ReducedMapTable(f.prime, n, tuple([eval_mod(x, size) for x in range(size)]))
 
 
 @dataclass(frozen=True)
@@ -279,13 +260,9 @@ def full_cycle_check(
         return FullCycleReport(False, n, "orbit", spot)
     # Orbit of 0: a first return at step k means k distinct residues seen,
     # so return at exactly p^n is equivalent to a full cycle.
-    coeffs = f.coefficients
     x = 0
     for steps in range(1, size + 1):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % size
-        x = acc
+        x = f.eval_mod(x, size)
         if x == 0:
             return FullCycleReport(steps == size, n, "orbit", spot if spot >= 1 else None)
     return FullCycleReport(False, n, "orbit", spot if spot >= 1 else None)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .criteria import MinimalityVerdict
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
     NotFullCycleError,
+    ReducedMapTable,
     full_cycle_check,
     reduced_map_table,
 )
@@ -40,7 +40,12 @@ def build_psi(
 ) -> ConjugacyTable:
     """Index table of the full cycle at level n; errors out when the
     cycle is not full."""
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
+    return _index_orbit(reduced_map_table(f, n, table_bound=table_bound))
+
+
+def _index_orbit(fmap: ReducedMapTable) -> ConjugacyTable:
+    table = fmap.entries
+    n = fmap.level
     size = len(table)
     orbit_index = [-1] * size
     orbit_point = [0] * size
@@ -55,7 +60,7 @@ def build_psi(
         x = table[x]
     if x != 0:
         raise NotFullCycleError(f"orbit of 0 does not return to 0 at level {n}")
-    return ConjugacyTable(f.prime, n, tuple(orbit_index), tuple(orbit_point))
+    return ConjugacyTable(fmap.prime, n, tuple(orbit_index), tuple(orbit_point))
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,17 @@ def verify_conjugacy_tower(
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
     p = f.prime
-    tables = {n: build_psi(f, n, table_bound=table_bound) for n in range(1, n_max + 1)}
-    maps = {n: reduced_map_table(f, n, table_bound=table_bound).entries
-            for n in range(1, n_max + 1)}
+    maps, tables = {}, {}
+    for n in range(1, n_max + 1):
+        # index each level as soon as its table exists, so a broken cycle
+        # is reported before any larger table is built
+        maps[n] = reduced_map_table(f, n, table_bound=table_bound)
+        tables[n] = _index_orbit(maps[n])
     checks = []
     for n in range(1, n_max + 1):
         size = p**n
         psi = tables[n].orbit_index
-        fmap = maps[n]
+        fmap = maps[n].entries
         conj = all(psi[fmap[x]] == (psi[x] + 1) % size for x in range(size))
         if n < n_max:
             upper = tables[n + 1].orbit_index
@@ -107,24 +115,18 @@ def full_cycle_stream(
     seed: int,
     count: int,
     *,
-    certificate: MinimalityVerdict | None = None,
     table_bound: int = DEFAULT_TABLE_BOUND,
 ) -> Iterator[int]:
     """Lazily yield `count` residues of the orbit of `seed` mod p^n.
 
     For a minimal map this is a maximal-period sequence: period exactly
-    p^n, every residue class mod p^m hit equally often.  Requires either
-    a minimality certificate or an explicit full-cycle check here.
+    p^n, every residue class mod p^m hit equally often.  The full cycle
+    at level n is checked here, before the first residue.
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")
-    if certificate is None:
-        if not full_cycle_check(f, n, table_bound=table_bound).full_cycle:
-            raise NotFullCycleError(f"no full cycle at level {n}")
-    elif not certificate.minimal:
-        raise NotFullCycleError(
-            f"certificate ({certificate.method}) says not minimal"
-        )
+    if not full_cycle_check(f, n, table_bound=table_bound).full_cycle:
+        raise NotFullCycleError(f"no full cycle at level {n}")
 
     def generate() -> Iterator[int]:
         size = f.prime**n

@@ -204,14 +204,3 @@ def canonicalize(i: int, prime: int, precision: int) -> PadicApprox:
     _check_precision(precision)
     return PadicApprox(prime, precision, i % prime**precision)
 
-
-def mod_inverse(x: PadicApprox) -> PadicApprox:
-    return x.inverse()
-
-
-def valuation(x: PadicApprox) -> ValuationResult:
-    return x.valuation()
-
-
-def reduce_precision(x: PadicApprox, m: int) -> PadicApprox:
-    return x.reduce_precision(m)

@@ -10,22 +10,24 @@ and counts agreement.  Routes per tuple:
     delta       full-cycle check at the decision level
     full-cycle  full-cycle check at n_max
 
-The constant map (all non-constant coefficients zero) is classified
-not-minimal on every route without being built: it is not onto.
+The all-zero tail is built as the constant map a0, which every route
+reports as not minimal.  The index range (or the sorted sample) is cut
+into contiguous chunks, one per worker process; the workers are capped
+at the CPU count and at the number of tuples.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .criteria import (
+    closed_form,
     decision_level,
     minimal_degree5_z3,
-    minimal_z2,
     minimal_z2_larin_form,
-    minimal_z3,
 )
 from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, is_full_cycle
 from .padic import PadicError
@@ -76,27 +78,16 @@ def _routes_for(cfg: SweepConfig, tail: list[int]) -> dict[str, bool]:
     p = cfg.prime
     n_max = cfg.resolved_n_max()
     delta = decision_level(p)
-    if not any(tail):
-        # constant map: never onto, no route can call it minimal
-        routes = {"delta": False, "full-cycle": False}
-        if p == 2:
-            routes["closed"] = False
-            if cfg.a0 == 1:
-                routes["alt"] = False
-        elif p == 3:
-            routes["closed"] = False
-            if cfg.a0 == 1 and cfg.degree <= 5:
-                routes["alt"] = False
-        return routes
-    f = IntPolynomial(p, (cfg.a0, *tail))
+    f = IntPolynomial(p, (cfg.a0, *tail), allow_constant=True)
     routes = {}
-    if p == 2:
-        routes["closed"] = minimal_z2(f).minimal
-        if cfg.a0 == 1:
+    closed = closed_form(f)
+    if closed is not None:
+        routes["closed"] = closed.minimal
+    # the alternate forms apply to the whole box or to none of it
+    if cfg.a0 == 1:
+        if p == 2:
             routes["alt"] = minimal_z2_larin_form(f).minimal
-    elif p == 3:
-        routes["closed"] = minimal_z3(f).minimal
-        if cfg.a0 == 1 and cfg.degree <= 5:
+        elif p == 3 and cfg.degree <= 5:
             routes["alt"] = minimal_degree5_z3(f).minimal
     routes["delta"] = is_full_cycle(f, delta, table_bound=cfg.table_bound)
     routes["full-cycle"] = (
@@ -113,11 +104,7 @@ def _run_chunk(args) -> tuple[int, int, int, int | None, tuple | None, dict | No
     first_idx = None
     first_tuple = None
     first_routes = None
-    if isinstance(indices, tuple):
-        index_iter = range(*indices)
-    else:
-        index_iter = indices
-    for idx in index_iter:
+    for idx in indices:
         tail = _index_to_tail(idx, cfg.bound, cfg.degree)
         routes = _routes_for(cfg, tail)
         values = set(routes.values())
@@ -153,21 +140,18 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 "pass a sample count to sweep by sampling"
             )
         rng = random.Random(cfg.seed)
-        count = min(cfg.samples, box)
-        chosen = sorted(rng.sample(range(box), count))
-        chunks = _split_list(chosen, cfg.workers)
-        total = count
+        indices = sorted(rng.sample(range(box), min(cfg.samples, box)))
         sampled = True
     else:
-        chunks = [
-            (lo, hi)
-            for lo, hi in _split_range(box, cfg.workers)
-        ]
-        total = box
+        indices = range(box)
+    total = len(indices)
 
-    jobs = [(cfg, chunk) for chunk in chunks if _chunk_len(chunk) > 0]
-    if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a process pool forks all of its workers up front, so never ask
+    # for more than there are CPUs or tuples
+    workers = max(1, min(cfg.workers, os.cpu_count() or 1, total))
+    jobs = [(cfg, chunk) for chunk in _split(indices, workers)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, jobs))
     else:
         results = [_run_chunk(job) for job in jobs]
@@ -193,31 +177,14 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     )
 
 
-def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
-    step, extra = divmod(total, parts)
+def _split(indices: range | list[int], parts: int) -> list:
+    """Cut a range or a list into `parts` contiguous slices whose
+    lengths differ by at most one; a slice of a range is a range."""
+    step, extra = divmod(len(indices), parts)
     out = []
     lo = 0
     for i in range(parts):
         hi = lo + step + (1 if i < extra else 0)
-        out.append((lo, hi))
+        out.append(indices[lo:hi])
         lo = hi
     return out
-
-
-def _split_list(items: list[int], parts: int) -> list[list[int]]:
-    parts = max(1, min(parts, len(items))) if items else 1
-    step, extra = divmod(len(items), parts)
-    out = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        out.append(items[lo:hi])
-        lo = hi
-    return out
-
-
-def _chunk_len(chunk) -> int:
-    if isinstance(chunk, tuple):
-        return chunk[1] - chunk[0]
-    return len(chunk)

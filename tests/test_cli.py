@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +269,60 @@ class TestEnvironment:
         code, _, err = run(capsys, "cycles", "--prime", "3", "--coeffs", Q3)
         assert code == 2
         assert "PADICDYN_TABLE_BOUND" in err
+
+
+# stdout bytes and exit codes of fixed invocations, recorded from the
+# CLI before its kernel and dispatch were merged; any change to them is
+# a change to the frozen output
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    monkeypatch.delenv("PADICDYN_TABLE_BOUND", raising=False)
+    monkeypatch.delenv("PADICDYN_WORK_BUDGET", raising=False)
+
+
+class TestGolden:
+    def test_covers_every_subcommand_and_format(self):
+        seen = {(g["argv"][0], g["argv"][g["argv"].index("--format") + 1]
+                 if "--format" in g["argv"] else "text") for g in GOLDEN}
+        assert seen == {(c, "text") for c in
+                        ("analyze", "cycles", "conjugacy", "stream", "sweep")} | {
+            (c, "structured") for c in
+            ("analyze", "cycles", "conjugacy", "stream", "sweep")} | {
+            ("stream", "packed")}
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda g: " ".join(g["argv"]))
+    def test_stdout_and_exit_code(self, capsys, clean_env, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"])
+
+
+class TestSignedCoefficients:
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--prime", "3"),
+        ("analyze", "--prime", "5", "--format", "structured"),
+        ("cycles", "--prime", "3", "--level", "2"),
+        ("stream", "--prime", "3", "--level", "2"),
+    ])
+    @pytest.mark.parametrize("coeffs", ["-1,2", "-2,1,3", "-5,-5,-3", "-7,-3,0,9"])
+    def test_separate_value_equals_attached(self, capsys, argv, coeffs):
+        separate = run(capsys, *argv, "--coeffs", coeffs)
+        attached = run(capsys, *argv, f"--coeffs={coeffs}")
+        assert separate == attached
+        assert separate[0] in (0, 1, 2) and "usage:" not in separate[2]
+
+    def test_signed_stream_values(self, capsys):
+        # -5 - 5x - 3x^2 is minimal on Z_3
+        code, out, _ = run(capsys, "stream", "--prime", "3", "--coeffs", "-5,-5,-3",
+                           "--level", "2", "--count", "4")
+        assert code == 0
+        assert out.split() == ["0", "4", "8", "6"]
+
+    def test_other_options_take_negative_values(self, capsys):
+        code, out, _ = run(capsys, "stream", "--prime", "3", "--coeffs", "-5,-5,-3",
+                           "--level", "1", "--seed", "-1", "--count", "2",
+                           "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["seed"] == 2

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn.criteria import (
@@ -9,6 +9,7 @@ from padicdyn.criteria import (
     METHOD_P3,
     METHOD_P3_DEG5,
     CoefficientSums,
+    closed_form,
     coefficient_sums,
     cross_validate,
     decide,
@@ -293,6 +294,38 @@ class TestDecide:
         )
         rec5 = minimal_general(IntPolynomial(5, (1, 1, 1))).to_record()
         assert rec5["witness"] == [3, 13, 8, 23]
+
+
+def signed_polys(prime):
+    """Degree 1-12, any constant term, signed coefficients; half of the
+    draws are near-odometer maps a0 + (1 + p k) x + p h(x), so that
+    minimal maps are common."""
+    def build(args):
+        near, a0, tail = args
+        if near:
+            tail = [1 + prime * tail[0]] + [prime * c for c in tail[1:]]
+        if tail[-1] == 0:
+            tail[-1] = prime
+        return IntPolynomial(prime, (a0, *tail))
+
+    return st.tuples(
+        st.booleans(),
+        st.integers(-40, 40),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=12),
+    ).map(build)
+
+
+class TestClosedForm:
+    def test_dispatch(self):
+        assert closed_form(W2) == minimal_z2(W2)
+        assert closed_form(W3) == minimal_z3(W3)
+        assert closed_form(IntPolynomial(5, (1, 1))) is None
+        assert closed_form(IntPolynomial(7, (1, 4, 0, 4, 0, 2))) is None
+
+    @settings(max_examples=400)
+    @given(st.sampled_from([2, 3]).flatmap(signed_polys))
+    def test_agrees_with_decision_level_check(self, f):
+        assert closed_form(f).minimal == minimal_general(f).minimal, f.coefficients
 
 
 class TestCrossValidate:

@@ -9,11 +9,9 @@ from padicdyn.dynamics import (
     TableBoundError,
     cycle_decomposition,
     derivative,
-    evaluate,
     full_cycle_check,
     is_bijective_mod,
     is_full_cycle,
-    iterate,
     lift_check,
     normalize_unit_constant,
     reduced_map_table,
@@ -26,6 +24,13 @@ import oracles
 W2 = IntPolynomial(2, (1, 3, 0, 2))        # 1 + 3x + 2x^3
 W3 = IntPolynomial(3, (1, 4, 0, 4, 0, 2))  # 1 + 4x + 4x^3 + 2x^5
 Q3 = IntPolynomial(3, (1, 1, 6))           # 1 + x + 6x^2
+
+
+def iterate_mod(f, x, k, m):
+    """k-fold iterate f(f(...f(x))) mod m through the library kernel."""
+    for _ in range(k):
+        x = f.eval_mod(x, m)
+    return x
 
 
 def poly_strategy(primes=(2, 3, 5), max_degree=5, coeff=50):
@@ -72,26 +77,21 @@ class TestConstruction:
 
 class TestEvaluate:
     def test_frozen_values(self):
-        x = canonicalize(1, 2, 3)
-        assert evaluate(W2, x).value == 6
-        assert evaluate(W2, canonicalize(6, 2, 3)).value == 3  # 451 mod 8
-
-    def test_prime_mismatch(self):
-        with pytest.raises(PadicError):
-            evaluate(W2, canonicalize(1, 3, 3))
+        assert W2.eval_mod(1, 8) == 6
+        assert W2.eval_mod(6, 8) == 3  # 451 mod 8
+        # signed coefficients and arguments still land in [0, modulus)
+        assert IntPolynomial(5, (-7, 0, -1)).eval_mod(-3, 25) == 9  # -16 mod 25
 
     @given(poly_strategy(), st.integers(-1000, 1000), st.integers(1, 6))
     def test_matches_pow_oracle(self, f, x, n):
         m = f.prime**n
-        got = evaluate(f, canonicalize(x, f.prime, n)).value
-        assert got == oracles.eval_pow_mod(f.coefficients, x % m, m)
+        assert f.eval_mod(x, m) == oracles.eval_pow_mod(f.coefficients, x % m, m)
 
     @given(poly_strategy(), st.integers(0, 10**6), st.integers(2, 6))
     def test_compatible_with_reduction(self, f, x, n):
         # evaluating then reducing equals reducing then evaluating
-        hi = evaluate(f, canonicalize(x, f.prime, n))
-        lo = evaluate(f, canonicalize(x, f.prime, n - 1))
-        assert hi.reduce_precision(n - 1) == lo
+        hi, lo = f.prime**n, f.prime ** (n - 1)
+        assert f.eval_mod(x, hi) % lo == f.eval_mod(x % lo, lo)
 
 
 class TestDerivative:
@@ -230,25 +230,20 @@ class TestFullCycle:
 
 class TestIterate:
     def test_frozen(self):
-        x = canonicalize(0, 2, 4)
-        assert iterate(W2, x, 4).value == 0  # f^4(0) = 183469056 = 64 * 2866704
-        assert iterate(W2, x, 0) == x
-        assert iterate(W2, x, 1).value == 1
+        assert iterate_mod(W2, 0, 4, 16) == 0  # f^4(0) = 183469056 = 64 * 2866704
+        assert iterate_mod(W2, 0, 1, 16) == 1
 
     @given(poly_strategy(), st.integers(0, 20), st.integers(0, 20), st.integers(1, 4))
     def test_composition_law(self, f, a, b, n):
-        x = canonicalize(7, f.prime, n)
-        assert iterate(f, x, a + b) == iterate(f, iterate(f, x, a), b)
+        m = f.prime**n
+        x = 7 % m
+        assert iterate_mod(f, x, a + b, m) == iterate_mod(f, iterate_mod(f, x, a, m), b, m)
 
     @given(poly_strategy(), st.integers(0, 12), st.integers(1, 4))
     def test_matches_oracle(self, f, k, n):
         m = f.prime**n
-        got = iterate(f, canonicalize(3, f.prime, n), k).value
+        got = iterate_mod(f, 3 % m, k, m)
         assert got == oracles.iterate_oracle(f.coefficients, 3 % m, k, m)
-
-    def test_negative_count(self):
-        with pytest.raises(PadicError):
-            iterate(W2, canonicalize(0, 2, 3), -1)
 
 
 class TestTaylorData:
@@ -283,8 +278,8 @@ class TestTaylorData:
             return
         td = taylor_data(f, n, canonicalize(0, p, 2 * n), n)
         alpha, beta = td.derivative.value, td.displacement.value
-        start = canonicalize(p**n * z, p, 2 * n)
-        got = iterate(f, start, p**n).value
+        m = p ** (2 * n)
+        got = iterate_mod(f, p**n * z % m, p**n, m)
         want = (p**n * (alpha * z + beta)) % p ** (2 * n)
         assert got == want
 

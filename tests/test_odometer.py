@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdyn.criteria import decide, minimal_z3
+from padicdyn import odometer
+from padicdyn.criteria import decide
 from padicdyn.dynamics import IntPolynomial, NotFullCycleError, reduced_map_table
 from padicdyn.odometer import (
     ConjugacyTable,
@@ -81,6 +82,17 @@ class TestConjugacyTower:
         with pytest.raises(PadicError):
             verify_conjugacy_tower(Q3, 0)
 
+    def test_one_map_table_per_level(self, monkeypatch):
+        built = []
+
+        def counting_table(f, n, **kwargs):
+            built.append(n)
+            return reduced_map_table(f, n, **kwargs)
+
+        monkeypatch.setattr(odometer, "reduced_map_table", counting_table)
+        assert verify_conjugacy_tower(Q3, 4).passed
+        assert built == [1, 2, 3, 4]
+
     @given(st.sampled_from(MINIMAL_SAMPLES))
     def test_tower_always_passes_for_certified_minimal(self, f):
         assert decide(f).minimal
@@ -116,16 +128,13 @@ class TestFullCycleStream:
             counts = Counter(x % 3**m for x in got)
             assert all(counts[r] == 3 ** (n - m) for r in range(3**m))
 
-    def test_certificate_accepted_without_recheck(self):
-        cert = minimal_z3(Q3)
-        # a tiny table bound would make the explicit check impossible
-        got = list(full_cycle_stream(Q3, 3, 0, 5, certificate=cert, table_bound=1))
-        assert got == [0, 1, 8, 15, 16]
-
-    def test_nonminimal_certificate_rejected(self):
+    def test_full_cycle_checked_at_the_stream_level(self):
+        # a full cycle mod 9 that breaks mod 27: the level-2 stream runs,
+        # the level-3 stream is refused before its first residue
+        w3 = IntPolynomial(3, (1, 4, 0, 4, 0, 2))
+        assert len(list(full_cycle_stream(w3, 2, 0, 9))) == 9
         with pytest.raises(NotFullCycleError):
-            full_cycle_stream(IntPolynomial(3, (1, 4, 0, 4, 0, 2)), 2, 0, 5,
-                              certificate=decide(IntPolynomial(3, (1, 4, 0, 4, 0, 2))))
+            full_cycle_stream(w3, 3, 0, 5)
 
     def test_no_certificate_requires_full_cycle(self):
         with pytest.raises(NotFullCycleError):

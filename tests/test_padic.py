@@ -10,9 +10,6 @@ from padicdyn.padic import (
     PrecisionError,
     canonicalize,
     is_prime,
-    mod_inverse,
-    reduce_precision,
-    valuation,
 )
 
 from oracles import mod_inverse_euclid, valuation_oracle
@@ -52,11 +49,11 @@ def test_canonicalize_periodic(i, p, n):
 def test_reduce_precision_frozen():
     x = canonicalize(451, 2, 9)
     assert x.value == 451
-    assert reduce_precision(x, 3).value == 3
+    assert x.reduce_precision(3).value == 3
     with pytest.raises(PrecisionError):
-        reduce_precision(x, 10)
+        x.reduce_precision(10)
     with pytest.raises(PrecisionError):
-        reduce_precision(x, 0)
+        x.reduce_precision(0)
 
 
 @given(residues())
@@ -86,13 +83,13 @@ def test_pow_frozen():
 @pytest.mark.parametrize("a,p,n,want", [(2, 3, 2, 5), (7, 5, 2, 18)])
 def test_mod_inverse_frozen(a, p, n, want):
     assert mod_inverse_euclid(a, p**n) == want
-    assert mod_inverse(canonicalize(a, p, n)).value == want
+    assert canonicalize(a, p, n).inverse().value == want
 
 
 @pytest.mark.parametrize("a,p,n", [(6, 3, 2), (0, 2, 5), (10, 5, 3)])
 def test_mod_inverse_nonunit(a, p, n):
     with pytest.raises(NonUnitError):
-        mod_inverse(canonicalize(a, p, n))
+        canonicalize(a, p, n).inverse()
 
 
 @given(residues())
@@ -106,17 +103,17 @@ def test_inverse_involution(x):
 
 
 def test_valuation_frozen():
-    v = valuation(canonicalize(12, 3, 4))
+    v = canonicalize(12, 3, 4).valuation()
     assert v.valuation == 1 and v.norm_exponent == -1 and not v.at_least_precision
-    z = valuation(canonicalize(0, 2, 5))
+    z = canonicalize(0, 2, 5).valuation()
     assert z.valuation is None and z.at_least_precision and z.norm_exponent is None
     assert str(z) == ">=5"
-    assert valuation(canonicalize(64, 2, 10)).valuation == 6
+    assert canonicalize(64, 2, 10).valuation().valuation == 6
 
 
 @given(residues())
 def test_valuation_matches_oracle(x):
-    got = valuation(x).valuation
+    got = x.valuation().valuation
     assert got == valuation_oracle(x.value, x.prime)
 
 

@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padicdyn import sweep
 from padicdyn.padic import PadicError
-from padicdyn.sweep import (
-    SweepConfig,
-    _index_to_tail,
-    _split_list,
-    _split_range,
-    run_sweep,
-)
+from padicdyn.sweep import SweepConfig, _index_to_tail, _split, run_sweep
 
 
 class TestConfig:
@@ -48,12 +43,13 @@ class TestIndexing:
 
     @given(st.integers(1, 40), st.integers(1, 6))
     def test_splits_partition(self, total, parts):
-        ranges = _split_range(total, parts)
-        assert ranges[0][0] == 0 and ranges[-1][1] == total
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        items = list(range(total))
-        chunks = _split_list(items, parts)
-        assert [x for c in chunks for x in c] == items
+        parts = min(parts, total)
+        for indices in (range(total), [3 * i + 1 for i in range(total)]):
+            chunks = _split(indices, parts)
+            assert len(chunks) == parts and all(chunks)
+            assert [x for c in chunks for x in c] == list(indices)
+            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+            assert all(type(c) is type(indices) for c in chunks)
 
 
 class TestExhaustiveSweeps:
@@ -135,3 +131,60 @@ class TestWorkers:
     def test_more_workers_than_tuples(self):
         rep = run_sweep(SweepConfig(3, 1, 2, workers=8))
         assert rep.total == 2
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs jobs in this process
+    and records what the sweep asked of it."""
+
+    instances = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.jobs = []
+        _RecordingPool.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        self.jobs = list(jobs)
+        return [fn(job) for job in self.jobs]
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        _RecordingPool.instances = []
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool.instances
+
+    @pytest.mark.parametrize("threads,cpus,box,want", [
+        (64, 4, (3, 2, 3), 4),    # capped at the CPU count
+        (64, 16, (3, 1, 3), 3),   # capped at the tuple count
+        (3, 16, (3, 2, 3), 3),    # as asked
+    ])
+    def test_pool_and_chunks_capped(self, pools, monkeypatch, threads, cpus, box, want):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        rep = run_sweep(SweepConfig(*box, workers=threads))
+        assert [pool.max_workers for pool in pools] == [want]
+        assert len(pools[0].jobs) == want
+        serial = run_sweep(SweepConfig(*box))
+        assert (rep.total, rep.agree_minimal, rep.agree_nonminimal) == (
+            serial.total, serial.agree_minimal, serial.agree_nonminimal)
+
+    def test_single_cpu_runs_without_a_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 1)
+        assert run_sweep(SweepConfig(3, 2, 3, workers=8)).total == 9
+        assert pools == []
+
+    def test_sampled_sweep_is_capped_too(self, pools, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        rep = run_sweep(SweepConfig(3, 4, 9, work_budget=100, samples=50, seed=7,
+                                    workers=32))
+        assert rep.sampled and rep.total == 50 and rep.disagreements == 0
+        assert [pool.max_workers for pool in pools] == [2]
+        assert [len(job[1]) for job in pools[0].jobs] == [25, 25]
