@@ -29,7 +29,6 @@ from .dynamics import (
     is_bijective_mod,
     is_full_cycle,
     lift_check,
-    normalize_unit_constant,
     reduced_map_table,
     taylor_data,
 )
@@ -43,6 +42,7 @@ from .criteria import (
     cross_validate,
     decide,
     decision_level,
+    full_cycle_by_lifting,
     minimal_degree5_z3,
     minimal_general,
     minimal_z2,

@@ -170,7 +170,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     count = args.count if args.count is not None else args.prime**n
     size = args.prime**n
     seed = args.seed % size
-    values = full_cycle_stream(f, n, seed, count, table_bound=args.table_bound)
+    values = full_cycle_stream(f, n, seed, count)
     if args.format == "structured":
         _emit({
             "command": "stream",
@@ -204,8 +204,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         bound=args.bound,
         a0=args.a0,
         n_max=args.nmax,
-        table_bound=args.table_bound,
-        work_budget=args.work_budget,
+        work_budget=_env_int(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET),
         samples=args.samples,
         seed=args.rng_seed,
         workers=args.threads,
@@ -256,9 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, required=True)
-    common.add_argument("--table-bound", type=int, default=None,
-                        help="largest map table materialized (env "
-                             f"{TABLE_BOUND_ENV} overrides the default)")
+
+    # only the subcommands that hold a table or a witness walk take a bound
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--table-bound", type=int, default=None,
+                         help="largest map table materialized (env "
+                              f"{TABLE_BOUND_ENV} overrides the default)")
 
     poly = argparse.ArgumentParser(add_help=False)
     poly.add_argument("--coeffs", type=str, required=True,
@@ -267,16 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["text", "structured"], default="text")
 
-    p_an = sub.add_parser("analyze", parents=[common, poly, fmt],
+    p_an = sub.add_parser("analyze", parents=[common, bounded, poly, fmt],
                           help="decide minimality, closed form plus decision-level check")
     p_an.set_defaults(run=cmd_analyze)
 
-    p_cy = sub.add_parser("cycles", parents=[common, poly, fmt],
+    p_cy = sub.add_parser("cycles", parents=[common, bounded, poly, fmt],
                           help="cycle decomposition of the reduced map")
     p_cy.set_defaults(run=cmd_cycles)
     p_cy.add_argument("--level", type=int, default=None)
 
-    p_co = sub.add_parser("conjugacy", parents=[common, poly, fmt],
+    p_co = sub.add_parser("conjugacy", parents=[common, bounded, poly, fmt],
                           help="orbit index table, or tower verification with --nmax")
     p_co.set_defaults(run=cmd_conjugacy)
     p_co.add_argument("--level", type=int, default=None)
@@ -326,9 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_signed_values(
         sys.argv[1:] if argv is None else argv))
     try:
-        if args.table_bound is None:
+        if "table_bound" in args and args.table_bound is None:
             args.table_bound = _env_int(TABLE_BOUND_ENV, DEFAULT_TABLE_BOUND)
-        args.work_budget = _env_int(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET)
         return args.run(args)
     except (PadicError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)

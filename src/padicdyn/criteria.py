@@ -27,8 +27,8 @@ from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
     _check_table_size,
-    full_cycle_check,
     is_full_cycle,
+    lift_check,
 )
 from .padic import PadicError
 
@@ -339,16 +339,29 @@ def _cycle_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[int, .
     return tuple(order[seen_at[x]:])
 
 
+def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
+    """Is f one full cycle mod p^n?  Decided by lifting from mod p: a
+    full cycle at level k lifts to level k+1 exactly when lift_check
+    says so (Anashin; Fan and Liao 2011), so this costs an orbit walk mod
+    p and one p^k-step walk per level k, with no table.  Levels above
+    the decision level L add nothing: a full cycle at L is one at every
+    level."""
+    if n < 1:
+        raise PadicError(f"level must be >= 1, got {n}")
+    top = min(n, decision_level(f.prime))
+    return is_full_cycle(f, 1) and all(lift_check(f, k).lifts for k in range(1, top))
+
+
 def minimal_general(
     f: IntPolynomial, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> MinimalityVerdict:
-    """Minimality for any prime via one full-cycle check at the decision
-    level (3 for p in {2,3}, else 2).  When the check fails, the witness
-    is the short cycle the orbit of 0 runs into at that level."""
+    """Minimality for any prime via a full cycle at the decision level
+    (3 for p in {2,3}, else 2), decided by lifting.  When there is none,
+    the witness is the short cycle the orbit of 0 runs into at that
+    level; table_bound caps that walk, which may hold every residue."""
     p = f.prime
     level = decision_level(p)
-    report = full_cycle_check(f, level, table_bound=table_bound)
-    if report.full_cycle:
+    if full_cycle_by_lifting(f, level):
         cond = ConditionCheck("full_cycle_at_decision_level", p**level, p**level, True)
         return MinimalityVerdict(True, METHOD_DELTA, None, (cond,))
     witness = _cycle_from_zero(f, level, table_bound)
@@ -366,14 +379,12 @@ def closed_form(f: IntPolynomial) -> MinimalityVerdict | None:
     return None
 
 
-def decide(
-    f: IntPolynomial, *, table_bound: int = DEFAULT_TABLE_BOUND
-) -> MinimalityVerdict:
+def decide(f: IntPolynomial) -> MinimalityVerdict:
     """Closed form where one exists (p = 2, 3), decision-level check
     otherwise."""
     verdict = closed_form(f)
     if verdict is None:
-        verdict = minimal_general(f, table_bound=table_bound)
+        verdict = minimal_general(f)
     return verdict
 
 
@@ -388,9 +399,7 @@ class CrossValidationReport:
     detail: str | None = None
 
 
-def cross_validate(
-    f: IntPolynomial, n_max: int, *, table_bound: int = DEFAULT_TABLE_BOUND
-) -> CrossValidationReport:
+def cross_validate(f: IntPolynomial, n_max: int) -> CrossValidationReport:
     """Compare the coefficient-level verdict against explicit full-cycle
     checks at levels 1..n_max.
 
@@ -400,10 +409,10 @@ def cross_validate(
     """
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
-    verdict = decide(f, table_bound=table_bound)
+    verdict = decide(f)
     top = n_max if verdict.minimal else max(n_max, decision_level(f.prime))
     levels = tuple(range(1, top + 1))
-    flags = tuple(is_full_cycle(f, n, table_bound=table_bound) for n in levels)
+    flags = tuple(is_full_cycle(f, n) for n in levels)
 
     detail = None
     # full-cycle structure can only be lost going up, never regained

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 
-from .padic import (
-    NonUnitError,
-    PadicApprox,
-    PadicError,
-    PrecisionError,
-    _check_prime,
-    canonicalize,
-)
+from .padic import PadicApprox, PadicError, PrecisionError, _check_prime
 
 
 class TableBoundError(PadicError):
@@ -31,8 +24,9 @@ class NotFullCycleError(PadicError):
     pass
 
 
-# A full map table of p^n entries is only materialized below this size;
-# larger levels fall back to orbit walking.
+# Largest map table (p^n entries) that cycle decompositions, bijectivity
+# checks, odometer tables and the witness walk of a non-minimal verdict
+# will hold.  Full-cycle verdicts and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
 
 
@@ -225,53 +219,32 @@ def cycle_decomposition(
 class FullCycleReport:
     full_cycle: bool
     level: int
-    # "table" below the table bound, "orbit" above it
-    strategy: str
-    spot_check_level: int | None = None
+    # always "orbit", the only way the check runs; perfbench/spans.py reads it
+    strategy: str = "orbit"
 
     def __bool__(self) -> bool:
         return self.full_cycle
 
 
-def full_cycle_check(
-    f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
-) -> FullCycleReport:
+def full_cycle_check(f: IntPolynomial, n: int) -> FullCycleReport:
     """Does the induced map on Z/p^n consist of one cycle through all
-    p^n residues?  Decided by first return of the orbit of 0."""
+    p^n residues?  The brute-force reference: walk the orbit of 0 until
+    its first return, which comes at step p^n exactly when the cycle is
+    full.  Production code decides this by lifting from mod p
+    (criteria.full_cycle_by_lifting)."""
     if n < 1:
         raise PadicError(f"level must be >= 1, got {n}")
-    p = f.prime
-    size = p**n
-    if size <= table_bound:
-        table = reduced_map_table(f, n, table_bound=table_bound).entries
-        x = table[0]
-        steps = 1
-        while x != 0 and steps < size:
-            x = table[x]
-            steps += 1
-        return FullCycleReport(x == 0 and steps == size, n, "table")
-
-    # Too big to tabulate.  A failed bijection at any lower level already
-    # rules a full cycle out; check the largest level that fits.
-    spot = n - 1
-    while p**spot > table_bound:
-        spot -= 1
-    if spot >= 1 and not is_bijective_mod(f, spot, table_bound=table_bound):
-        return FullCycleReport(False, n, "orbit", spot)
-    # Orbit of 0: a first return at step k means k distinct residues seen,
-    # so return at exactly p^n is equivalent to a full cycle.
+    size = f.prime**n
     x = 0
     for steps in range(1, size + 1):
         x = f.eval_mod(x, size)
         if x == 0:
-            return FullCycleReport(steps == size, n, "orbit", spot if spot >= 1 else None)
-    return FullCycleReport(False, n, "orbit", spot if spot >= 1 else None)
+            return FullCycleReport(steps == size, n)
+    return FullCycleReport(False, n)
 
 
-def is_full_cycle(
-    f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
-) -> bool:
-    return full_cycle_check(f, n, table_bound=table_bound).full_cycle
+def is_full_cycle(f: IntPolynomial, n: int) -> bool:
+    return full_cycle_check(f, n).full_cycle
 
 
 @dataclass(frozen=True)
@@ -282,8 +255,6 @@ class TaylorData:
 
     derivative   g'(x0), a chain-rule product over the orbit
     displacement (g(x0) - x0) / p^n, exact at the stated precision
-    curvature    g''(x0) / 2 when requested; None when the halving is not
-                 exact at the working precision (p = 2 only)
     """
 
     prime: int
@@ -292,23 +263,16 @@ class TaylorData:
     base_point: PadicApprox
     derivative: PadicApprox
     displacement: PadicApprox
-    curvature: PadicApprox | None = None
 
 
 def taylor_data(
-    f: IntPolynomial,
-    n: int,
-    x0: PadicApprox,
-    precision: int,
-    *,
-    with_curvature: bool = False,
+    f: IntPolynomial, n: int, x0: PadicApprox, precision: int
 ) -> TaylorData:
     """Walk the orbit of x0 under f for p^n steps, carrying the value and
-    the first (and optionally second) derivative of the composition.
+    the first derivative of the composition.
 
     Requires x0 known to at least n + precision digits and p^n-periodic
-    at level n.  Internal arithmetic runs at n + precision digits, with
-    one guard digit for the p = 2 curvature halving.
+    at level n.  Internal arithmetic runs at n + precision digits.
     """
     if f.prime != x0.prime:
         raise PadicError(f"prime mismatch: {f.prime} vs {x0.prime}")
@@ -321,20 +285,14 @@ def taylor_data(
             f"base point precision {x0.precision} below required {work}"
         )
     modulus = p**work
-    guard = modulus * p if (with_curvature and p == 2) else modulus
     df = derivative(f)
-    d2f = derivative(f, 2) if with_curvature else None
 
-    x0v = x0.value % guard
+    x0v = x0.value % modulus
     v = x0v
     deriv_acc = 1
-    second_acc = 0
     for _ in range(p**n):
-        dv = df.eval_mod(v, guard)
-        if with_curvature:
-            second_acc = (d2f.eval_mod(v, guard) * deriv_acc * deriv_acc + dv * second_acc) % guard
-        deriv_acc = (deriv_acc * dv) % guard
-        v = f.eval_mod(v, guard)
+        deriv_acc = (deriv_acc * df.eval_mod(v, modulus)) % modulus
+        v = f.eval_mod(v, modulus)
 
     step = p**n
     diff = (v - x0v) % modulus
@@ -342,30 +300,13 @@ def taylor_data(
         raise NotPeriodicError(
             f"base point {x0.value} is not p^{n}-periodic at level {n}"
         )
-    displacement = (diff // step) % p**precision
-    deriv = deriv_acc % p**precision
-
-    curvature = None
-    if with_curvature:
-        if p == 2:
-            # the integer second derivative of a composition of integer
-            # polynomials is even; a failed parity check means the guard
-            # precision cannot certify the halving
-            if second_acc % 2 == 0:
-                curvature = PadicApprox(p, precision, (second_acc // 2) % p**precision)
-        else:
-            inv2 = pow(2, -1, p**precision)
-            curvature = PadicApprox(p, precision, (second_acc * inv2) % p**precision)
-
-    base = PadicApprox(p, work, x0.value % modulus)
     return TaylorData(
         prime=p,
         level=n,
         precision=precision,
-        base_point=base,
-        derivative=PadicApprox(p, precision, deriv),
-        displacement=PadicApprox(p, precision, displacement),
-        curvature=curvature,
+        base_point=PadicApprox(p, work, x0v),
+        derivative=PadicApprox(p, precision, deriv_acc % p**precision),
+        displacement=PadicApprox(p, precision, (diff // step) % p**precision),
     )
 
 
@@ -386,36 +327,26 @@ class LiftReport:
         return self.lifts
 
 
-def lift_check(
-    f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
-) -> LiftReport:
-    if f.prime**n <= table_bound:
-        if not is_full_cycle(f, n, table_bound=table_bound):
-            raise NotFullCycleError(
-                f"lift_check needs a full cycle at level {n} first"
-            )
-    td = taylor_data(f, n, canonicalize(0, f.prime, n + 1), 1)
-    a = td.derivative.value
-    b = td.displacement.value
-    return LiftReport(lifts=(b % f.prime != 0 and a % f.prime == 1),
-                      derivative_mod_p=a, displacement_mod_p=b)
-
-
-def normalize_unit_constant(f: IntPolynomial, precision: int) -> IntPolynomial:
-    """Conjugate scaling that moves the constant term to 1: the map
-    x -> f(a0 x)/a0 has coefficients a_i * a0^(i-1), returned as residues
-    mod p^precision.  Needs a0 to be a unit mod p."""
+def lift_check(f: IntPolynomial, n: int) -> LiftReport:
+    """One walk of the orbit of 0, p^n steps at modulus p^(n+1), carrying
+    the product of f' mod p along it.  The same walk checks the
+    precondition: 0 must first return mod p^n at step p^n, which is a
+    full cycle at level n; otherwise NotFullCycleError."""
+    if n < 1:
+        raise PadicError(f"level must be >= 1, got {n}")
     p = f.prime
-    a0 = f.coefficient(0)
-    if a0 % p == 0:
-        raise NonUnitError(
-            f"constant term {a0} divisible by {p}: 0 stays fixed mod {p}"
-        )
-    m = p**precision
-    inv = pow(a0, -1, m)
-    coeffs = [(a0 * inv) % m]
-    power = inv  # a0^(i-1) built up incrementally
-    for i in range(1, f.degree + 1):
-        power = (power * a0) % m
-        coeffs.append((f.coefficient(i) * power) % m)
-    return IntPolynomial(p, tuple(coeffs), allow_constant=True)
+    cycle = p**n
+    modulus = cycle * p
+    df = derivative(f)
+    x = 0
+    slope = 1
+    for step in range(1, cycle + 1):
+        slope = slope * df.eval_mod(x, p) % p
+        x = f.eval_mod(x, modulus)
+        if x % cycle == 0:
+            break
+    if step < cycle or x % cycle:
+        raise NotFullCycleError(f"lift_check needs a full cycle at level {n} first")
+    displacement = x // cycle
+    return LiftReport(lifts=(displacement != 0 and slope == 1),
+                      derivative_mod_p=slope, displacement_mod_p=displacement)

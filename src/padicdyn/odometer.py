@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .criteria import full_cycle_by_lifting
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
     NotFullCycleError,
     ReducedMapTable,
-    full_cycle_check,
     reduced_map_table,
 )
 from .padic import PadicError
@@ -110,22 +110,18 @@ def verify_conjugacy_tower(
 
 
 def full_cycle_stream(
-    f: IntPolynomial,
-    n: int,
-    seed: int,
-    count: int,
-    *,
-    table_bound: int = DEFAULT_TABLE_BOUND,
+    f: IntPolynomial, n: int, seed: int, count: int
 ) -> Iterator[int]:
     """Lazily yield `count` residues of the orbit of `seed` mod p^n.
 
     For a minimal map this is a maximal-period sequence: period exactly
     p^n, every residue class mod p^m hit equally often.  The full cycle
-    at level n is checked here, before the first residue.
+    at level n is checked here by lifting, before the first residue, at
+    a cost that does not grow with n past the decision level.
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")
-    if not full_cycle_check(f, n, table_bound=table_bound).full_cycle:
+    if not full_cycle_by_lifting(f, n):
         raise NotFullCycleError(f"no full cycle at level {n}")
 
     def generate() -> Iterator[int]:

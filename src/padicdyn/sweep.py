@@ -7,8 +7,9 @@ and counts agreement.  Routes per tuple:
     closed      closed-form decider (p = 2 or 3 only)
     alt         second closed form where one applies: the p = 2 larin
                 shape, or the p = 3 degree-5 form (constant term 1)
-    delta       full-cycle check at the decision level
-    full-cycle  full-cycle check at n_max
+    delta       full cycle at the decision level, decided by lifting
+                from mod p (criteria.full_cycle_by_lifting)
+    full-cycle  brute-force orbit walk at n_max (dynamics.is_full_cycle)
 
 The all-zero tail is built as the constant map a0, which every route
 reports as not minimal.  The index range (or the sorted sample) is cut
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 from .criteria import (
     closed_form,
     decision_level,
+    full_cycle_by_lifting,
     minimal_degree5_z3,
     minimal_z2_larin_form,
 )
-from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, is_full_cycle
+from .dynamics import IntPolynomial, is_full_cycle
 from .padic import PadicError
 
 # ten million full-cycle checks; larger boxes must opt into sampling
@@ -43,7 +45,6 @@ class SweepConfig:
     bound: int
     a0: int = 1
     n_max: int | None = None
-    table_bound: int = DEFAULT_TABLE_BOUND
     work_budget: int = DEFAULT_WORK_BUDGET
     samples: int | None = None
     seed: int = 0
@@ -76,8 +77,6 @@ def _index_to_tail(idx: int, bound: int, degree: int) -> list[int]:
 
 def _routes_for(cfg: SweepConfig, tail: list[int]) -> dict[str, bool]:
     p = cfg.prime
-    n_max = cfg.resolved_n_max()
-    delta = decision_level(p)
     f = IntPolynomial(p, (cfg.a0, *tail), allow_constant=True)
     routes = {}
     closed = closed_form(f)
@@ -89,12 +88,8 @@ def _routes_for(cfg: SweepConfig, tail: list[int]) -> dict[str, bool]:
             routes["alt"] = minimal_z2_larin_form(f).minimal
         elif p == 3 and cfg.degree <= 5:
             routes["alt"] = minimal_degree5_z3(f).minimal
-    routes["delta"] = is_full_cycle(f, delta, table_bound=cfg.table_bound)
-    routes["full-cycle"] = (
-        routes["delta"]
-        if n_max == delta
-        else is_full_cycle(f, n_max, table_bound=cfg.table_bound)
-    )
+    routes["delta"] = full_cycle_by_lifting(f, decision_level(p))
+    routes["full-cycle"] = is_full_cycle(f, cfg.resolved_n_max())
     return routes
 
 

@@ -10,3 +10,15 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return random.Random(0xD1CE)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Make building any reduced map table fail the test."""
+    from padicdyn import dynamics, odometer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduced map table was built")
+
+    monkeypatch.setattr(dynamics, "reduced_map_table", refuse)
+    monkeypatch.setattr(odometer, "reduced_map_table", refuse)

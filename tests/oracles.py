@@ -7,8 +7,6 @@ iterate derivatives come from symbolic composition instead of chain-rule
 products.
 """
 
-from fractions import Fraction
-
 
 def eval_pow_mod(coeffs, x, m):
     return sum(c * pow(x, i, m) for i, c in enumerate(coeffs)) % m
@@ -131,19 +129,13 @@ def valuation_oracle(value, p):
 
 
 def taylor_oracle(coeffs, p, n, x0, precision):
-    """alpha, beta, gamma of the p^n-fold self-composition, from the
-    exact symbolic composition.  Only feasible for tiny p^n."""
+    """alpha, beta of the p^n-fold self-composition, from the exact
+    symbolic composition.  Only feasible for tiny p^n."""
     g = poly_self_compose(list(coeffs), p**n)
     g1 = poly_derivative(g)
-    g2 = poly_derivative(g, 2)
     m = p**precision
     value = eval_pow_mod(g, x0, p ** (n + precision))
     assert (value - x0) % p**n == 0
     beta = ((value - x0) // p**n) % m
     alpha = eval_pow_mod(g1, x0, m)
-    second = sum(c * x0**i for i, c in enumerate(g2))
-    gamma_exact = Fraction(second, 2)
-    gamma = None
-    if gamma_exact.denominator == 1:
-        gamma = int(gamma_exact) % m
-    return alpha, beta, gamma
+    return alpha, beta

@@ -71,6 +71,8 @@ class TestAnalyze:
         ("analyze", "--prime", "4", "--coeffs", "1,1"),
         ("analyze", "--prime", "3", "--coeffs", "1,x"),
         ("analyze", "--prime", "3", "--coeffs", "7"),
+        ("stream", "--prime", "3", "--coeffs", "1,1", "--level", "0"),
+        ("stream", "--prime", "3", "--coeffs", "1,1", "--level", "-1"),
     ])
     def test_bad_input_exits_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -192,6 +194,13 @@ class TestStream:
         assert code == 2
         assert "no full cycle" in err
 
+    def test_deep_level_builds_no_table(self, capsys, no_tables):
+        # a 2^30-cycle: the check costs a few lifting steps, not 2^30 residues
+        code, out, _ = run(capsys, "stream", "--prime", "2", "--coeffs", "1,1",
+                           "--level", "30", "--count", "3")
+        assert code == 0
+        assert out.split() == ["0", "1", "2"]
+
 
 class TestSweep:
     def test_exhaustive_box_structured(self, capsys):
@@ -269,6 +278,36 @@ class TestEnvironment:
         code, _, err = run(capsys, "cycles", "--prime", "3", "--coeffs", Q3)
         assert code == 2
         assert "PADICDYN_TABLE_BOUND" in err
+
+    def test_bad_table_bound_only_where_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADICDYN_TABLE_BOUND", "many")
+        code, out, _ = run(capsys, "stream", "--prime", "3", "--coeffs", Q3,
+                           "--level", "1")
+        assert code == 0 and out.split() == ["0", "1", "2"]
+        code, _, _ = run(capsys, "sweep", "--prime", "3", "--degree", "1",
+                         "--bound", "3", "--threads", "1")
+        assert code == 0
+
+    def test_bad_work_budget_only_where_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADICDYN_WORK_BUDGET", "many")
+        code, _, _ = run(capsys, "analyze", "--prime", "3", "--coeffs", Q3)
+        assert code == 0
+        code, _, _ = run(capsys, "analyze", "--prime", "3", "--coeffs", W3)
+        assert code == 1
+        code, _, err = run(capsys, "sweep", "--prime", "3", "--degree", "1",
+                           "--bound", "3", "--threads", "1")
+        assert code == 2
+        assert "PADICDYN_WORK_BUDGET" in err
+
+    @pytest.mark.parametrize("command", [
+        ("stream", "--prime", "3", "--coeffs", Q3),
+        ("sweep", "--prime", "3", "--degree", "1", "--bound", "3"),
+    ])
+    def test_table_bound_flag_only_where_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--table-bound", "100"])
+        assert exit_info.value.code == 2
+        assert "--table-bound" in capsys.readouterr().err
 
 
 # stdout bytes and exit codes of fixed invocations, recorded from the

@@ -14,6 +14,7 @@ from padicdyn.criteria import (
     cross_validate,
     decide,
     decision_level,
+    full_cycle_by_lifting,
     minimal_degree5_z3,
     minimal_general,
     minimal_z2,
@@ -268,6 +269,11 @@ class TestMinimalGeneral:
     def test_matches_full_cycle_at_decision_level(self, f):
         assert minimal_general(f).minimal == is_full_cycle(f, 2)
 
+    def test_large_prime_builds_no_table(self, no_tables):
+        v = minimal_general(IntPolynomial(1009, (1, 1)))
+        assert v.minimal
+        assert v.conditions[0].residue == 1009**2
+
 
 class TestDecide:
     def test_method_dispatch(self):
@@ -326,6 +332,27 @@ class TestClosedForm:
     @given(st.sampled_from([2, 3]).flatmap(signed_polys))
     def test_agrees_with_decision_level_check(self, f):
         assert closed_form(f).minimal == minimal_general(f).minimal, f.coefficients
+
+
+class TestFullCycleByLifting:
+    def test_frozen(self):
+        assert full_cycle_by_lifting(Q3, 5)
+        assert full_cycle_by_lifting(W2, 2) and not full_cycle_by_lifting(W2, 3)
+        assert full_cycle_by_lifting(W3, 2) and not full_cycle_by_lifting(W3, 4)
+        assert not full_cycle_by_lifting(IntPolynomial(5, (1, 1, 1)), 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_levels_below_one(self, n):
+        with pytest.raises(PadicError):
+            full_cycle_by_lifting(Q3, n)
+
+    @settings(max_examples=400)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+        lambda p: st.tuples(signed_polys(p), st.integers(1, decision_level(p) + 1))))
+    def test_equals_brute_force(self, case):
+        # levels 1..L+1: below, at and above the decision level L
+        f, n = case
+        assert full_cycle_by_lifting(f, n) == is_full_cycle(f, n), (f.coefficients, n)
 
 
 class TestCrossValidate:

@@ -13,11 +13,10 @@ from padicdyn.dynamics import (
     is_bijective_mod,
     is_full_cycle,
     lift_check,
-    normalize_unit_constant,
     reduced_map_table,
     taylor_data,
 )
-from padicdyn.padic import NonUnitError, PadicError, PrecisionError, canonicalize
+from padicdyn.padic import PadicError, PrecisionError, canonicalize
 
 import oracles
 
@@ -212,20 +211,11 @@ class TestFullCycle:
     def test_matches_oracle(self, f, n):
         assert is_full_cycle(f, n) == oracles.full_cycle_oracle(f.coefficients, f.prime, n)
 
-    def test_orbit_fallback_strategy(self):
-        # force the no-table path with a tiny bound
-        rep = full_cycle_check(Q3, 3, table_bound=9)
-        assert rep.strategy == "orbit" and rep.spot_check_level == 2
-        assert rep.full_cycle == is_full_cycle(Q3, 3)
-        rep2 = full_cycle_check(W2, 3, table_bound=4)
-        assert rep2.strategy == "orbit"
-        assert rep2.full_cycle == is_full_cycle(W2, 3)
-        # non-bijective map is caught by the spot check
-        rep3 = full_cycle_check(IntPolynomial(5, (1, 1, 1)), 2, table_bound=5)
-        assert rep3.strategy == "orbit" and not rep3.full_cycle
-
-    def test_table_strategy(self):
-        assert full_cycle_check(Q3, 2).strategy == "table"
+    def test_report_shape(self):
+        rep = full_cycle_check(Q3, 2)
+        assert rep.full_cycle and rep.level == 2 and rep.strategy == "orbit"
+        with pytest.raises(PadicError):
+            full_cycle_check(Q3, 0)
 
 
 class TestIterate:
@@ -264,11 +254,10 @@ class TestTaylorData:
         for x0 in range(p**n):
             if oracles.iterate_oracle(f.coefficients, x0, p**n, p**n) != x0:
                 continue
-            alpha, beta, gamma = oracles.taylor_oracle(f.coefficients, p, n, x0, 2)
-            td = taylor_data(f, n, canonicalize(x0, p, n + 2), 2, with_curvature=True)
+            alpha, beta = oracles.taylor_oracle(f.coefficients, p, n, x0, 2)
+            td = taylor_data(f, n, canonicalize(x0, p, n + 2), 2)
             assert td.derivative.value == alpha
             assert td.displacement.value == beta
-            assert td.curvature is not None and td.curvature.value == gamma
 
     @given(poly_strategy(primes=(2, 3)), st.integers(1, 2), st.integers(0, 50))
     def test_affine_model_of_iterate(self, f, n, z):
@@ -304,17 +293,6 @@ class TestTaylorData:
         with pytest.raises(PadicError):
             taylor_data(W2, 2, canonicalize(0, 3, 3), 1)
 
-    def test_curvature_parity_p2(self):
-        # second derivative of an integer polynomial composition is even,
-        # so the halving must always succeed
-        td = taylor_data(W2, 2, canonicalize(0, 2, 4), 2, with_curvature=True)
-        assert td.curvature is not None
-        td3 = taylor_data(Q3, 1, canonicalize(0, 3, 3), 2, with_curvature=True)
-        assert td3.curvature is not None
-
-    def test_curvature_not_computed_by_default(self):
-        assert taylor_data(Q3, 1, canonicalize(0, 3, 2), 1).curvature is None
-
 
 class TestLiftCheck:
     def test_frozen(self):
@@ -329,36 +307,39 @@ class TestLiftCheck:
             lift_check(IntPolynomial(5, (1, 1, 1)), 1)
         with pytest.raises(NotFullCycleError):
             lift_check(W2, 3)
+        with pytest.raises(PadicError):
+            lift_check(Q3, 0)
+
+    @pytest.mark.parametrize("f", [W2, W3])
+    def test_rejects_period_one_level_down(self, f):
+        # 0 has period p^2 mod p^3: f^(p^3)(0) = 0 mod p^3, so only the
+        # early return at step p^2 shows the cycle is not full
+        p = f.prime
+        assert iterate_mod(f, 0, p**2, p**3) == 0
+        assert iterate_mod(f, 0, p**3, p**3) == 0
+        assert is_full_cycle(f, 2) and not is_full_cycle(f, 3)
+        with pytest.raises(NotFullCycleError):
+            lift_check(f, 3)
+
+    @given(poly_strategy(primes=(2, 3, 5, 7), max_degree=6, coeff=30), st.integers(1, 3))
+    def test_raises_exactly_without_full_cycle(self, f, n):
+        if is_full_cycle(f, n):
+            lift_check(f, n)
+        else:
+            with pytest.raises(NotFullCycleError):
+                lift_check(f, n)
+
+    @given(poly_strategy(primes=(2, 3, 5), max_degree=4, coeff=30), st.integers(1, 2))
+    def test_matches_taylor_data(self, f, n):
+        if not is_full_cycle(f, n):
+            return
+        rep = lift_check(f, n)
+        td = taylor_data(f, n, canonicalize(0, f.prime, n + 1), 1)
+        assert (rep.derivative_mod_p, rep.displacement_mod_p) == (
+            td.derivative.value, td.displacement.value)
 
     @given(poly_strategy(primes=(2, 3, 5), max_degree=4, coeff=30), st.integers(1, 2))
     def test_equivalent_to_next_level_full_cycle(self, f, n):
         if not is_full_cycle(f, n):
             return
         assert lift_check(f, n).lifts == is_full_cycle(f, n + 1)
-
-
-class TestNormalizeUnitConstant:
-    def test_frozen(self):
-        g = normalize_unit_constant(IntPolynomial(3, (2, 2)), 2)
-        assert g.coefficients == (1, 2)
-
-    def test_nonunit_constant(self):
-        with pytest.raises(NonUnitError):
-            normalize_unit_constant(IntPolynomial(3, (3, 1)), 2)
-
-    @given(poly_strategy(primes=(2, 3), max_degree=4, coeff=20), st.integers(1, 3))
-    def test_conjugation_preserves_cycle_type(self, f, n):
-        if f.coefficient(0) % f.prime == 0:
-            return
-        g = normalize_unit_constant(f, 3)
-        if g.degree == 0:
-            return  # degree collapsed mod p^3: nothing to compare
-        assert g.coefficient(0) == 1
-        assert is_full_cycle(f, n) == is_full_cycle(g, n)
-
-    def test_unit_weights_match_definition(self):
-        f = IntPolynomial(3, (2, 5, 7, 1))
-        g = normalize_unit_constant(f, 2)
-        inv = pow(2, -1, 9)
-        for i in range(4):
-            assert g.coefficient(i) == (f.coefficient(i) * pow(2, i, 9) * inv) % 9

@@ -94,6 +94,23 @@ class TestExhaustiveSweeps:
         assert rep.disagreements == 0
 
 
+class TestDifferentials:
+    """Closed form, lifting chain and brute-force orbit walk on every
+    tuple of a box, for constant terms other than 1 and negative ones
+    (no alternate form applies there)."""
+
+    @pytest.mark.parametrize("prime,degree,bound,a0", [
+        *((2, 4, 8, a0) for a0 in (3, 5, 7, 9, -1)),
+        *((3, 4, 9, a0) for a0 in (2, 4, 5, 7, 8, 10, -1)),
+    ])
+    def test_routes_agree(self, prime, degree, bound, a0):
+        rep = run_sweep(SweepConfig(prime, degree, bound, a0=a0))
+        assert rep.total == bound**degree
+        assert rep.disagreements == 0, (rep.first_counterexample, rep.first_routes)
+        # both verdicts occur, so neither side of the comparison is vacuous
+        assert rep.agree_minimal > 0 and rep.agree_nonminimal > 0
+
+
 class TestSampling:
     def test_budget_exceeded_without_samples(self):
         with pytest.raises(PadicError):
