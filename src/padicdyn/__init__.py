@@ -1,16 +1,7 @@
 """Polynomial dynamics on p-adic integers: minimality deciders, cycle
 structure of the finite reductions, and conjugacy to the +1 odometer."""
 
-from .padic import (
-    MAX_PRECISION,
-    NonUnitError,
-    PadicApprox,
-    PadicError,
-    PrecisionError,
-    ValuationResult,
-    canonicalize,
-    is_prime,
-)
+from .padic import PadicError, PrecisionError, is_prime
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     BijectivityReport,

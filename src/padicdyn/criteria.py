@@ -55,9 +55,7 @@ class CoefficientSums:
     precision: int | None = None
 
 
-def coefficient_sums(
-    f: IntPolynomial, *, primed: bool = False, precision: int = 2
-) -> CoefficientSums:
+def coefficient_sums(f: IntPolynomial, *, primed: bool = False) -> CoefficientSums:
     if not primed:
         a0_sums = [0, 0, 0, 0]
         for i in range(1, f.degree + 1):
@@ -69,7 +67,8 @@ def coefficient_sums(
                 a0_sums[1] += c
                 a0_sums[3] += i * c
         return CoefficientSums(*a0_sums, primed=False)
-    m = f.prime**precision
+    # primed sums are residues mod p^2, all that the closed forms read
+    m = f.prime**2
     a0 = f.coefficient(0)
     sums = [0, 0, 0, 0]
     for i in range(1, f.degree + 1):
@@ -80,7 +79,7 @@ def coefficient_sums(
         else:
             sums[1] = (sums[1] + t) % m
             sums[3] = (sums[3] + i * t) % m
-    return CoefficientSums(*sums, primed=True, precision=precision)
+    return CoefficientSums(*sums, primed=True, precision=2)
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def _sums_for(f: IntPolynomial) -> CoefficientSums:
     # exact integers when no rescaling is needed, residues mod p^2 otherwise
     if f.coefficient(0) == 1:
         return coefficient_sums(f)
-    return coefficient_sums(f, primed=True, precision=2)
+    return coefficient_sums(f, primed=True)
 
 
 def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:

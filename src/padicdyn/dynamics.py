@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 
-from .padic import PadicApprox, PadicError, PrecisionError, _check_prime
+from .padic import PadicError, _check_prime
 
 
 class TableBoundError(PadicError):
@@ -76,9 +76,6 @@ class IntPolynomial:
             raise PadicError(f"bad coefficient list {text!r}") from e
         return cls(prime, coeffs)
 
-    def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coefficients)
-
     def eval_mod(self, x: int, modulus: int) -> int:
         """f(x) mod modulus.  The one Horner loop of the package: every
         table, orbit walk and stream evaluates through it."""
@@ -104,15 +101,14 @@ class IntPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def derivative(f: IntPolynomial, order: int = 1) -> IntPolynomial:
-    """Formal derivative; repeated term rule, may degrade to a constant
-    or to the zero polynomial."""
-    if order < 0:
-        raise PadicError("derivative order must be nonnegative")
+def derivative(f: IntPolynomial) -> IntPolynomial:
+    """Formal derivative; may degrade to a constant or to the zero
+    polynomial."""
     coeffs = f.coefficients
-    for _ in range(order):
-        coeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs))) or (0,)
-    return IntPolynomial(f.prime, coeffs, allow_constant=True)
+    return IntPolynomial(
+        f.prime, tuple(i * coeffs[i] for i in range(1, len(coeffs))) or (0,),
+        allow_constant=True,
+    )
 
 
 def _check_table_size(prime: int, level: int, table_bound: int) -> int:
@@ -253,60 +249,53 @@ class TaylorData:
     base point x0: g(x0 + p^n z) = x0 + p^n (derivative * z + displacement)
     up to O(p^2n).
 
-    derivative   g'(x0), a chain-rule product over the orbit
-    displacement (g(x0) - x0) / p^n, exact at the stated precision
+    base_point   x0 mod p^(n + precision)
+    derivative   g'(x0) mod p^precision, a chain-rule product over the orbit
+    displacement (g(x0) - x0) / p^n mod p^precision
     """
 
     prime: int
     level: int
     precision: int
-    base_point: PadicApprox
-    derivative: PadicApprox
-    displacement: PadicApprox
+    base_point: int
+    derivative: int
+    displacement: int
 
 
-def taylor_data(
-    f: IntPolynomial, n: int, x0: PadicApprox, precision: int
-) -> TaylorData:
+def taylor_data(f: IntPolynomial, n: int, x0: int, precision: int) -> TaylorData:
     """Walk the orbit of x0 under f for p^n steps, carrying the value and
     the first derivative of the composition.
 
-    Requires x0 known to at least n + precision digits and p^n-periodic
-    at level n.  Internal arithmetic runs at n + precision digits.
+    Requires x0 to be p^n-periodic at level n.  Internal arithmetic runs
+    mod p^(n + precision).
     """
-    if f.prime != x0.prime:
-        raise PadicError(f"prime mismatch: {f.prime} vs {x0.prime}")
     if n < 1 or precision < 1:
         raise PadicError("level and precision must be >= 1")
     p = f.prime
-    work = n + precision
-    if x0.precision < work:
-        raise PrecisionError(
-            f"base point precision {x0.precision} below required {work}"
-        )
-    modulus = p**work
+    step = p**n
+    m = p**precision
+    modulus = step * m
     df = derivative(f)
 
-    x0v = x0.value % modulus
+    x0v = x0 % modulus
     v = x0v
     deriv_acc = 1
-    for _ in range(p**n):
+    for _ in range(step):
         deriv_acc = (deriv_acc * df.eval_mod(v, modulus)) % modulus
         v = f.eval_mod(v, modulus)
 
-    step = p**n
     diff = (v - x0v) % modulus
     if diff % step != 0:
         raise NotPeriodicError(
-            f"base point {x0.value} is not p^{n}-periodic at level {n}"
+            f"base point {x0} is not p^{n}-periodic at level {n}"
         )
     return TaylorData(
         prime=p,
         level=n,
         precision=precision,
-        base_point=PadicApprox(p, work, x0v),
-        derivative=PadicApprox(p, precision, deriv_acc % p**precision),
-        displacement=PadicApprox(p, precision, (diff // step) % p**precision),
+        base_point=x0v,
+        derivative=deriv_acc % m,
+        displacement=(diff // step) % m,
     )
 
 

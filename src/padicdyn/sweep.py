@@ -15,6 +15,10 @@ The all-zero tail is built as the constant map a0, which every route
 reports as not minimal.  The index range (or the sorted sample) is cut
 into contiguous chunks, one per worker process; the workers are capped
 at the CPU count and at the number of tuples.
+
+The work budget counts tuples, each weighted p^(n_max - L) above the
+decision level L; a box over budget must be sampled, and above L a
+sample over budget is refused before the sweep starts.
 """
 
 from __future__ import annotations
@@ -121,22 +125,34 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         raise PadicError(f"sweep degree must be >= 1, got {cfg.degree}")
     if cfg.bound < 1:
         raise PadicError(f"sweep bound must be >= 1, got {cfg.bound}")
-    if cfg.resolved_n_max() < decision_level(cfg.prime):
+    if cfg.samples is not None and cfg.samples < 0:
+        raise PadicError(f"sample count must be >= 0, got {cfg.samples}")
+    level = decision_level(cfg.prime)
+    n_max = cfg.resolved_n_max()
+    if n_max < level:
         raise PadicError(
-            f"n_max below the decision level {decision_level(cfg.prime)} "
-            "cannot settle minimality"
+            f"n_max below the decision level {level} cannot settle minimality"
         )
     box = cfg.bound**cfg.degree
-    sampled = False
-    if box > cfg.work_budget:
+    # the brute-force route walks up to p^n_max orbit steps, so past the
+    # decision level a tuple weighs p^(n_max - L); the exponent is capped
+    # where the weight alone exceeds the budget
+    weight = cfg.prime ** min(n_max - level, cfg.work_budget.bit_length() + 1)
+    sampled = box * weight > cfg.work_budget
+    if sampled:
         if cfg.samples is None:
             raise PadicError(
-                f"box of {box} tuples exceeds work budget {cfg.work_budget}; "
-                "pass a sample count to sweep by sampling"
+                f"box of {box} tuples at n_max {n_max} exceeds work budget "
+                f"{cfg.work_budget}; pass a sample count to sweep by sampling"
+            )
+        count = min(cfg.samples, box)
+        if weight > 1 and count * weight > cfg.work_budget:
+            raise PadicError(
+                f"{count} samples at n_max {n_max} exceed work budget "
+                f"{cfg.work_budget}; lower n_max or the sample count"
             )
         rng = random.Random(cfg.seed)
-        indices = sorted(rng.sample(range(box), min(cfg.samples, box)))
-        sampled = True
+        indices = sorted(rng.sample(range(box), count))
     else:
         indices = range(box)
     total = len(indices)

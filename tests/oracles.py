@@ -105,29 +105,6 @@ def poly_derivative(coeffs, order=1):
     return c
 
 
-def mod_inverse_euclid(a, m):
-    """Extended Euclid, kept separate from pow(a, -1, m)."""
-    old_r, r = a % m, m
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise ValueError(f"{a} not invertible mod {m}")
-    return old_s % m
-
-
-def valuation_oracle(value, p):
-    if value == 0:
-        return None
-    v = 0
-    while value % p == 0:
-        value //= p
-        v += 1
-    return v
-
-
 def taylor_oracle(coeffs, p, n, x0, precision):
     """alpha, beta of the p^n-fold self-composition, from the exact
     symbolic composition.  Only feasible for tiny p^n."""

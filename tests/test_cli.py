@@ -258,6 +258,20 @@ class TestSweep:
         assert code == 0
         assert rec["n_max"] == 5 and rec["disagreements"] == 0
 
+    def test_negative_samples_exits_two(self, capsys):
+        code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "30",
+                             "--bound", "2", "--samples", "-5", "--threads", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [(), ("--samples", "1")])
+    def test_deep_nmax_over_budget_exits_two(self, capsys, extra):
+        # one tuple at n_max 30 weighs 2^27 > 10^7 brute-force steps
+        code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "1",
+                             "--bound", "2", "--nmax", "30", "--threads", "1", *extra)
+        assert code == 2 and out == ""
+        assert "work budget" in err
+
 
 class TestEnvironment:
     def test_table_bound_env_limits_tables(self, capsys, monkeypatch):

@@ -54,7 +54,7 @@ class TestCoefficientSums:
 
     def test_primed_reduces_to_plain_for_unit_constant_one(self):
         plain = coefficient_sums(Q3)
-        primed = coefficient_sums(Q3, primed=True, precision=2)
+        primed = coefficient_sums(Q3, primed=True)
         assert (primed.even_sum, primed.odd_sum) == (
             plain.even_sum % 9,
             plain.odd_sum % 9,
@@ -63,7 +63,7 @@ class TestCoefficientSums:
 
     def test_primed_weights(self):
         f = IntPolynomial(3, (2, 5, 7))
-        s = coefficient_sums(f, primed=True, precision=2)
+        s = coefficient_sums(f, primed=True)
         assert s.odd_sum == 5 % 9
         assert s.even_sum == (7 * 2) % 9
         assert s.even_weighted == (2 * 7 * 2) % 9

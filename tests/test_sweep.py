@@ -135,6 +135,29 @@ class TestSampling:
         rep = run_sweep(SweepConfig(3, 1, 9, samples=2))
         assert not rep.sampled and rep.total == 9
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(PadicError):
+            run_sweep(SweepConfig(3, 1, 9, samples=-1))
+        with pytest.raises(PadicError):
+            run_sweep(SweepConfig(3, 4, 9, work_budget=100, samples=-5))
+
+    def test_tuples_weighed_above_the_decision_level(self):
+        # 9 tuples at n_max = L + 1 weigh 27: over a budget of 20, so the
+        # box is sampled, and 7 samples (21) are refused where 6 (18) run
+        with pytest.raises(PadicError):
+            run_sweep(SweepConfig(3, 1, 9, n_max=4, work_budget=20))
+        with pytest.raises(PadicError):
+            run_sweep(SweepConfig(3, 1, 9, n_max=4, work_budget=20, samples=7))
+        rep = run_sweep(SweepConfig(3, 1, 9, n_max=4, work_budget=20, samples=6))
+        assert rep.sampled and rep.total == 6 and rep.disagreements == 0
+        # at the decision level the weight is 1 and the box fits
+        rep = run_sweep(SweepConfig(3, 1, 9, work_budget=20))
+        assert not rep.sampled and rep.total == 9
+
+    def test_huge_n_max_refused_at_once(self):
+        with pytest.raises(PadicError):
+            run_sweep(SweepConfig(2, 1, 2, n_max=10**9, samples=1))
+
 
 class TestWorkers:
     def test_worker_split_matches_serial(self):
