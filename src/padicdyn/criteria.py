@@ -22,6 +22,8 @@ kept as exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
@@ -44,8 +46,7 @@ def decision_level(prime: int) -> int:
     return 3 if prime in (2, 3) else 2
 
 
-@dataclass(frozen=True)
-class CoefficientSums:
+class CoefficientSums(NamedTuple):
     even_sum: int
     odd_sum: int
     even_weighted: int
@@ -56,42 +57,29 @@ class CoefficientSums:
 
 
 def coefficient_sums(f: IntPolynomial, *, primed: bool = False) -> CoefficientSums:
+    c = f.coefficients
+    if primed:
+        # primed sums are residues mod p^2, all that the closed forms read
+        m = f.prime**2
+        c = (0, *(c[i] * pow(c[0], i - 1, m) for i in range(1, len(c))))
+    sums = (
+        sum(c[2::2]), sum(c[1::2]),
+        sum(map(mul, range(2, len(c), 2), c[2::2])),
+        sum(map(mul, range(1, len(c), 2), c[1::2])),
+    )
     if not primed:
-        a0_sums = [0, 0, 0, 0]
-        for i in range(1, f.degree + 1):
-            c = f.coefficient(i)
-            if i % 2 == 0:
-                a0_sums[0] += c
-                a0_sums[2] += i * c
-            else:
-                a0_sums[1] += c
-                a0_sums[3] += i * c
-        return CoefficientSums(*a0_sums, primed=False)
-    # primed sums are residues mod p^2, all that the closed forms read
-    m = f.prime**2
-    a0 = f.coefficient(0)
-    sums = [0, 0, 0, 0]
-    for i in range(1, f.degree + 1):
-        t = f.coefficient(i) * pow(a0, i - 1, m)
-        if i % 2 == 0:
-            sums[0] = (sums[0] + t) % m
-            sums[2] = (sums[2] + i * t) % m
-        else:
-            sums[1] = (sums[1] + t) % m
-            sums[3] = (sums[3] + i * t) % m
-    return CoefficientSums(*sums, primed=True, precision=2)
+        return CoefficientSums(*sums, primed=False)
+    return CoefficientSums(*(s % m for s in sums), primed=True, precision=2)
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     name: str
     residue: int
     modulus: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(NamedTuple):
     minimal: bool
     method: str
     case: int | None = None
@@ -289,7 +277,7 @@ def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
         raise PadicError("degree-5 form assumes constant term 1")
     if f.degree > 5:
         raise PadicError(f"degree {f.degree} exceeds 5")
-    a = [f.coefficient(i) for i in range(6)]
+    a = f.coefficients + (0,) * (6 - len(f.coefficients))
     residues = tuple(a[i] % 3 for i in range(1, 6))
     case = None
     for k, pat in _DEG5_PATTERNS.items():

@@ -9,12 +9,20 @@ and counts agreement.  Routes per tuple:
                 shape, or the p = 3 degree-5 form (constant term 1)
     delta       full cycle at the decision level, decided by lifting
                 from mod p (criteria.full_cycle_by_lifting)
-    full-cycle  brute-force orbit walk at n_max (dynamics.is_full_cycle)
+    full-cycle  brute-force orbit walk of 0 at n_max, through a residue
+                table (below) or, past its size cap, dynamics.is_full_cycle
 
 The all-zero tail is built as the constant map a0, which every route
 reports as not minimal.  The index range (or the sorted sample) is cut
 into contiguous chunks, one per worker process; the workers are capped
 at the CPU count and at the number of tuples.
+
+Each chunk keeps one residue table, table[x] = f(x) mod p^n_max, and
+power columns x^i mod p^n_max, i = 1..degree.  Moving to the next index
+adds (new - old) * x^i to the table for every coefficient a_i that
+changed, so a tuple costs one column pass per changed digit instead of
+an eval_mod per orbit step.  Tables are used only while the table and
+columns, (degree + 1) * p^n_max entries, stay within TABLE_ENTRIES.
 
 The work budget counts tuples, each weighted p^(n_max - L) above the
 decision level L; a box over budget must be sampled, and above L a
@@ -36,10 +44,15 @@ from .criteria import (
     minimal_z2_larin_form,
 )
 from .dynamics import IntPolynomial, is_full_cycle
-from .padic import PadicError
+from .padic import PadicError, _check_prime
 
 # ten million full-cycle checks; larger boxes must opt into sampling
 DEFAULT_WORK_BUDGET = 10**7
+
+# largest (degree + 1) * p^n_max entries that a chunk's residue table and
+# power columns may hold (a few MB at most); past it the full-cycle route
+# walks the orbit through eval_mod, so memory does not grow with n_max
+TABLE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,48 +92,82 @@ def _index_to_tail(idx: int, bound: int, degree: int) -> list[int]:
     return tail
 
 
-def _routes_for(cfg: SweepConfig, tail: list[int]) -> dict[str, bool]:
-    p = cfg.prime
-    f = IntPolynomial(p, (cfg.a0, *tail), allow_constant=True)
-    routes = {}
-    closed = closed_form(f)
-    if closed is not None:
-        routes["closed"] = closed.minimal
-    # the alternate forms apply to the whole box or to none of it
-    if cfg.a0 == 1:
-        if p == 2:
-            routes["alt"] = minimal_z2_larin_form(f).minimal
-        elif p == 3 and cfg.degree <= 5:
-            routes["alt"] = minimal_degree5_z3(f).minimal
-    routes["delta"] = full_cycle_by_lifting(f, decision_level(p))
-    routes["full-cycle"] = is_full_cycle(f, cfg.resolved_n_max())
-    return routes
-
-
-def _run_chunk(args) -> tuple[int, int, int, int | None, tuple | None, dict | None]:
-    cfg, indices = args
-    agree_min = agree_non = disagree = 0
-    first_idx = None
-    first_tuple = None
-    first_routes = None
+def _tables(cfg: SweepConfig, indices: range | list[int]):
+    """(index, tail, table) for each index in order.  table[x] is
+    f(x) mod p^n_max, one list kept for the whole chunk: from one index
+    to the next, every digit a_i that changed adds (new - old) * x^i to
+    it.  table is None when it and the power columns would hold more
+    than TABLE_ENTRIES entries."""
+    modulus = cfg.prime ** cfg.resolved_n_max()
+    if (cfg.degree + 1) * modulus > TABLE_ENTRIES:
+        for idx in indices:
+            yield idx, _index_to_tail(idx, cfg.bound, cfg.degree), None
+        return
+    columns = [[pow(x, i, modulus) for x in range(modulus)]
+               for i in range(1, cfg.degree + 1)]
+    table = [cfg.a0 % modulus] * modulus
+    prev = [0] * cfg.degree
     for idx in indices:
         tail = _index_to_tail(idx, cfg.bound, cfg.degree)
-        routes = _routes_for(cfg, tail)
-        values = set(routes.values())
-        if len(values) > 1:
-            disagree += 1
-            if first_idx is None:
-                first_idx = idx
-                first_tuple = (cfg.a0, *tail)
-                first_routes = routes
-        elif values == {True}:
-            agree_min += 1
-        else:
-            agree_non += 1
-    return agree_min, agree_non, disagree, first_idx, first_tuple, first_routes
+        for new, old, column in zip(tail, prev, columns):
+            if new != old:
+                d = new - old
+                table[:] = [(y + d * v) % modulus for y, v in zip(table, column)]
+        prev = tail
+        yield idx, tail, table
+
+
+def _full_cycle_in(table: list[int]) -> bool:
+    """Is x -> table[x] one cycle through every residue?  The orbit of 0
+    returns to 0 first at step len(table) exactly when it is."""
+    x = 0
+    for steps in range(1, len(table) + 1):
+        x = table[x]
+        if x == 0:
+            return steps == len(table)
+    return False
+
+
+def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
+    """Agreement counts of one chunk, and (index, tuple, routes) of its
+    first disagreement, or None."""
+    cfg, indices = args
+    p = cfg.prime
+    level = decision_level(p)
+    n_max = cfg.resolved_n_max()
+    # the alternate forms apply to the whole box or to none of it
+    alt_form = None
+    if cfg.a0 == 1:
+        if p == 2:
+            alt_form = minimal_z2_larin_form
+        elif p == 3 and cfg.degree <= 5:
+            alt_form = minimal_degree5_z3
+    agree_min = agree_non = disagree = 0
+    first = None
+    for idx, tail, table in _tables(cfg, indices):
+        f = IntPolynomial(p, (cfg.a0, *tail), allow_constant=True)
+        verdict = closed_form(f)
+        closed = None if verdict is None else verdict.minimal
+        alt = None if alt_form is None else alt_form(f).minimal
+        delta = full_cycle_by_lifting(f, level)
+        full = is_full_cycle(f, n_max) if table is None else _full_cycle_in(table)
+        if delta == full and closed in (None, delta) and alt in (None, delta):
+            if delta:
+                agree_min += 1
+            else:
+                agree_non += 1
+            continue
+        disagree += 1
+        if first is None:
+            routes = {"closed": closed, "alt": alt, "delta": delta, "full-cycle": full}
+            first = (idx, (cfg.a0, *tail),
+                     {k: v for k, v in routes.items() if v is not None})
+    return agree_min, agree_non, disagree, first
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
+    # before anything is sized from p^n_max
+    _check_prime(cfg.prime)
     if cfg.degree < 1:
         raise PadicError(f"sweep degree must be >= 1, got {cfg.degree}")
     if cfg.bound < 1:
@@ -167,21 +214,16 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     else:
         results = [_run_chunk(job) for job in jobs]
 
-    agree_min = sum(r[0] for r in results)
-    agree_non = sum(r[1] for r in results)
-    disagree = sum(r[2] for r in results)
-    first_tuple = None
-    first_routes = None
-    best = None
-    for r in results:
-        if r[3] is not None and (best is None or r[3] < best):
-            best, first_tuple, first_routes = r[3], r[4], r[5]
+    # chunks are disjoint, so the lowest index decides and the routes
+    # dicts are never compared
+    _, first_tuple, first_routes = min(
+        (r[3] for r in results if r[3] is not None), default=(None, None, None))
     return SweepReport(
         config=cfg,
         total=total,
-        agree_minimal=agree_min,
-        agree_nonminimal=agree_non,
-        disagreements=disagree,
+        agree_minimal=sum(r[0] for r in results),
+        agree_nonminimal=sum(r[1] for r in results),
+        disagreements=sum(r[2] for r in results),
         first_counterexample=first_tuple,
         first_routes=first_routes,
         sampled=sampled,

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from padicdyn import sweep
 from padicdyn.cli import main
 
 W2 = "1,3,0,2"
@@ -263,6 +264,19 @@ class TestSweep:
                              "--bound", "2", "--samples", "-5", "--threads", "1")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("prime", ["4", "1", "-3"])
+    def test_bad_prime_exits_two_before_sizing(self, capsys, monkeypatch, prime, threads):
+        # refused before p^n_max sizes a residue table or a pool starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a bad prime")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        code, out, err = run(capsys, "sweep", "--prime", prime, "--degree", "2",
+                             "--bound", "3", "--threads", threads)
+        assert code == 2 and out == ""
+        assert err == f"error: {prime} is not a prime below 2^32\n"
 
     @pytest.mark.parametrize("extra", [(), ("--samples", "1")])
     def test_deep_nmax_over_budget_exits_two(self, capsys, extra):

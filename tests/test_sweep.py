@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from padicdyn import sweep
+from padicdyn.criteria import decision_level, full_cycle_by_lifting
+from padicdyn.dynamics import IntPolynomial, reduced_map_table
 from padicdyn.padic import PadicError
-from padicdyn.sweep import SweepConfig, _index_to_tail, _split, run_sweep
+from padicdyn.sweep import SweepConfig, _index_to_tail, _split, _tables, run_sweep
 
 
 class TestConfig:
@@ -109,6 +113,116 @@ class TestDifferentials:
         assert rep.disagreements == 0, (rep.first_counterexample, rep.first_routes)
         # both verdicts occur, so neither side of the comparison is vacuous
         assert rep.agree_minimal > 0 and rep.agree_nonminimal > 0
+
+    @pytest.mark.parametrize("prime,a0", [
+        (2, 1), (2, 5), (2, -1), (3, 1), (3, 5), (3, -1),
+    ])
+    def test_high_degrees_sampled(self, prime, a0):
+        # degrees 8-12, where the p = 3 six-step tail sums take more than
+        # one term; 400 samples per degree, coefficients mod p^3
+        bound = prime**3
+        minimal = nonminimal = 0
+        for degree in range(8, 13):
+            rep = run_sweep(SweepConfig(prime, degree, bound, a0=a0,
+                                        samples=400, seed=degree))
+            assert rep.sampled and rep.total == 400
+            assert rep.disagreements == 0, (rep.first_counterexample, rep.first_routes)
+            minimal += rep.agree_minimal
+            nonminimal += rep.agree_nonminimal
+        assert minimal > 0 and nonminimal > 0
+
+
+class TestTables:
+    """The residue table each chunk updates digit by digit must equal a
+    table built from scratch, wherever the chunk starts."""
+
+    @pytest.mark.parametrize("cfg,indices", [
+        (SweepConfig(3, 3, 9), range(9**3)),
+        (SweepConfig(2, 4, 8, a0=-3), range(8**4)),
+        (SweepConfig(3, 3, 9, a0=-5), range(9**3)),
+        (SweepConfig(3, 3, 9, n_max=4), range(9**3)),
+        (SweepConfig(2, 3, 8, a0=7, n_max=4), range(8**3)),
+        (SweepConfig(5, 2, 30), range(30**2)),
+        (SweepConfig(3, 4, 27), sorted(random.Random(3).sample(range(27**4), 300))),
+        (SweepConfig(3, 3, 9, a0=2), range(250, 600)),
+    ])
+    def test_matches_direct_build(self, cfg, indices):
+        n_max = cfg.resolved_n_max()
+        seen = []
+        for idx, tail, table in _tables(cfg, indices):
+            assert tail == _index_to_tail(idx, cfg.bound, cfg.degree)
+            f = IntPolynomial(cfg.prime, (cfg.a0, *tail), allow_constant=True)
+            assert tuple(table) == reduced_map_table(f, n_max).entries
+            seen.append(idx)
+        assert seen == list(indices)
+
+    def test_no_table_above_the_entry_cap(self):
+        # 2 * 1009^2 entries: the full-cycle route walks through eval_mod
+        rows = list(_tables(SweepConfig(1009, 1, 4), range(4)))
+        assert rows == [(i, [i], None) for i in range(4)]
+
+
+def _flip_on(monkeypatch, name, chosen, degree):
+    """Patch sweep's `name` route to invert its verdict on the chosen
+    coefficient tuples (trailing zeros included)."""
+    original = getattr(sweep, name)
+
+    def flipped(f, *args):
+        result = original(f, *args)
+        if f.coefficients + (0,) * (degree + 1 - len(f.coefficients)) not in chosen:
+            return result
+        if isinstance(result, bool):
+            return not result
+        return result._replace(minimal=not result.minimal)
+
+    monkeypatch.setattr(sweep, name, flipped)
+
+
+class TestDisagreements:
+    """A route that splits from the others on chosen tuples is counted
+    once per tuple, and the lowest one is reported with every route's
+    verdict, on both full-cycle branches, serially and across chunks."""
+
+    @pytest.mark.parametrize("branch", ["table", "eval_mod"])
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("prime,degree,bound,a0,route,keys", [
+        (2, 3, 4, 1, "closed_form", ("closed", "alt", "delta", "full-cycle")),
+        (2, 3, 4, 3, "closed_form", ("closed", "delta", "full-cycle")),
+        (3, 3, 4, 1, "closed_form", ("closed", "alt", "delta", "full-cycle")),
+        (3, 3, 4, 2, "closed_form", ("closed", "delta", "full-cycle")),
+        (3, 6, 2, 1, "closed_form", ("closed", "delta", "full-cycle")),
+        (5, 2, 6, 1, "full_cycle_by_lifting", ("delta", "full-cycle")),
+    ])
+    def test_first_disagreement_reported(self, monkeypatch, branch, pooled,
+                                         prime, degree, bound, a0, route, keys):
+        if branch == "eval_mod":
+            monkeypatch.setattr(sweep, "TABLE_ENTRIES", 0)
+        pools = []
+        if pooled:
+            monkeypatch.setattr(_RecordingPool, "instances", pools)
+            monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+            monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        box = bound**degree
+        baseline = run_sweep(SweepConfig(prime, degree, bound, a0=a0))
+        assert baseline.disagreements == 0
+        # with two chunks the second starts at box // 2: a disagreement in
+        # each, then one in the second chunk only
+        for picks in ({3, box // 2 + 1, box - 1}, {box // 2 + 1, box - 1}):
+            tuples = {(a0, *_index_to_tail(i, bound, degree)) for i in picks}
+            with monkeypatch.context() as m:
+                _flip_on(m, route, tuples, degree)
+                rep = run_sweep(SweepConfig(prime, degree, bound, a0=a0,
+                                            workers=2 if pooled else 1))
+            first = (a0, *_index_to_tail(min(picks), bound, degree))
+            truth = full_cycle_by_lifting(IntPolynomial(prime, first, allow_constant=True),
+                                          decision_level(prime))
+            flipped = "delta" if route == "full_cycle_by_lifting" else "closed"
+            assert rep.total == box and rep.disagreements == len(picks)
+            assert rep.agree_minimal + rep.agree_nonminimal == box - len(picks)
+            assert rep.first_counterexample == first
+            assert rep.first_routes == {k: truth != (k == flipped) for k in keys}
+            assert list(rep.first_routes) == list(keys)
+        assert [len(pool.jobs) for pool in pools] == ([2, 2] if pooled else [])
 
 
 class TestSampling:
