@@ -4,33 +4,24 @@ structure of the finite reductions, and conjugacy to the +1 odometer."""
 from .padic import PadicError, PrecisionError, is_prime
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
-    BijectivityReport,
     CycleDecomposition,
-    FullCycleReport,
     IntPolynomial,
     LiftReport,
     NotFullCycleError,
-    NotPeriodicError,
     ReducedMapTable,
     TableBoundError,
-    TaylorData,
     cycle_decomposition,
     derivative,
-    full_cycle_check,
-    is_bijective_mod,
     is_full_cycle,
     lift_check,
     reduced_map_table,
-    taylor_data,
 )
 from .criteria import (
     CoefficientSums,
     ConditionCheck,
-    CrossValidationReport,
     MinimalityVerdict,
     closed_form,
     coefficient_sums,
-    cross_validate,
     decide,
     decision_level,
     full_cycle_by_lifting,

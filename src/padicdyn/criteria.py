@@ -21,7 +21,6 @@ kept as exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -312,8 +311,9 @@ def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
     return MinimalityVerdict(ok, METHOD_P3_DEG5, case, tuple(conditions), None, stage)
 
 
-def _cycle_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[int, ...]:
-    """The eventual cycle reached from 0 under f mod p^n."""
+def _orbit_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[list[int], int]:
+    """The residues the orbit of 0 visits mod p^n up to its first
+    repeat, in order, and the index at which its eventual cycle starts."""
     # the walk may hold every residue, so it is bounded like a table
     size = _check_table_size(f.prime, n, table_bound)
     seen_at: dict[int, int] = {}
@@ -323,20 +323,29 @@ def _cycle_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[int, .
         seen_at[x] = len(order)
         order.append(x)
         x = f.eval_mod(x, size)
-    return tuple(order[seen_at[x]:])
+    return order, seen_at[x]
+
+
+def _first_broken_level(f: IntPolynomial, n: int) -> int | None:
+    """The first level k <= n at which f is not one full cycle mod p^k,
+    or None.  Found by lifting from mod p: a full cycle at level k lifts
+    to level k+1 exactly when lift_check says so (Anashin; Fan and Liao
+    2011), so this costs an orbit walk mod p and one p^k-step walk per
+    level k, with no table.  Levels above the decision level L add
+    nothing: a full cycle at L is one at every level."""
+    if n < 1:
+        raise PadicError(f"level must be >= 1, got {n}")
+    if not is_full_cycle(f, 1):
+        return 1
+    for k in range(1, min(n, decision_level(f.prime))):
+        if not lift_check(f, k).lifts:
+            return k + 1
+    return None
 
 
 def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
-    """Is f one full cycle mod p^n?  Decided by lifting from mod p: a
-    full cycle at level k lifts to level k+1 exactly when lift_check
-    says so (Anashin; Fan and Liao 2011), so this costs an orbit walk mod
-    p and one p^k-step walk per level k, with no table.  Levels above
-    the decision level L add nothing: a full cycle at L is one at every
-    level."""
-    if n < 1:
-        raise PadicError(f"level must be >= 1, got {n}")
-    top = min(n, decision_level(f.prime))
-    return is_full_cycle(f, 1) and all(lift_check(f, k).lifts for k in range(1, top))
+    """Is f one full cycle mod p^n?  Decided by lifting, with no table."""
+    return _first_broken_level(f, n) is None
 
 
 def minimal_general(
@@ -351,7 +360,8 @@ def minimal_general(
     if full_cycle_by_lifting(f, level):
         cond = ConditionCheck("full_cycle_at_decision_level", p**level, p**level, True)
         return MinimalityVerdict(True, METHOD_DELTA, None, (cond,))
-    witness = _cycle_from_zero(f, level, table_bound)
+    order, start = _orbit_from_zero(f, level, table_bound)
+    witness = tuple(order[start:])
     cond = ConditionCheck("full_cycle_at_decision_level", len(witness), p**level, False)
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 
@@ -373,55 +383,3 @@ def decide(f: IntPolynomial) -> MinimalityVerdict:
     if verdict is None:
         verdict = minimal_general(f)
     return verdict
-
-
-@dataclass(frozen=True)
-class CrossValidationReport:
-    prime: int
-    coefficients: tuple[int, ...]
-    verdict: MinimalityVerdict
-    levels_checked: tuple[int, ...]
-    full_cycle_by_level: tuple[bool, ...]
-    consistent: bool
-    detail: str | None = None
-
-
-def cross_validate(f: IntPolynomial, n_max: int) -> CrossValidationReport:
-    """Compare the coefficient-level verdict against explicit full-cycle
-    checks at levels 1..n_max.
-
-    minimal means a full cycle at every level; non-minimal means the
-    full cycle breaks at some level at or below the decision level, so
-    the checked range is extended that far when needed.
-    """
-    if n_max < 1:
-        raise PadicError(f"n_max must be >= 1, got {n_max}")
-    verdict = decide(f)
-    top = n_max if verdict.minimal else max(n_max, decision_level(f.prime))
-    levels = tuple(range(1, top + 1))
-    flags = tuple(is_full_cycle(f, n) for n in levels)
-
-    detail = None
-    # full-cycle structure can only be lost going up, never regained
-    monotone = all(flags[i] or not flags[i + 1] for i in range(len(flags) - 1))
-    if not monotone:
-        detail = "full-cycle flags are not downward-closed across levels"
-        consistent = False
-    elif verdict.minimal:
-        consistent = all(flags)
-        if not consistent:
-            detail = f"verdict minimal but level {flags.index(False) + 1} has no full cycle"
-    else:
-        delta = decision_level(f.prime)
-        consistent = not all(flags[:delta])
-        if not consistent:
-            detail = f"verdict non-minimal but levels 1..{delta} are all full cycles"
-    return CrossValidationReport(
-        prime=f.prime,
-        coefficients=f.coefficients,
-        verdict=verdict,
-        levels_checked=levels,
-        full_cycle_by_level=flags,
-        consistent=consistent,
-        detail=detail,
-    )

@@ -16,17 +16,13 @@ class TableBoundError(PadicError):
     pass
 
 
-class NotPeriodicError(PadicError):
-    pass
-
-
 class NotFullCycleError(PadicError):
     pass
 
 
-# Largest map table (p^n entries) that cycle decompositions, bijectivity
-# checks, odometer tables and the witness walk of a non-minimal verdict
-# will hold.  Full-cycle verdicts and streams build no table.
+# Largest map table (p^n entries) that cycle decompositions, odometer
+# tables and the witness walk of a non-minimal verdict will hold.
+# Full-cycle verdicts, towers and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
 
 
@@ -140,28 +136,6 @@ def reduced_map_table(
 
 
 @dataclass(frozen=True)
-class BijectivityReport:
-    bijective: bool
-    # first pair (x, y), x < y, with equal images, when not bijective
-    collision: tuple[int, int] | None
-
-    def __bool__(self) -> bool:
-        return self.bijective
-
-
-def is_bijective_mod(
-    f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
-) -> BijectivityReport:
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
-    first_preimage: dict[int, int] = {}
-    for x, y in enumerate(table):
-        if y in first_preimage:
-            return BijectivityReport(False, (first_preimage[y], x))
-        first_preimage[y] = x
-    return BijectivityReport(True, None)
-
-
-@dataclass(frozen=True)
 class CycleDecomposition:
     """Cycle structure of the induced map at one level.
 
@@ -211,22 +185,11 @@ def cycle_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class FullCycleReport:
-    full_cycle: bool
-    level: int
-    # always "orbit", the only way the check runs; perfbench/spans.py reads it
-    strategy: str = "orbit"
-
-    def __bool__(self) -> bool:
-        return self.full_cycle
-
-
-def full_cycle_check(f: IntPolynomial, n: int) -> FullCycleReport:
+def is_full_cycle(f: IntPolynomial, n: int) -> bool:
     """Does the induced map on Z/p^n consist of one cycle through all
-    p^n residues?  The brute-force reference: walk the orbit of 0 until
-    its first return, which comes at step p^n exactly when the cycle is
-    full.  Production code decides this by lifting from mod p
+    p^n residues?  The brute-force check: walk the orbit of 0 until its
+    first return, which comes at step p^n exactly when the cycle is
+    full.  Deciders lift from mod p instead
     (criteria.full_cycle_by_lifting)."""
     if n < 1:
         raise PadicError(f"level must be >= 1, got {n}")
@@ -235,68 +198,8 @@ def full_cycle_check(f: IntPolynomial, n: int) -> FullCycleReport:
     for steps in range(1, size + 1):
         x = f.eval_mod(x, size)
         if x == 0:
-            return FullCycleReport(steps == size, n)
-    return FullCycleReport(False, n)
-
-
-def is_full_cycle(f: IntPolynomial, n: int) -> bool:
-    return full_cycle_check(f, n).full_cycle
-
-
-@dataclass(frozen=True)
-class TaylorData:
-    """First-order data of the p^n-fold iterate g = f^(p^n) at a periodic
-    base point x0: g(x0 + p^n z) = x0 + p^n (derivative * z + displacement)
-    up to O(p^2n).
-
-    base_point   x0 mod p^(n + precision)
-    derivative   g'(x0) mod p^precision, a chain-rule product over the orbit
-    displacement (g(x0) - x0) / p^n mod p^precision
-    """
-
-    prime: int
-    level: int
-    precision: int
-    base_point: int
-    derivative: int
-    displacement: int
-
-
-def taylor_data(f: IntPolynomial, n: int, x0: int, precision: int) -> TaylorData:
-    """Walk the orbit of x0 under f for p^n steps, carrying the value and
-    the first derivative of the composition.
-
-    Requires x0 to be p^n-periodic at level n.  Internal arithmetic runs
-    mod p^(n + precision).
-    """
-    if n < 1 or precision < 1:
-        raise PadicError("level and precision must be >= 1")
-    p = f.prime
-    step = p**n
-    m = p**precision
-    modulus = step * m
-    df = derivative(f)
-
-    x0v = x0 % modulus
-    v = x0v
-    deriv_acc = 1
-    for _ in range(step):
-        deriv_acc = (deriv_acc * df.eval_mod(v, modulus)) % modulus
-        v = f.eval_mod(v, modulus)
-
-    diff = (v - x0v) % modulus
-    if diff % step != 0:
-        raise NotPeriodicError(
-            f"base point {x0} is not p^{n}-periodic at level {n}"
-        )
-    return TaylorData(
-        prime=p,
-        level=n,
-        precision=precision,
-        base_point=x0v,
-        derivative=deriv_acc % m,
-        displacement=(diff // step) % m,
-    )
+            return steps == size
+    return False
 
 
 @dataclass(frozen=True)

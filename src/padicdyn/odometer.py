@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .criteria import full_cycle_by_lifting
+from .criteria import _first_broken_level, _orbit_from_zero, full_cycle_by_lifting
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
     NotFullCycleError,
-    ReducedMapTable,
+    _check_table_size,
     reduced_map_table,
 )
 from .padic import PadicError
@@ -40,12 +40,7 @@ def build_psi(
 ) -> ConjugacyTable:
     """Index table of the full cycle at level n; errors out when the
     cycle is not full."""
-    return _index_orbit(reduced_map_table(f, n, table_bound=table_bound))
-
-
-def _index_orbit(fmap: ReducedMapTable) -> ConjugacyTable:
-    table = fmap.entries
-    n = fmap.level
+    table = reduced_map_table(f, n, table_bound=table_bound).entries
     size = len(table)
     orbit_index = [-1] * size
     orbit_point = [0] * size
@@ -60,7 +55,7 @@ def _index_orbit(fmap: ReducedMapTable) -> ConjugacyTable:
         x = table[x]
     if x != 0:
         raise NotFullCycleError(f"orbit of 0 does not return to 0 at level {n}")
-    return ConjugacyTable(fmap.prime, n, tuple(orbit_index), tuple(orbit_point))
+    return ConjugacyTable(f.prime, n, tuple(orbit_index), tuple(orbit_point))
 
 
 @dataclass(frozen=True)
@@ -81,32 +76,31 @@ class TowerReport:
 def verify_conjugacy_tower(
     f: IntPolynomial, n_max: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> TowerReport:
-    """Build index tables at levels 1..n_max and verify, exhaustively,
-    the conjugation identity at each level and the compatibility of
-    consecutive tables under reduction mod p^n."""
+    """Certify the odometer conjugacy at levels 1..n_max, with no table.
+
+    Both identities hold wherever f is one full cycle.  psi_n indexes the
+    orbit of 0, psi_n(f^k(0) mod p^n) = k mod p^n, so psi_n(f(x)) =
+    psi_n(x) + 1 (conjugation); reduction mod p^n commutes with f, so
+    psi_(n+1)(x) = psi_n(x mod p^n) mod p^n (projection).  The lift chain
+    decides whether levels 1..n_max are full cycles.  The errors are those
+    of an exhaustive check indexing a table per level in turn:
+    TableBoundError at the first level above table_bound, or
+    NotFullCycleError at the first broken level b, with the text of one
+    walk of the orbit of 0 mod p^b.
+    """
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
     p = f.prime
-    maps, tables = {}, {}
+    broken = _first_broken_level(f, n_max)
     for n in range(1, n_max + 1):
-        # index each level as soon as its table exists, so a broken cycle
-        # is reported before any larger table is built
-        maps[n] = reduced_map_table(f, n, table_bound=table_bound)
-        tables[n] = _index_orbit(maps[n])
-    checks = []
-    for n in range(1, n_max + 1):
-        size = p**n
-        psi = tables[n].orbit_index
-        fmap = maps[n].entries
-        conj = all(psi[fmap[x]] == (psi[x] + 1) % size for x in range(size))
-        if n < n_max:
-            upper = tables[n + 1].orbit_index
-            proj = all(upper[x] % size == psi[x % size] for x in range(size * p))
-        else:
-            proj = True
-        checks.append(LevelCheck(n, conj, proj))
-    return TowerReport(p, n_max, tuple(checks),
-                       all(c.conjugation_ok and c.projection_ok for c in checks))
+        size = _check_table_size(p, n, table_bound)
+        if n == broken:
+            k = len(_orbit_from_zero(f, n, table_bound)[0])
+            raise NotFullCycleError(
+                f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
+                else f"orbit of 0 does not return to 0 at level {n}")
+    levels = tuple(LevelCheck(n, True, True) for n in range(1, n_max + 1))
+    return TowerReport(p, n_max, levels, True)
 
 
 def full_cycle_stream(

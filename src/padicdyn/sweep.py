@@ -24,9 +24,11 @@ changed, so a tuple costs one column pass per changed digit instead of
 an eval_mod per orbit step.  Tables are used only while the table and
 columns, (degree + 1) * p^n_max entries, stay within TABLE_ENTRIES.
 
-The work budget counts tuples, each weighted p^(n_max - L) above the
-decision level L; a box over budget must be sampled, and above L a
-sample over budget is refused before the sweep starts.
+The work budget counts tuples, each weighed by its brute-force walk of
+up to p^n_max steps in units of 27, the p = 3 decision-level walk:
+p^(n_max - L) * ceil(p^L / 27) at the decision level L.  A box over
+budget must be sampled; a sample of tuples that weigh more than 1 is
+refused before the sweep starts if it is over budget too.
 """
 
 from __future__ import annotations
@@ -181,22 +183,22 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             f"n_max below the decision level {level} cannot settle minimality"
         )
     box = cfg.bound**cfg.degree
-    # the brute-force route walks up to p^n_max orbit steps, so past the
-    # decision level a tuple weighs p^(n_max - L); the exponent is capped
+    # p^(n_max - L) * ceil(p^L / 27) (module docstring); the exponent is capped
     # where the weight alone exceeds the budget
-    weight = cfg.prime ** min(n_max - level, cfg.work_budget.bit_length() + 1)
+    weight = (cfg.prime ** min(n_max - level, cfg.work_budget.bit_length() + 1)
+              * -(-cfg.prime**level // 27))
     sampled = box * weight > cfg.work_budget
     if sampled:
         if cfg.samples is None:
             raise PadicError(
-                f"box of {box} tuples at n_max {n_max} exceeds work budget "
-                f"{cfg.work_budget}; pass a sample count to sweep by sampling"
+                f"box of {box} tuples of weight {weight} at n_max {n_max} exceeds "
+                f"work budget {cfg.work_budget}; pass a sample count to sweep by sampling"
             )
         count = min(cfg.samples, box)
         if weight > 1 and count * weight > cfg.work_budget:
             raise PadicError(
-                f"{count} samples at n_max {n_max} exceed work budget "
-                f"{cfg.work_budget}; lower n_max or the sample count"
+                f"{count} samples of weight {weight} at n_max {n_max} exceed "
+                f"work budget {cfg.work_budget}; lower n_max or the sample count"
             )
         rng = random.Random(cfg.seed)
         indices = sorted(rng.sample(range(box), count))

@@ -5,7 +5,20 @@ goes through pow() per monomial instead of Horner, cycle structure is
 recovered by repeated iteration instead of a path-marking sweep, and
 iterate derivatives come from symbolic composition instead of chain-rule
 products.
+
+The exhaustive re-checks further down (the table-built conjugacy tower,
+Taylor data of the p^n-fold iterate, bijectivity and the cross-validation
+of a verdict against full cycles level by level) take an IntPolynomial
+and raise the library's error types, so tests can compare results and
+errors directly; they evaluate only through eval_pow_mod.
 """
+
+from dataclasses import dataclass
+
+from padicdyn.criteria import MinimalityVerdict, decide, decision_level
+from padicdyn.dynamics import DEFAULT_TABLE_BOUND, NotFullCycleError, TableBoundError
+from padicdyn.odometer import LevelCheck, TowerReport
+from padicdyn.padic import PadicError
 
 
 def eval_pow_mod(coeffs, x, m):
@@ -116,3 +129,158 @@ def taylor_oracle(coeffs, p, n, x0, precision):
     beta = ((value - x0) // p**n) % m
     alpha = eval_pow_mod(g1, x0, m)
     return alpha, beta
+
+
+def _bounded_table(f, n, table_bound):
+    p = f.prime
+    if n < 1:
+        raise PadicError(f"level must be >= 1, got {n}")
+    if p**n > table_bound:
+        raise TableBoundError(f"table of {p}^{n} entries exceeds bound {table_bound}")
+    return table_oracle(f.coefficients, p, n)
+
+
+def tower_oracle(f, n_max, table_bound=DEFAULT_TABLE_BOUND):
+    """The conjugacy tower checked exhaustively: at each level 1..n_max in
+    turn a map table and the orbit index psi of 0 through it, then the
+    conjugation identity psi(f(x)) = psi(x) + 1 at every residue and the
+    projection identity psi_(n+1)(x) = psi_n(x mod p^n) mod p^n."""
+    if n_max < 1:
+        raise PadicError(f"n_max must be >= 1, got {n_max}")
+    p = f.prime
+    tables, psis = [], []
+    for n in range(1, n_max + 1):
+        table = _bounded_table(f, n, table_bound)
+        size = len(table)
+        psi = [-1] * size
+        x = 0
+        for k in range(size):
+            if psi[x] != -1:
+                raise NotFullCycleError(
+                    f"orbit of 0 closes after {k} of {size} residues at level {n}")
+            psi[x] = k
+            x = table[x]
+        if x != 0:
+            raise NotFullCycleError(f"orbit of 0 does not return to 0 at level {n}")
+        tables.append(table)
+        psis.append(psi)
+    checks = []
+    for n in range(1, n_max + 1):
+        size = p**n
+        table, psi = tables[n - 1], psis[n - 1]
+        conj = all(psi[table[x]] == (psi[x] + 1) % size for x in range(size))
+        proj = n == n_max or all(psis[n][x] % size == psi[x % size]
+                                 for x in range(size * p))
+        checks.append(LevelCheck(n, conj, proj))
+    return TowerReport(p, n_max, tuple(checks),
+                       all(c.conjugation_ok and c.projection_ok for c in checks))
+
+
+class NotPeriodicError(PadicError):
+    pass
+
+
+@dataclass(frozen=True)
+class TaylorData:
+    """First-order data of the p^n-fold iterate g = f^(p^n) at a periodic
+    base point x0: g(x0 + p^n z) = x0 + p^n (derivative * z + displacement)
+    up to O(p^2n).
+
+    base_point   x0 mod p^(n + precision)
+    derivative   g'(x0) mod p^precision, a chain-rule product over the orbit
+    displacement (g(x0) - x0) / p^n mod p^precision
+    """
+
+    prime: int
+    level: int
+    precision: int
+    base_point: int
+    derivative: int
+    displacement: int
+
+
+def taylor_data(f, n, x0, precision):
+    """Walk the orbit of x0 under f for p^n steps, carrying the value and
+    the first derivative of the composition, mod p^(n + precision).
+    Requires x0 to be p^n-periodic at level n."""
+    if n < 1 or precision < 1:
+        raise PadicError("level and precision must be >= 1")
+    p = f.prime
+    step = p**n
+    m = p**precision
+    modulus = step * m
+    df = poly_derivative(f.coefficients)
+    x0v = x0 % modulus
+    v = x0v
+    deriv_acc = 1
+    for _ in range(step):
+        deriv_acc = deriv_acc * eval_pow_mod(df, v, modulus) % modulus
+        v = eval_pow_mod(f.coefficients, v, modulus)
+    diff = (v - x0v) % modulus
+    if diff % step != 0:
+        raise NotPeriodicError(f"base point {x0} is not p^{n}-periodic at level {n}")
+    return TaylorData(p, n, precision, x0v, deriv_acc % m, (diff // step) % m)
+
+
+@dataclass(frozen=True)
+class BijectivityReport:
+    bijective: bool
+    # first pair (x, y), x < y, with equal images, when not bijective
+    collision: tuple | None
+
+    def __bool__(self):
+        return self.bijective
+
+
+def is_bijective_mod(f, n, table_bound=DEFAULT_TABLE_BOUND):
+    first_preimage = {}
+    for x, y in enumerate(_bounded_table(f, n, table_bound)):
+        if y in first_preimage:
+            return BijectivityReport(False, (first_preimage[y], x))
+        first_preimage[y] = x
+    return BijectivityReport(True, None)
+
+
+@dataclass(frozen=True)
+class CrossValidationReport:
+    prime: int
+    coefficients: tuple
+    verdict: MinimalityVerdict
+    levels_checked: tuple
+    full_cycle_by_level: tuple
+    consistent: bool
+    detail: str | None = None
+
+
+def cross_validate(f, n_max):
+    """Compare the library's verdict (decide) against explicit full-cycle
+    checks at levels 1..n_max.
+
+    minimal means a full cycle at every level; non-minimal means the
+    full cycle breaks at some level at or below the decision level, so
+    the checked range is extended that far when needed.
+    """
+    if n_max < 1:
+        raise PadicError(f"n_max must be >= 1, got {n_max}")
+    verdict = decide(f)
+    delta = decision_level(f.prime)
+    top = n_max if verdict.minimal else max(n_max, delta)
+    levels = tuple(range(1, top + 1))
+    flags = tuple(full_cycle_oracle(f.coefficients, f.prime, n) for n in levels)
+
+    detail = None
+    # full-cycle structure can only be lost going up, never regained
+    monotone = all(flags[i] or not flags[i + 1] for i in range(len(flags) - 1))
+    if not monotone:
+        detail = "full-cycle flags are not downward-closed across levels"
+        consistent = False
+    elif verdict.minimal:
+        consistent = all(flags)
+        if not consistent:
+            detail = f"verdict minimal but level {flags.index(False) + 1} has no full cycle"
+    else:
+        consistent = not all(flags[:delta])
+        if not consistent:
+            detail = f"verdict non-minimal but levels 1..{delta} are all full cycles"
+    return CrossValidationReport(f.prime, f.coefficients, verdict, levels, flags,
+                                 consistent, detail)

@@ -20,16 +20,15 @@ from padicdyn.criteria import (
 from padicdyn.dynamics import (
     IntPolynomial,
     cycle_decomposition,
-    is_bijective_mod,
     is_full_cycle,
     lift_check,
     reduced_map_table,
-    taylor_data,
 )
 from padicdyn.odometer import full_cycle_stream, verify_conjugacy_tower
 from padicdyn.sweep import SweepConfig, run_sweep
 
 import oracles
+from oracles import is_bijective_mod, taylor_data, tower_oracle
 
 W2 = IntPolynomial(2, (1, 3, 0, 2))
 W3 = IntPolynomial(3, (1, 4, 0, 4, 0, 2))
@@ -207,6 +206,8 @@ def test_c08_conjugacy_towers():
             report = verify_conjugacy_tower(f, n_max)
             assert report.passed, f.coefficients
             assert len(report.levels) == n_max
+            # the identities themselves, at every residue of every level
+            assert tower_oracle(f, n_max) == report, f.coefficients
     print("C8 PASS: conjugation and projection identities exhaustively "
           "verified for 50 minimal maps per prime (n_max 6 at p=2, 4 at p=3)")
 

@@ -143,6 +143,15 @@ class TestConjugacy:
         assert code == 2
         assert "error:" in err
 
+    def test_deep_tower_builds_no_table(self, capsys, no_tables):
+        # 24 levels of the 2^24-cycle x + 1, decided by lifting
+        code, out, _ = run(capsys, "conjugacy", "--prime", "2", "--coeffs", "1,1",
+                           "--nmax", "24")
+        assert code == 0
+        assert out.splitlines() == [
+            f"level {n}: conjugation ok, projection ok" for n in range(1, 25)
+        ] + ["tower: ok"]
+
     def test_short_cycle_exits_two(self, capsys):
         code, _, err = run(capsys, "conjugacy", "--prime", "2", "--coeffs", W2,
                            "--level", "3")
@@ -283,6 +292,15 @@ class TestSweep:
         # one tuple at n_max 30 weighs 2^27 > 10^7 brute-force steps
         code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "1",
                              "--bound", "2", "--nmax", "30", "--threads", "1", *extra)
+        assert code == 2 and out == ""
+        assert "work budget" in err
+
+
+    @pytest.mark.parametrize("extra", [(), ("--samples", "1")])
+    def test_large_prime_over_budget_exits_two(self, capsys, extra):
+        # each tuple weighs ceil(100003^2 / 27), about 3.7e8 > 10^7
+        code, out, err = run(capsys, "sweep", "--prime", "100003", "--degree", "1",
+                             "--bound", "2", "--threads", "1", *extra)
         assert code == 2 and out == ""
         assert "work budget" in err
 

@@ -11,7 +11,6 @@ from padicdyn.criteria import (
     CoefficientSums,
     closed_form,
     coefficient_sums,
-    cross_validate,
     decide,
     decision_level,
     full_cycle_by_lifting,
@@ -25,6 +24,7 @@ from padicdyn.dynamics import IntPolynomial, is_full_cycle
 from padicdyn.padic import PadicError
 
 import oracles
+from oracles import cross_validate
 
 W2 = IntPolynomial(2, (1, 3, 0, 2))
 W3 = IntPolynomial(3, (1, 4, 0, 4, 0, 2))

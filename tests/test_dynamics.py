@@ -5,20 +5,17 @@ from hypothesis import strategies as st
 from padicdyn.dynamics import (
     IntPolynomial,
     NotFullCycleError,
-    NotPeriodicError,
     TableBoundError,
     cycle_decomposition,
     derivative,
-    full_cycle_check,
-    is_bijective_mod,
     is_full_cycle,
     lift_check,
     reduced_map_table,
-    taylor_data,
 )
 from padicdyn.padic import PadicError
 
 import oracles
+from oracles import NotPeriodicError, taylor_data
 
 W2 = IntPolynomial(2, (1, 3, 0, 2))        # 1 + 3x + 2x^3
 W3 = IntPolynomial(3, (1, 4, 0, 4, 0, 2))  # 1 + 4x + 4x^3 + 2x^5
@@ -143,8 +140,8 @@ class TestBijectivity:
     def test_frozen_noninjective(self):
         f = IntPolynomial(5, (1, 1, 1))
         assert oracles.table_oracle(f.coefficients, 5, 1) == [1, 3, 2, 3, 1]
-        rep = is_bijective_mod(f, 1)
-        assert not rep
+        rep = oracles.is_bijective_mod(f, 1)
+        assert not rep and not cycle_decomposition(f, 1).bijective
         x, y = rep.collision
         assert x != y
         m = 5
@@ -153,13 +150,16 @@ class TestBijectivity:
         )
 
     def test_frozen_bijective(self):
-        assert is_bijective_mod(W2, 3).bijective
-        assert is_bijective_mod(W2, 3).collision is None
+        assert oracles.is_bijective_mod(W2, 3).bijective
+        assert oracles.is_bijective_mod(W2, 3).collision is None
+        assert cycle_decomposition(W2, 3).bijective
 
     @given(poly_strategy(), st.integers(1, 3))
     def test_matches_permutation_oracle(self, f, n):
         table = oracles.table_oracle(f.coefficients, f.prime, n)
-        assert is_bijective_mod(f, n).bijective == oracles.is_permutation(table)
+        want = oracles.is_permutation(table)
+        assert oracles.is_bijective_mod(f, n).bijective == want
+        assert cycle_decomposition(f, n).bijective == want
 
 
 class TestCycles:
@@ -209,11 +209,9 @@ class TestFullCycle:
     def test_matches_oracle(self, f, n):
         assert is_full_cycle(f, n) == oracles.full_cycle_oracle(f.coefficients, f.prime, n)
 
-    def test_report_shape(self):
-        rep = full_cycle_check(Q3, 2)
-        assert rep.full_cycle and rep.level == 2 and rep.strategy == "orbit"
+    def test_rejects_level_below_one(self):
         with pytest.raises(PadicError):
-            full_cycle_check(Q3, 0)
+            is_full_cycle(Q3, 0)
 
 
 class TestIterate:

@@ -1,19 +1,27 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdyn import odometer
-from padicdyn.criteria import decide
-from padicdyn.dynamics import IntPolynomial, NotFullCycleError, reduced_map_table
+from padicdyn.criteria import decide, decision_level
+from padicdyn.dynamics import (
+    DEFAULT_TABLE_BOUND,
+    IntPolynomial,
+    NotFullCycleError,
+    reduced_map_table,
+)
 from padicdyn.odometer import (
     ConjugacyTable,
+    TowerReport,
     build_psi,
     full_cycle_stream,
     verify_conjugacy_tower,
 )
 from padicdyn.padic import PadicError
+
+import oracles
 
 W2 = IntPolynomial(2, (1, 3, 0, 2))
 Q3 = IntPolynomial(3, (1, 1, 6))
@@ -66,6 +74,20 @@ class TestBuildPsi:
             build_psi(IntPolynomial(5, (1, 1, 1)), 1)
 
 
+def _outcome(tower, f, n_max, table_bound):
+    try:
+        return tower(f, n_max, table_bound=table_bound)
+    except PadicError as e:
+        return type(e).__name__, str(e)
+
+
+def _kind(outcome):
+    if isinstance(outcome, TowerReport):
+        return "passed"
+    name, text = outcome
+    return f"{name} at level {text.rsplit(' ', 1)[1]}" if "level" in text else name
+
+
 class TestConjugacyTower:
     @pytest.mark.parametrize("f,n_max", [(X_PLUS_1[2], 3), (Q3, 3), (X_PLUS_1[3], 4)])
     def test_passes_for_minimal_maps(self, f, n_max):
@@ -82,16 +104,31 @@ class TestConjugacyTower:
         with pytest.raises(PadicError):
             verify_conjugacy_tower(Q3, 0)
 
-    def test_one_map_table_per_level(self, monkeypatch):
-        built = []
-
-        def counting_table(f, n, **kwargs):
-            built.append(n)
-            return reduced_map_table(f, n, **kwargs)
-
-        monkeypatch.setattr(odometer, "reduced_map_table", counting_table)
-        assert verify_conjugacy_tower(Q3, 4).passed
-        assert built == [1, 2, 3, 4]
+    @pytest.mark.parametrize("p,exponents,bound", [
+        (2, (1, 2, 3), 4), (3, (1, 3, 5), 6), (5, (1, 4), 10), (7, (1, 6), 14)])
+    def test_matches_oracle_on_boxes(self, p, exponents, bound):
+        # every map a0 + sum a_e x^e, a_e in [0, bound), with a0 = 1, the
+        # unit -1 and the non-unit p, at n_max = 1..L+2 and table bounds
+        # default and p^2: the same report, or the same error type and
+        # text, as the table-built tower
+        level = decision_level(p)
+        seen = set()
+        for a0 in (1, -1, p):
+            for tail in product(range(bound), repeat=len(exponents)):
+                coeffs = [a0] + [0] * exponents[-1]
+                for e, a in zip(exponents, tail):
+                    coeffs[e] = a
+                f = IntPolynomial(p, coeffs, allow_constant=True)
+                for table_bound in (DEFAULT_TABLE_BOUND, p**2):
+                    for n_max in range(1, level + 3):
+                        got = _outcome(verify_conjugacy_tower, f, n_max, table_bound)
+                        want = _outcome(oracles.tower_oracle, f, n_max, table_bound)
+                        assert got == want, (coeffs, n_max, table_bound)
+                        seen.add(_kind(got))
+        # the box reaches every outcome: a pass, the bound, and a break at
+        # each level up to the decision level
+        assert seen == {"passed", "TableBoundError", *(
+            f"NotFullCycleError at level {k}" for k in range(1, level + 1))}
 
     @given(st.sampled_from(MINIMAL_SAMPLES))
     def test_tower_always_passes_for_certified_minimal(self, f):

@@ -268,6 +268,24 @@ class TestSampling:
         rep = run_sweep(SweepConfig(3, 1, 9, work_budget=20))
         assert not rep.sampled and rep.total == 9
 
+    def test_tuples_weighed_by_the_decision_level_walk(self):
+        # a tuple weighs ceil(p^L / 27): 1 at p = 5, 2 at p = 7
+        rep = run_sweep(SweepConfig(5, 1, 5, work_budget=5))
+        assert not rep.sampled and rep.total == 5
+        rep = run_sweep(SweepConfig(7, 1, 7, work_budget=14))
+        assert not rep.sampled and rep.total == 7
+        with pytest.raises(PadicError, match="work budget"):
+            run_sweep(SweepConfig(7, 1, 7, work_budget=13))
+        with pytest.raises(PadicError, match="work budget"):
+            run_sweep(SweepConfig(7, 1, 7, work_budget=13, samples=7))
+        rep = run_sweep(SweepConfig(7, 1, 7, work_budget=13, samples=6))
+        assert rep.sampled and rep.total == 6 and rep.disagreements == 0
+
+    @pytest.mark.parametrize("samples", [None, 1])
+    def test_large_prime_refused_at_once(self, samples):
+        with pytest.raises(PadicError, match="work budget"):
+            run_sweep(SweepConfig(100003, 1, 2, samples=samples))
+
     def test_huge_n_max_refused_at_once(self):
         with pytest.raises(PadicError):
             run_sweep(SweepConfig(2, 1, 2, n_max=10**9, samples=1))
