@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -29,6 +30,11 @@ from .sweep import DEFAULT_WORK_BUDGET, SweepConfig, run_sweep
 
 TABLE_BOUND_ENV = "PADICDYN_TABLE_BOUND"
 WORK_BUDGET_ENV = "PADICDYN_WORK_BUDGET"
+
+# most decimal digits the modulus p^n of a stream may have: under 640, the
+# lowest limit on int-to-str conversion an interpreter can be set to, so
+# every residue of every format prints
+STREAM_DIGITS = 600
 
 # a value such as "-1,2"; no option of the parser starts with a digit
 _SIGNED_VALUE = re.compile(r"-\d")
@@ -164,9 +170,22 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
     return 0
 
 
+def _more_digits_than(p: int, n: int, digits: int) -> bool:
+    """Does p^n have more than `digits` decimal digits?  p^n itself is
+    computed only for n within one of the float estimate of the boundary,
+    where it has about `digits` digits."""
+    edge = int(digits / math.log10(p))
+    if abs(n - edge) > 1:
+        return n > edge
+    return p**n >= 10**digits
+
+
 def cmd_stream(args: argparse.Namespace) -> int:
     f = _parse_poly(args)
     n = args.level if args.level is not None else decision_level(args.prime)
+    if _more_digits_than(args.prime, n, STREAM_DIGITS):
+        raise PadicError(f"level {n} at prime {args.prime}: the modulus "
+                         f"{args.prime}^{n} has more than {STREAM_DIGITS} digits")
     count = args.count if args.count is not None else args.prime**n
     size = args.prime**n
     seed = args.seed % size

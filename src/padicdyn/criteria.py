@@ -55,20 +55,27 @@ class CoefficientSums(NamedTuple):
     precision: int | None = None
 
 
+def _sums(c: tuple[int, ...], m: int | None) -> tuple[int, ...]:
+    """(even_sum, odd_sum, even_weighted, odd_weighted) of the coefficients
+    c, constant term first: exact when m is None, else primed and reduced
+    mod m."""
+    if m is not None:
+        a0 = c[0]
+        c = (0, *(c[i] * pow(a0, i - 1, m) for i in range(1, len(c))))
+    evens, odds = c[2::2], c[1::2]
+    sums = (sum(evens), sum(odds), sum(map(mul, range(2, len(c), 2), evens)),
+            sum(map(mul, range(1, len(c), 2), odds)))
+    if m is None:
+        return sums
+    even, odd, even_w, odd_w = sums
+    return even % m, odd % m, even_w % m, odd_w % m
+
+
 def coefficient_sums(f: IntPolynomial, *, primed: bool = False) -> CoefficientSums:
-    c = f.coefficients
-    if primed:
-        # primed sums are residues mod p^2, all that the closed forms read
-        m = f.prime**2
-        c = (0, *(c[i] * pow(c[0], i - 1, m) for i in range(1, len(c))))
-    sums = (
-        sum(c[2::2]), sum(c[1::2]),
-        sum(map(mul, range(2, len(c), 2), c[2::2])),
-        sum(map(mul, range(1, len(c), 2), c[1::2])),
-    )
     if not primed:
-        return CoefficientSums(*sums, primed=False)
-    return CoefficientSums(*(s % m for s in sums), primed=True, precision=2)
+        return CoefficientSums(*_sums(f.coefficients, None), primed=False)
+    # primed sums are residues mod p^2, all that the closed forms read
+    return CoefficientSums(*_sums(f.coefficients, f.prime**2), primed=True, precision=2)
 
 
 class ConditionCheck(NamedTuple):
@@ -105,11 +112,34 @@ class MinimalityVerdict(NamedTuple):
         }
 
 
-def _sums_for(f: IntPolynomial) -> CoefficientSums:
-    # exact integers when no rescaling is needed, residues mod p^2 otherwise
-    if f.coefficient(0) == 1:
-        return coefficient_sums(f)
-    return coefficient_sums(f, primed=True)
+# Each closed form has one core: it takes the coefficient tuple, constant
+# term first (trailing zeros allowed), and returns (minimal, case,
+# residues, passed), the residue and outcome of every condition in record
+# order.  The public function checks its preconditions and turns that into
+# records; a sweep calls the core alone.  The p = 2 and p = 3 cores read
+# the exact sums for constant term 1 and the primed sums mod p^2 otherwise.
+
+
+def _verdict(method: str, core: tuple, names: tuple[str, ...],
+             moduli: tuple[int, ...], stage: str | None) -> MinimalityVerdict:
+    minimal, case, residues, passed = core
+    conditions = tuple(map(ConditionCheck, names, residues, moduli, passed))
+    return MinimalityVerdict(minimal, method, case, conditions, None,
+                             None if minimal else stage)
+
+
+_Z2_NAMES = ("a0_unit_mod_2", "a1_odd", "odd_sum_odd", "full_sum_one_mod_4",
+             "lift_step_one_mod_4")
+
+
+def _z2_core(c: tuple[int, ...]) -> tuple:
+    a0, a1, a2 = (c + (0, 0))[:3]
+    even, odd, _, _ = _sums(c, None if a0 == 1 else 4)
+    residues = (a0 % 2, a1 % 2, odd % 2, (even + odd) % 4,
+                (2 * a2 * a0 + a1 * odd) % 4)
+    # every condition asks for residue 1
+    passed = tuple(r == 1 for r in residues)
+    return all(passed), None, residues, passed
 
 
 def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
@@ -120,32 +150,25 @@ def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
     """
     if f.prime != 2:
         raise PadicError(f"minimal_z2 needs prime 2, got {f.prime}")
-    a0 = f.coefficient(0)
-    a1 = f.coefficient(1)
-    a2 = f.coefficient(2)
-    s = _sums_for(f)
-    unit_ok = a0 % 2 == 1
-    c1 = a1 % 2
-    c2 = s.odd_sum % 2
-    c3 = (s.even_sum + s.odd_sum) % 4
-    c4 = (2 * a2 * a0 + a1 * s.odd_sum) % 4
-    conditions = (
-        ConditionCheck("a0_unit_mod_2", a0 % 2, 2, unit_ok),
-        ConditionCheck("a1_odd", c1, 2, c1 == 1),
-        ConditionCheck("odd_sum_odd", c2, 2, c2 == 1),
-        ConditionCheck("full_sum_one_mod_4", c3, 4, c3 == 1),
-        ConditionCheck("lift_step_one_mod_4", c4, 4, c4 == 1),
-    )
-    minimal = all(c.passed for c in conditions)
-    stage = None
-    if not minimal:
-        if not unit_ok or c3 % 2 != 1:
-            stage = "level-1"
-        elif c1 != 1 or c2 != 1 or c3 != 1:
-            stage = "level-2"
-        else:
-            stage = "level-3"
-    return MinimalityVerdict(minimal, METHOD_P2, None, conditions, None, stage)
+    core = _z2_core(f.coefficients)
+    unit, _, _, full, _ = core[2]
+    # level 1 needs a0 and the full sum odd, level 2 the first four conditions
+    if unit != 1 or full % 2 != 1:
+        stage = "level-1"
+    else:
+        stage = "level-2" if not all(core[3][:4]) else "level-3"
+    return _verdict(METHOD_P2, core, _Z2_NAMES, (2, 2, 2, 4, 4), stage)
+
+
+_LARIN_NAMES = ("a1_odd", "odd_sum_gap_zero_mod_4", "even_sum_gap_zero_mod_4")
+
+
+def _z2_larin_core(c: tuple[int, ...]) -> tuple:
+    _, a1, a2 = (c + (0, 0))[:3]
+    even, odd, _, _ = _sums(c, None)
+    residues = (a1 % 2, (odd - a1 - 2 * a2) % 4, (even - a2 - (a1 + a2 - 1)) % 4)
+    passed = (residues[0] == 1, residues[1] == 0, residues[2] == 0)
+    return all(passed), None, residues, passed
 
 
 def minimal_z2_larin_form(f: IntPolynomial) -> MinimalityVerdict:
@@ -155,33 +178,51 @@ def minimal_z2_larin_form(f: IntPolynomial) -> MinimalityVerdict:
         raise PadicError(f"minimal_z2_larin_form needs prime 2, got {f.prime}")
     if f.coefficient(0) != 1:
         raise PadicError("larin form assumes constant term 1")
-    a1 = f.coefficient(1)
-    a2 = f.coefficient(2)
-    s = coefficient_sums(f)
-    c1 = a1 % 2
-    c2 = (s.odd_sum - a1 - 2 * a2) % 4
-    c3 = (s.even_sum - a2 - (a1 + a2 - 1)) % 4
-    conditions = (
-        ConditionCheck("a1_odd", c1, 2, c1 == 1),
-        ConditionCheck("odd_sum_gap_zero_mod_4", c2, 4, c2 == 0),
-        ConditionCheck("even_sum_gap_zero_mod_4", c3, 4, c3 == 0),
-    )
-    minimal = all(c.passed for c in conditions)
-    return MinimalityVerdict(minimal, METHOD_P2_LARIN, None, conditions)
+    return _verdict(METHOD_P2_LARIN, _z2_larin_core(f.coefficients), _LARIN_NAMES,
+                    (2, 4, 4), None)
 
 
 # (even_weighted, odd_weighted, a1) mod 3 for the four admissible
-# derivative patterns, in fixed case order 1..4
-_Z3_PATTERNS = ((0, 2, 1), (0, 1, 1), (1, 0, 2), (2, 0, 2))
+# derivative patterns, and the case each one selects
+_Z3_CASES = {(0, 2, 1): 1, (0, 1, 1): 2, (1, 0, 2): 3, (2, 0, 2): 4}
+# the factor of a2 * a0 in each case's correction
+_Z3_A2_FACTOR = {1: 3, 2: 6, 3: 6, 4: 3}
+_Z3_NAMES = ("a0_unit_mod_3", "even_sum_zero_mod_3", "odd_sum_one_mod_3",
+             "even_weighted_mod_3", "odd_weighted_mod_3", "a1_mod_3")
 
 
-def _six_step_sum(f: IntPolynomial, first: int, m: int) -> int:
+def _six_step_sum(c: tuple[int, ...], first: int, m: int) -> int:
     # sum of a_i * a0^(i-1) over i = first, first+6, ... up to the degree
-    a0 = f.coefficient(0)
+    a0 = c[0]
     total = 0
-    for i in range(first, f.degree + 1, 6):
-        total = (total + f.coefficient(i) * pow(a0, i - 1, m)) % m
-    return total
+    for i in range(first, len(c), 6):
+        total += c[i] * pow(a0, i - 1, m)
+    return total % m
+
+
+def _z3_core(c: tuple[int, ...]) -> tuple:
+    a0, a1, a2 = (c + (0, 0))[:3]
+    even, odd, even_w, odd_w = _sums(c, None if a0 == 1 else 9)
+    pattern = (even_w % 3, odd_w % 3, a1 % 3)
+    case = _Z3_CASES.get(pattern)
+    matched = case is not None
+    unit, r_even, r_odd = a0 % 3, even % 3, odd % 3
+    residues = (unit, r_even, r_odd, *pattern)
+    passed = (unit != 0, r_even == 0, r_odd == 1, matched, matched, matched)
+    if not matched:
+        return False, None, residues, passed
+    # shift = the quantity excluded mod 9; correction = the case's
+    # second excluded value, built from a2 and a sparse six-step sum
+    if case in (1, 3):
+        shift = (odd + 5) % 9
+        tail = _six_step_sum(c, 5, 9)
+    else:
+        shift = (even + 6) % 9
+        tail = _six_step_sum(c, 2, 9)
+    correction = (_Z3_A2_FACTOR[case] * a2 * a0 + 3 * tail) % 9
+    gap = (shift - correction) % 9
+    passed += (shift != 0, gap != 0)
+    return all(passed), case, (*residues, shift, gap), passed
 
 
 def minimal_z3(f: IntPolynomial) -> MinimalityVerdict:
@@ -193,76 +234,49 @@ def minimal_z3(f: IntPolynomial) -> MinimalityVerdict:
     """
     if f.prime != 3:
         raise PadicError(f"minimal_z3 needs prime 3, got {f.prime}")
-    a0 = f.coefficient(0)
-    a1 = f.coefficient(1)
-    a2 = f.coefficient(2)
-    s = _sums_for(f)
-    unit_ok = a0 % 3 != 0
-    r_even = s.even_sum % 3
-    r_odd = s.odd_sum % 3
-    conditions = [
-        ConditionCheck("a0_unit_mod_3", a0 % 3, 3, unit_ok),
-        ConditionCheck("even_sum_zero_mod_3", r_even, 3, r_even == 0),
-        ConditionCheck("odd_sum_one_mod_3", r_odd, 3, r_odd == 1),
-    ]
-    level1 = unit_ok and r_even == 0 and r_odd == 1
-
-    pattern = (s.even_weighted % 3, s.odd_weighted % 3, a1 % 3)
-    case = _Z3_PATTERNS.index(pattern) + 1 if pattern in _Z3_PATTERNS else None
-    matched = case is not None
-    conditions += [
-        ConditionCheck("even_weighted_mod_3", pattern[0], 3, matched),
-        ConditionCheck("odd_weighted_mod_3", pattern[1], 3, matched),
-        ConditionCheck("a1_mod_3", pattern[2], 3, matched),
-    ]
-
-    if not matched:
-        stage = "level-1" if not level1 else "level-2"
-        return MinimalityVerdict(False, METHOD_P3, None, tuple(conditions), None, stage)
-
-    # shift = the quantity excluded mod 9; correction = the case's
-    # second excluded value, built from a2 and a sparse six-step sum
-    if case in (1, 3):
-        shift = (s.odd_sum + 5) % 9
-        tail = _six_step_sum(f, 5, 9)
+    core = _z3_core(f.coefficients)
+    case = core[1]
+    names = _Z3_NAMES if case is None else _Z3_NAMES + (
+        f"case{case}_shift_nonzero_mod_9", f"case{case}_shift_vs_correction_mod_9")
+    # level 1: a0 and the plain sums; level 2: the pattern and the shift
+    passed = core[3]
+    if not all(passed[:3]):
+        stage = "level-1"
     else:
-        shift = (s.even_sum + 6) % 9
-        tail = _six_step_sum(f, 2, 9)
-    a2w = (a2 * a0) % 9
-    if case == 1:
-        correction = (3 * a2w + 3 * tail) % 9
-    elif case == 2:
-        correction = (6 * a2w + 3 * tail) % 9
-    elif case == 3:
-        correction = (6 * a2w + 3 * tail) % 9
-    else:
-        correction = (3 * a2w + 3 * tail) % 9
-    gap = (shift - correction) % 9
-    first_ok = shift != 0
-    second_ok = gap != 0
-    conditions += [
-        ConditionCheck(f"case{case}_shift_nonzero_mod_9", shift, 9, first_ok),
-        ConditionCheck(f"case{case}_shift_vs_correction_mod_9", gap, 9, second_ok),
-    ]
-    minimal = level1 and first_ok and second_ok
-    stage = None
-    if not minimal:
-        if not level1:
-            stage = "level-1"
-        elif not first_ok:
-            stage = "level-2"
-        else:
-            stage = "level-3"
-    return MinimalityVerdict(minimal, METHOD_P3, case, tuple(conditions), None, stage)
+        stage = "level-2" if not all(passed[3:7]) else "level-3"
+    return _verdict(METHOD_P3, core, names, (3, 3, 3, 3, 3, 3, 9, 9), stage)
 
 
-# degree-5 patterns: (a1..a5) mod 3 per case, and which sum is pinned
-_DEG5_PATTERNS = {
-    1: (1, 0, 1, 0, 2),
-    2: (1, 0, 0, 0, 0),
-    3: (2, 1, 0, 2, 2),
-    4: (2, 2, 0, 1, 2),
+# degree-5 patterns: (a1..a5) mod 3 and the case each one selects
+_DEG5_CASES = {
+    (1, 0, 1, 0, 2): 1,
+    (1, 0, 0, 0, 0): 2,
+    (2, 1, 0, 2, 2): 3,
+    (2, 2, 0, 1, 2): 4,
 }
+_DEG5_NAMES = tuple(f"a{i}_mod_3" for i in range(1, 6))
+
+
+def _deg5_core(c: tuple[int, ...]) -> tuple:
+    a = (c + (0,) * 5)[:6]
+    residues = (a[1] % 3, a[2] % 3, a[3] % 3, a[4] % 3, a[5] % 3)
+    case = _DEG5_CASES.get(residues)
+    if case is None:
+        return False, None, residues, (False,) * 5
+    odd_slots = (a[1] + a[3] + a[5]) % 9
+    even_slots = (a[2] + a[4]) % 9
+    if case == 1:
+        ok, pinned = odd_slots == 7, odd_slots
+    elif case == 2:
+        ok, pinned = even_slots in (0, 6), even_slots
+    elif case == 3:
+        # target 1, not 7: forced by the exhaustive mod-27 cross-check
+        # in the acceptance suite (one published table differs and loses
+        # against brute force on 162 of 243 pattern tuples)
+        ok, pinned = odd_slots == 1, odd_slots
+    else:
+        ok, pinned = even_slots == 0, even_slots
+    return ok, case, (*residues, pinned), (True,) * 5 + (ok,)
 
 
 def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
@@ -276,39 +290,12 @@ def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
         raise PadicError("degree-5 form assumes constant term 1")
     if f.degree > 5:
         raise PadicError(f"degree {f.degree} exceeds 5")
-    a = f.coefficients + (0,) * (6 - len(f.coefficients))
-    residues = tuple(a[i] % 3 for i in range(1, 6))
-    case = None
-    for k, pat in _DEG5_PATTERNS.items():
-        if residues == pat:
-            case = k
-            break
-    conditions = [
-        ConditionCheck(f"a{i}_mod_3", residues[i - 1], 3, case is not None)
-        for i in range(1, 6)
-    ]
-    if case is None:
-        return MinimalityVerdict(False, METHOD_P3_DEG5, None, tuple(conditions),
-                                 None, "level-2")
-    odd_slots = (a[1] + a[3] + a[5]) % 9
-    even_slots = (a[2] + a[4]) % 9
-    if case == 1:
-        ok = odd_slots == 7
-        conditions.append(ConditionCheck("a1_a3_a5_sum_mod_9", odd_slots, 9, ok))
-    elif case == 2:
-        ok = even_slots in (0, 6)
-        conditions.append(ConditionCheck("a2_a4_sum_mod_9", even_slots, 9, ok))
-    elif case == 3:
-        # target 1, not 7: forced by the exhaustive mod-27 cross-check
-        # in the acceptance suite (one published table differs and loses
-        # against brute force on 162 of 243 pattern tuples)
-        ok = odd_slots == 1
-        conditions.append(ConditionCheck("a1_a3_a5_sum_mod_9", odd_slots, 9, ok))
-    else:
-        ok = even_slots == 0
-        conditions.append(ConditionCheck("a2_a4_sum_mod_9", even_slots, 9, ok))
-    stage = None if ok else "level-3"
-    return MinimalityVerdict(ok, METHOD_P3_DEG5, case, tuple(conditions), None, stage)
+    core = _deg5_core(f.coefficients)
+    case = core[1]
+    names = _DEG5_NAMES if case is None else _DEG5_NAMES + (
+        "a1_a3_a5_sum_mod_9" if case in (1, 3) else "a2_a4_sum_mod_9",)
+    return _verdict(METHOD_P3_DEG5, core, names, (3, 3, 3, 3, 3, 9),
+                    "level-2" if case is None else "level-3")
 
 
 def _orbit_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[list[int], int]:
@@ -366,14 +353,25 @@ def minimal_general(
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 
 
+def _closed_forms(prime: int, a0: int, degree: int) -> tuple:
+    """(record function, core, alternate core) of the closed forms: at
+    p = 2 minimal_z2 and the Larin shape, at p = 3 minimal_z3 and the
+    degree-5 form.  The alternate core is None unless it applies to
+    every map with constant term a0 and degree at most `degree` (a0 = 1,
+    and degree <= 5 at p = 3); every other prime gets three Nones."""
+    if prime == 2:
+        return minimal_z2, _z2_core, _z2_larin_core if a0 == 1 else None
+    if prime == 3:
+        return (minimal_z3, _z3_core,
+                _deg5_core if a0 == 1 and degree <= 5 else None)
+    return None, None, None
+
+
 def closed_form(f: IntPolynomial) -> MinimalityVerdict | None:
     """The closed-form verdict, minimal_z2 at p = 2 and minimal_z3 at
     p = 3; None for every other prime, which has no closed form."""
-    if f.prime == 2:
-        return minimal_z2(f)
-    if f.prime == 3:
-        return minimal_z3(f)
-    return None
+    record = _closed_forms(f.prime, f.coefficient(0), f.degree)[0]
+    return None if record is None else record(f)
 
 
 def decide(f: IntPolynomial) -> MinimalityVerdict:

@@ -43,17 +43,29 @@ class IntPolynomial:
 
     def __post_init__(self, allow_constant: bool):
         _check_prime(self.prime)
-        coeffs = tuple(int(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0,)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_horner", coeffs[::-1])
-        if len(coeffs) < 2 and not allow_constant:
+        self._set_coefficients(tuple(map(int, self.coefficients)))
+        if len(self.coefficients) < 2 and not allow_constant:
             raise PadicError(
                 "degree 0 polynomial rejected; pass allow_constant=True for formal use"
             )
+
+    @classmethod
+    def _of_ints(cls, prime: int, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        """The polynomial of a tuple of ints at a prime already checked,
+        constants allowed.  It skips the checks and conversions of
+        __init__, which halves the cost of the polynomial a sweep builds
+        for every tuple of its box."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "prime", prime)
+        f._set_coefficients(coeffs)
+        return f
+
+    def _set_coefficients(self, coeffs: tuple[int, ...]) -> None:
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        coeffs = coeffs or (0,)
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_horner", coeffs[::-1])
 
     @property
     def degree(self) -> int:
@@ -101,10 +113,7 @@ def derivative(f: IntPolynomial) -> IntPolynomial:
     """Formal derivative; may degrade to a constant or to the zero
     polynomial."""
     coeffs = f.coefficients
-    return IntPolynomial(
-        f.prime, tuple(i * coeffs[i] for i in range(1, len(coeffs))) or (0,),
-        allow_constant=True,
-    )
+    return IntPolynomial._of_ints(f.prime, tuple(i * coeffs[i] for i in range(1, len(coeffs))))
 
 
 def _check_table_size(prime: int, level: int, table_bound: int) -> int:

@@ -12,17 +12,18 @@ and counts agreement.  Routes per tuple:
     full-cycle  brute-force orbit walk of 0 at n_max, through a residue
                 table (below) or, past its size cap, dynamics.is_full_cycle
 
-The all-zero tail is built as the constant map a0, which every route
-reports as not minimal.  The index range (or the sorted sample) is cut
-into contiguous chunks, one per worker process; the workers are capped
-at the CPU count and at the number of tuples.
+closed and alt call the record-free cores that criteria picks for the
+prime and builds its records from; they build no ConditionCheck.  The
+all-zero tail is built as the constant map a0, which every route reports
+as not minimal.  The index range (or the sorted sample) is cut into
+contiguous chunks, one per worker process; the workers are capped at the
+CPU count and at the number of tuples.
 
-Each chunk keeps one residue table, table[x] = f(x) mod p^n_max, and
-power columns x^i mod p^n_max, i = 1..degree.  Moving to the next index
-adds (new - old) * x^i to the table for every coefficient a_i that
-changed, so a tuple costs one column pass per changed digit instead of
-an eval_mod per orbit step.  Tables are used only while the table and
-columns, (degree + 1) * p^n_max entries, stay within TABLE_ENTRIES.
+A chunk enumerates consecutive indices as an odometer (see _tables) and
+keeps one residue table, table[x] = f(x) mod p^n_max, that each step
+updates in one pass instead of an eval_mod per orbit step.  Tables are
+used only while the table, the step changes and the powers x^i mod
+p^n_max, (2 * degree + 1) * p^n_max entries, stay within TABLE_ENTRIES.
 
 The work budget counts tuples, each weighed by its brute-force walk of
 up to p^n_max steps in units of 27, the p = 3 decision-level walk:
@@ -37,23 +38,19 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import mul
 
-from .criteria import (
-    closed_form,
-    decision_level,
-    full_cycle_by_lifting,
-    minimal_degree5_z3,
-    minimal_z2_larin_form,
-)
+from .criteria import _closed_forms, decision_level, full_cycle_by_lifting
 from .dynamics import IntPolynomial, is_full_cycle
 from .padic import PadicError, _check_prime
 
 # ten million full-cycle checks; larger boxes must opt into sampling
 DEFAULT_WORK_BUDGET = 10**7
 
-# largest (degree + 1) * p^n_max entries that a chunk's residue table and
-# power columns may hold (a few MB at most); past it the full-cycle route
-# walks the orbit through eval_mod, so memory does not grow with n_max
+# largest (2 * degree + 1) * p^n_max entries that a chunk's residue table,
+# step changes and powers may hold (a few MB at most); past it the
+# full-cycle route walks the orbit through eval_mod, so memory does not
+# grow with n_max
 TABLE_ENTRIES = 1 << 16
 
 
@@ -95,39 +92,54 @@ def _index_to_tail(idx: int, bound: int, degree: int) -> list[int]:
 
 
 def _tables(cfg: SweepConfig, indices: range | list[int]):
-    """(index, tail, table) for each index in order.  table[x] is
-    f(x) mod p^n_max, one list kept for the whole chunk: from one index
-    to the next, every digit a_i that changed adds (new - old) * x^i to
-    it.  table is None when it and the power columns would hold more
-    than TABLE_ENTRIES entries."""
+    """(index, coefficients, table) for each index in order: the tuple
+    (a0, a1..ad) and table[x] = f(x) mod p^n_max.  From one index to the
+    next the digits a1..ad step as an odometer: ad goes up by one, and a
+    digit that passes bound - 1 returns to 0 and carries into the one
+    before it.  Only the first index and one after a gap in a sample go
+    through _index_to_tail, and their table is built from the digits.
+    table is None when it, the step changes and the power rows would hold
+    more than TABLE_ENTRIES entries."""
+    bound, degree, a0 = cfg.bound, cfg.degree, cfg.a0
     modulus = cfg.prime ** cfg.resolved_n_max()
-    if (cfg.degree + 1) * modulus > TABLE_ENTRIES:
-        for idx in indices:
-            yield idx, _index_to_tail(idx, cfg.bound, cfg.degree), None
-        return
-    columns = [[pow(x, i, modulus) for x in range(modulus)]
-               for i in range(1, cfg.degree + 1)]
-    table = [cfg.a0 % modulus] * modulus
-    prev = [0] * cfg.degree
+    table = None
+    if (2 * degree + 1) * modulus <= TABLE_ENTRIES:
+        # rows[x] = (x, x^2, .., x^d); a step that carries into digit a_i
+        # raises it by one and wraps every later digit from bound - 1 to 0,
+        # which adds steps[i - 1] to the table
+        rows = [tuple(pow(x, i, modulus) for i in range(1, degree + 1))
+                for x in range(modulus)]
+        steps = [[(row[i] + (1 - bound) * sum(row[i + 1:])) % modulus for row in rows]
+                 for i in range(degree)]
+        table = []
+    digits = [0] * degree
+    last = -2  # no index follows it
     for idx in indices:
-        tail = _index_to_tail(idx, cfg.bound, cfg.degree)
-        for new, old, column in zip(tail, prev, columns):
-            if new != old:
-                d = new - old
-                table[:] = [(y + d * v) % modulus for y, v in zip(table, column)]
-        prev = tail
-        yield idx, tail, table
+        if idx == last + 1:
+            pos = degree - 1
+            while digits[pos] == bound - 1:
+                digits[pos] = 0
+                pos -= 1
+            digits[pos] += 1
+            if table is not None:
+                table = [(y + v) % modulus for y, v in zip(table, steps[pos])]
+        else:
+            digits = _index_to_tail(idx, bound, degree)
+            if table is not None:
+                table = [(a0 + sum(map(mul, digits, row))) % modulus for row in rows]
+        last = idx
+        yield idx, (a0, *digits), table
 
 
 def _full_cycle_in(table: list[int]) -> bool:
     """Is x -> table[x] one cycle through every residue?  The orbit of 0
     returns to 0 first at step len(table) exactly when it is."""
     x = 0
-    for steps in range(1, len(table) + 1):
+    for _ in range(len(table) - 1):
         x = table[x]
         if x == 0:
-            return steps == len(table)
-    return False
+            return False
+    return table[x] == 0
 
 
 def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
@@ -137,20 +149,15 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     p = cfg.prime
     level = decision_level(p)
     n_max = cfg.resolved_n_max()
-    # the alternate forms apply to the whole box or to none of it
-    alt_form = None
-    if cfg.a0 == 1:
-        if p == 2:
-            alt_form = minimal_z2_larin_form
-        elif p == 3 and cfg.degree <= 5:
-            alt_form = minimal_degree5_z3
+    # the record-free cores; the alternate one applies to the whole box or
+    # to none of it
+    _, closed_core, alt_core = _closed_forms(p, cfg.a0, cfg.degree)
     agree_min = agree_non = disagree = 0
     first = None
-    for idx, tail, table in _tables(cfg, indices):
-        f = IntPolynomial(p, (cfg.a0, *tail), allow_constant=True)
-        verdict = closed_form(f)
-        closed = None if verdict is None else verdict.minimal
-        alt = None if alt_form is None else alt_form(f).minimal
+    for idx, coeffs, table in _tables(cfg, indices):
+        f = IntPolynomial._of_ints(p, coeffs)
+        closed = None if closed_core is None else closed_core(coeffs)[0]
+        alt = None if alt_core is None else alt_core(coeffs)[0]
         delta = full_cycle_by_lifting(f, level)
         full = is_full_cycle(f, n_max) if table is None else _full_cycle_in(table)
         if delta == full and closed in (None, delta) and alt in (None, delta):
@@ -162,8 +169,7 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
         disagree += 1
         if first is None:
             routes = {"closed": closed, "alt": alt, "delta": delta, "full-cycle": full}
-            first = (idx, (cfg.a0, *tail),
-                     {k: v for k, v in routes.items() if v is not None})
+            first = (idx, coeffs, {k: v for k, v in routes.items() if v is not None})
     return agree_min, agree_non, disagree, first
 
 
@@ -176,6 +182,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         raise PadicError(f"sweep bound must be >= 1, got {cfg.bound}")
     if cfg.samples is not None and cfg.samples < 0:
         raise PadicError(f"sample count must be >= 0, got {cfg.samples}")
+    if cfg.workers < 1:
+        raise PadicError(f"worker count must be >= 1, got {cfg.workers}")
     level = decision_level(cfg.prime)
     n_max = cfg.resolved_n_max()
     if n_max < level:

@@ -204,6 +204,25 @@ class TestStream:
         assert code == 2
         assert "no full cycle" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "structured", "packed"])
+    @pytest.mark.parametrize("prime,coeffs,level", [
+        ("2", "1,1", "1994"), ("3", "1,1,0,3", "50000"), ("3", "1,1,0,3", "1000000000"),
+    ])
+    def test_modulus_over_the_digit_cap_exits_two(self, capsys, fmt, prime, coeffs, level):
+        # 2^1993 has 600 digits, 2^1994 has 601; the level is refused before
+        # p^n is computed or a residue printed
+        code, out, err = run(capsys, "stream", "--prime", prime, "--coeffs", coeffs,
+                             "--level", level, "--count", "14", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "600 digits" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "packed"])
+    def test_modulus_at_the_digit_cap_streams(self, capsys, fmt):
+        code, out, _ = run(capsys, "stream", "--prime", "2", "--coeffs", "1,1",
+                           "--level", "1993", "--count", "2", "--format", fmt)
+        assert code == 0 and out
+
     def test_deep_level_builds_no_table(self, capsys, no_tables):
         # a 2^30-cycle: the check costs a few lifting steps, not 2^30 residues
         code, out, _ = run(capsys, "stream", "--prime", "2", "--coeffs", "1,1",
@@ -268,11 +287,20 @@ class TestSweep:
         assert code == 0
         assert rec["n_max"] == 5 and rec["disagreements"] == 0
 
-    def test_negative_samples_exits_two(self, capsys):
+    @pytest.mark.parametrize("extra", [
+        ("--samples", "-5", "--threads", "1"), ("--threads", "0"), ("--threads", "-3"),
+    ])
+    def test_bad_count_exits_two(self, capsys, monkeypatch, extra):
+        # refused before the box of 2^30 tuples is weighed or a pool starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a bad count")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
         code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "30",
-                             "--bound", "2", "--samples", "-5", "--threads", "1")
+                             "--bound", "2", "--format", "structured", *extra)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "count must be" in err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("prime", ["4", "1", "-3"])

@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdyn import criteria
 from padicdyn.criteria import (
     METHOD_DELTA,
     METHOD_P2,
@@ -332,6 +336,62 @@ class TestClosedForm:
     @given(st.sampled_from([2, 3]).flatmap(signed_polys))
     def test_agrees_with_decision_level_check(self, f):
         assert closed_form(f).minimal == minimal_general(f).minimal, f.coefficients
+
+
+def _box(a0, degree, seed):
+    """Every map of one box: a1, a2 and the highest of the six-step tail
+    slots 5, 8, 11 up to the degree range over [-3, 6), every residue
+    mod 8 and mod 9; the other coefficients are fixed, signed and drawn
+    from a seeded rng."""
+    rng = random.Random(seed)
+    fixed = [rng.randint(-9, 9) for _ in range(degree)]
+    slots = sorted({s for s in (1, 2, max(s for s in (1, 2, 5, 8, 11) if s <= degree))
+                    if s <= degree})
+    for values in itertools.product(range(-3, 6), repeat=len(slots)):
+        tail = fixed.copy()
+        for slot, v in zip(slots, values):
+            tail[slot - 1] = v
+        yield (a0, *tail)
+
+
+class TestCores:
+    """The record-free cores that a sweep calls give the verdict of the
+    public records, on the coefficient tuple with or without trailing
+    zeros, and that verdict is the brute-force one mod p^3."""
+
+    @pytest.mark.parametrize("prime,a0", [
+        (2, 1), (2, -1), (2, 5), (2, 6), (3, 1), (3, -1), (3, 4), (3, -6),
+    ])
+    def test_cores_agree_with_records(self, prime, a0):
+        seen = set()
+        for degree in range(1, 13):
+            for coeffs in _box(a0, degree, seed=degree):
+                f = IntPolynomial(prime, coeffs, allow_constant=True)
+                forms = [(minimal_z2, criteria._z2_core)] if prime == 2 else [
+                    (minimal_z3, criteria._z3_core)]
+                if a0 == 1 and prime == 2:
+                    forms.append((minimal_z2_larin_form, criteria._z2_larin_core))
+                if a0 == 1 and prime == 3 and f.degree <= 5:
+                    forms.append((minimal_degree5_z3, criteria._deg5_core))
+                want = oracles.full_cycle_oracle(f.coefficients, prime, 3)
+                for record, core in forms:
+                    minimal = record(f).minimal
+                    assert minimal == want, (record.__name__, coeffs)
+                    for c in (f.coefficients, coeffs + (0, 0)):
+                        assert core(c)[0] == minimal, (core.__name__, c)
+                seen.add(want)
+        # both verdicts occur wherever a0 is a unit
+        assert seen == ({True, False} if a0 % prime else {False})
+
+    def test_sweep_cores_follow_the_prime(self):
+        assert criteria._closed_forms(2, 1, 9) == (
+            minimal_z2, criteria._z2_core, criteria._z2_larin_core)
+        assert criteria._closed_forms(2, 3, 2)[2] is None
+        assert criteria._closed_forms(3, 1, 5) == (
+            minimal_z3, criteria._z3_core, criteria._deg5_core)
+        assert criteria._closed_forms(3, 1, 6)[2] is None
+        assert criteria._closed_forms(3, -1, 5)[2] is None
+        assert criteria._closed_forms(5, 1, 2) == (None, None, None)
 
 
 class TestFullCycleByLifting:

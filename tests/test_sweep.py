@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdyn import sweep
+from padicdyn import criteria, sweep
 from padicdyn.criteria import decision_level, full_cycle_by_lifting
 from padicdyn.dynamics import IntPolynomial, reduced_map_table
 from padicdyn.padic import PadicError
@@ -26,6 +26,11 @@ class TestConfig:
             run_sweep(SweepConfig(3, 0, 2))
         with pytest.raises(PadicError):
             run_sweep(SweepConfig(3, 1, 0))
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(PadicError, match="worker count"):
+            run_sweep(SweepConfig(3, 1, 2, workers=workers))
 
 
 class TestIndexing:
@@ -132,9 +137,20 @@ class TestDifferentials:
         assert minimal > 0 and nonminimal > 0
 
 
+def _runs(box, seed):
+    """A sorted sample of [0, box): runs of up to five consecutive indices
+    with gaps between them, and the last index."""
+    rng = random.Random(seed)
+    picked = {box - 1}
+    for start in rng.sample(range(box), box // 10):
+        picked.update(range(start, min(start + rng.randint(1, 5), box)))
+    return sorted(picked)
+
+
 class TestTables:
-    """The residue table each chunk updates digit by digit must equal a
-    table built from scratch, wherever the chunk starts."""
+    """The coefficients and the residue table that each chunk steps as an
+    odometer must equal those built from scratch, wherever the chunk
+    starts and across the gaps of a sample."""
 
     @pytest.mark.parametrize("cfg,indices", [
         (SweepConfig(3, 3, 9), range(9**3)),
@@ -145,37 +161,50 @@ class TestTables:
         (SweepConfig(5, 2, 30), range(30**2)),
         (SweepConfig(3, 4, 27), sorted(random.Random(3).sample(range(27**4), 300))),
         (SweepConfig(3, 3, 9, a0=2), range(250, 600)),
+        # bound 2: every other step carries, up to the full width
+        (SweepConfig(2, 6, 2), range(2**6)),
+        (SweepConfig(3, 5, 2, a0=-1), range(2**5)),
+        # runs of consecutive indices, gaps between them
+        (SweepConfig(3, 3, 9, a0=4), _runs(9**3, 7)),
+        (SweepConfig(2, 4, 3, n_max=4), _runs(3**4, 11)),
+        # a chunk that ends at box - 1
+        (SweepConfig(3, 4, 9, a0=-2), range(6000, 9**4)),
     ])
     def test_matches_direct_build(self, cfg, indices):
         n_max = cfg.resolved_n_max()
         seen = []
-        for idx, tail, table in _tables(cfg, indices):
-            assert tail == _index_to_tail(idx, cfg.bound, cfg.degree)
-            f = IntPolynomial(cfg.prime, (cfg.a0, *tail), allow_constant=True)
+        for idx, coeffs, table in _tables(cfg, indices):
+            assert coeffs == (cfg.a0, *_index_to_tail(idx, cfg.bound, cfg.degree))
+            f = IntPolynomial(cfg.prime, coeffs, allow_constant=True)
             assert tuple(table) == reduced_map_table(f, n_max).entries
             seen.append(idx)
         assert seen == list(indices)
 
-    def test_no_table_above_the_entry_cap(self):
-        # 2 * 1009^2 entries: the full-cycle route walks through eval_mod
-        rows = list(_tables(SweepConfig(1009, 1, 4), range(4)))
-        assert rows == [(i, [i], None) for i in range(4)]
+    @pytest.mark.parametrize("indices", [range(16), _runs(16, 5)])
+    def test_no_table_above_the_entry_cap(self, indices):
+        # 5 * 1009^2 entries: the full-cycle route walks through eval_mod
+        rows = list(_tables(SweepConfig(1009, 2, 4, a0=3), indices))
+        assert rows == [(i, (3, *_index_to_tail(i, 4, 2)), None) for i in indices]
 
 
 def _flip_on(monkeypatch, name, chosen, degree):
-    """Patch sweep's `name` route to invert its verdict on the chosen
-    coefficient tuples (trailing zeros included)."""
-    original = getattr(sweep, name)
+    """Patch the `name` route that the sweep calls to invert its verdict
+    on the chosen coefficient tuples (trailing zeros included).  The
+    closed-form cores live in criteria and take the coefficient tuple;
+    full_cycle_by_lifting is bound in sweep and takes the polynomial."""
+    owner = criteria if name.startswith("_") else sweep
+    original = getattr(owner, name)
 
-    def flipped(f, *args):
-        result = original(f, *args)
-        if f.coefficients + (0,) * (degree + 1 - len(f.coefficients)) not in chosen:
+    def flipped(arg, *args):
+        result = original(arg, *args)
+        coeffs = arg if isinstance(arg, tuple) else arg.coefficients
+        if coeffs + (0,) * (degree + 1 - len(coeffs)) not in chosen:
             return result
         if isinstance(result, bool):
             return not result
-        return result._replace(minimal=not result.minimal)
+        return (not result[0], *result[1:])
 
-    monkeypatch.setattr(sweep, name, flipped)
+    monkeypatch.setattr(owner, name, flipped)
 
 
 class TestDisagreements:
@@ -186,11 +215,11 @@ class TestDisagreements:
     @pytest.mark.parametrize("branch", ["table", "eval_mod"])
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("prime,degree,bound,a0,route,keys", [
-        (2, 3, 4, 1, "closed_form", ("closed", "alt", "delta", "full-cycle")),
-        (2, 3, 4, 3, "closed_form", ("closed", "delta", "full-cycle")),
-        (3, 3, 4, 1, "closed_form", ("closed", "alt", "delta", "full-cycle")),
-        (3, 3, 4, 2, "closed_form", ("closed", "delta", "full-cycle")),
-        (3, 6, 2, 1, "closed_form", ("closed", "delta", "full-cycle")),
+        (2, 3, 4, 1, "_z2_core", ("closed", "alt", "delta", "full-cycle")),
+        (2, 3, 4, 3, "_z2_core", ("closed", "delta", "full-cycle")),
+        (3, 3, 4, 1, "_z3_core", ("closed", "alt", "delta", "full-cycle")),
+        (3, 3, 4, 2, "_z3_core", ("closed", "delta", "full-cycle")),
+        (3, 6, 2, 1, "_z3_core", ("closed", "delta", "full-cycle")),
         (5, 2, 6, 1, "full_cycle_by_lifting", ("delta", "full-cycle")),
     ])
     def test_first_disagreement_reported(self, monkeypatch, branch, pooled,
