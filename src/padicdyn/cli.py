@@ -265,68 +265,65 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.disagreements == 0 else 1
 
 
+# name: (handler, its line in the top-level help)
+_SUBCOMMANDS = {
+    "analyze": (cmd_analyze, "decide minimality, closed form plus decision-level check"),
+    "cycles": (cmd_cycles, "cycle decomposition of the reduced map"),
+    "conjugacy": (cmd_conjugacy, "orbit index table, or tower verification with --nmax"),
+    "stream": (cmd_stream, "emit the maximal-period residue stream"),
+    "sweep": (cmd_sweep, "agreement sweep over a coefficient box"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the options of subcommand `name`, in the order its help lists
+    them; the full tree and the single parser of main share this."""
+    p.set_defaults(run=_SUBCOMMANDS[name][0])
+    p.add_argument("--prime", type=int, required=True)
+    # only the subcommands that hold a table or a witness walk take a bound
+    if name in ("analyze", "cycles", "conjugacy"):
+        p.add_argument("--table-bound", type=int, default=None,
+                       help="largest map table materialized (env "
+                            f"{TABLE_BOUND_ENV} overrides the default)")
+    if name != "sweep":
+        p.add_argument("--coeffs", type=str, required=True,
+                       help="comma-separated coefficients, constant term first")
+    if name != "stream":
+        p.add_argument("--format", choices=["text", "structured"], default="text")
+    if name in ("cycles", "conjugacy", "stream"):
+        p.add_argument("--level", type=int, default=None)
+    if name == "conjugacy":
+        p.add_argument("--nmax", type=int, default=None)
+    elif name == "stream":
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--count", type=int, default=None)
+        p.add_argument("--format", choices=["text", "packed", "structured"],
+                       default="text")
+    elif name == "sweep":
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True,
+                       help="coefficients range over [0, bound)")
+        p.add_argument("--a0", type=int, default=1)
+        p.add_argument("--nmax", type=int, default=None)
+        p.add_argument("--samples", type=int, default=None,
+                       help="sample size when the box exceeds the work budget")
+        p.add_argument("--rng-seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker processes for the sweep, at most one per "
+                            "CPU (default: cpu count)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree of every subcommand.  main builds it only when argv
+    does not start with a subcommand: for the top-level help and errors."""
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="minimality analysis of polynomial maps on p-adic integers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, required=True)
-
-    # only the subcommands that hold a table or a witness walk take a bound
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--table-bound", type=int, default=None,
-                         help="largest map table materialized (env "
-                              f"{TABLE_BOUND_ENV} overrides the default)")
-
-    poly = argparse.ArgumentParser(add_help=False)
-    poly.add_argument("--coeffs", type=str, required=True,
-                      help="comma-separated coefficients, constant term first")
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["text", "structured"], default="text")
-
-    p_an = sub.add_parser("analyze", parents=[common, bounded, poly, fmt],
-                          help="decide minimality, closed form plus decision-level check")
-    p_an.set_defaults(run=cmd_analyze)
-
-    p_cy = sub.add_parser("cycles", parents=[common, bounded, poly, fmt],
-                          help="cycle decomposition of the reduced map")
-    p_cy.set_defaults(run=cmd_cycles)
-    p_cy.add_argument("--level", type=int, default=None)
-
-    p_co = sub.add_parser("conjugacy", parents=[common, bounded, poly, fmt],
-                          help="orbit index table, or tower verification with --nmax")
-    p_co.set_defaults(run=cmd_conjugacy)
-    p_co.add_argument("--level", type=int, default=None)
-    p_co.add_argument("--nmax", type=int, default=None)
-
-    p_st = sub.add_parser("stream", parents=[common, poly],
-                          help="emit the maximal-period residue stream")
-    p_st.set_defaults(run=cmd_stream)
-    p_st.add_argument("--level", type=int, default=None)
-    p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--count", type=int, default=None)
-    p_st.add_argument("--format", choices=["text", "packed", "structured"],
-                      default="text")
-
-    p_sw = sub.add_parser("sweep", parents=[common, fmt],
-                          help="agreement sweep over a coefficient box")
-    p_sw.set_defaults(run=cmd_sweep)
-    p_sw.add_argument("--degree", type=int, required=True)
-    p_sw.add_argument("--bound", type=int, required=True,
-                      help="coefficients range over [0, bound)")
-    p_sw.add_argument("--a0", type=int, default=1)
-    p_sw.add_argument("--nmax", type=int, default=None)
-    p_sw.add_argument("--samples", type=int, default=None,
-                      help="sample size when the box exceeds the work budget")
-    p_sw.add_argument("--rng-seed", type=int, default=0)
-    p_sw.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                      help="worker processes for the sweep, at most one per "
-                           "CPU (default: cpu count)")
-
+    for name, (_, summary) in _SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=summary), name)
     return parser
 
 
@@ -343,9 +340,13 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_values(
-        sys.argv[1:] if argv is None else argv))
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        # one parser, named as the full tree names it, instead of all of them
+        parser = argparse.ArgumentParser(prog=f"padicdyn {argv[0]}")
+        args = _add_options(parser, argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         if "table_bound" in args and args.table_bound is None:
             args.table_bound = _env_int(TABLE_BOUND_ENV, DEFAULT_TABLE_BOUND)

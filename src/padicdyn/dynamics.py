@@ -119,8 +119,9 @@ def derivative(f: IntPolynomial) -> IntPolynomial:
 def _check_table_size(prime: int, level: int, table_bound: int) -> int:
     if level < 1:
         raise PadicError(f"level must be >= 1, got {level}")
-    size = prime**level
-    if size > table_bound:
+    # p^level >= 2^level > table_bound once level reaches the bound's bit
+    # length, so a deep level is refused before p^level is computed
+    if level >= table_bound.bit_length() or (size := prime**level) > table_bound:
         raise TableBoundError(
             f"table of {prime}^{level} entries exceeds bound {table_bound}"
         )

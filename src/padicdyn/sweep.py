@@ -17,7 +17,10 @@ prime and builds its records from; they build no ConditionCheck.  The
 all-zero tail is built as the constant map a0, which every route reports
 as not minimal.  The index range (or the sorted sample) is cut into
 contiguous chunks, one per worker process; the workers are capped at the
-CPU count and at the number of tuples.
+CPU count and at the number of tuples.  The pool comes from _pool, the
+one place that imports it, so multiprocessing loads at the first sweep
+on two or more workers and not with padicdyn; tests replace _pool with
+an in-process stand-in.
 
 A chunk enumerates consecutive indices as an odometer (see _tables) and
 keeps one residue table, table[x] = f(x) mod p^n_max, that each step
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import mul
 
@@ -219,7 +221,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     workers = max(1, min(cfg.workers, os.cpu_count() or 1, total))
     jobs = [(cfg, chunk) for chunk in _split(indices, workers)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             results = list(pool.map(_run_chunk, jobs))
     else:
         results = [_run_chunk(job) for job in jobs]
@@ -238,6 +240,14 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         first_routes=first_routes,
         sampled=sampled,
     )
+
+
+def _pool(workers: int):
+    """A process pool of `workers` workers, imported at its first use
+    (see the module docstring)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _split(indices: range | list[int], parts: int) -> list:

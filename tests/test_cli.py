@@ -1,10 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import padicdyn
 from padicdyn import sweep
-from padicdyn.cli import main
+from padicdyn.cli import build_parser, main
 
 W2 = "1,3,0,2"
 W3 = "1,4,0,4,0,2"
@@ -110,6 +116,16 @@ class TestCycles:
         assert rec["bijective"] is False
         assert rec["cycles"] == [[2], [3]]
         assert rec["non_periodic"] == 3
+
+    @pytest.mark.parametrize("command", ["cycles", "conjugacy"])
+    def test_deep_level_exits_two_at_once(self, capsys, command):
+        # refused from the level, before 3^(10^8) is computed
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, "--prime", "3", "--coeffs", "1,1",
+                             "--level", str(10**8))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: table of 3^100000000 entries exceeds bound")
 
 
 class TestConjugacy:
@@ -295,7 +311,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for a bad count")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep, "_pool", no_pool)
         code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "30",
                              "--bound", "2", "--format", "structured", *extra)
         assert code == 2 and out == ""
@@ -309,7 +325,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for a bad prime")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep, "_pool", no_pool)
         code, out, err = run(capsys, "sweep", "--prime", prime, "--degree", "2",
                              "--bound", "3", "--threads", threads)
         assert code == 2 and out == ""
@@ -439,3 +455,66 @@ class TestSignedCoefficients:
                            "--format", "structured")
         assert code == 0
         assert json.loads(out)["seed"] == 2
+
+
+SUBCOMMANDS = ("analyze", "cycles", "conjugacy", "stream", "sweep")
+
+
+def exit_of(call):
+    with pytest.raises(SystemExit) as exit_info:
+        call()
+    return exit_info.value.code
+
+
+class TestParsers:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_matches_the_full_tree(self, capsys, command):
+        assert exit_of(lambda: main([command, "--help"])) == 0
+        alone = capsys.readouterr().out
+        assert exit_of(lambda: build_parser().parse_args([command, "--help"])) == 0
+        assert alone == capsys.readouterr().out
+        assert alone.startswith(f"usage: padicdyn {command} [-h] --prime PRIME")
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        assert exit_of(lambda: main(["--help"])) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: padicdyn [-h]")
+        assert all(f"    {command} " in out for command in SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--prime", "3", "analyze"]])
+    def test_missing_or_unknown_command_exits_two(self, capsys, argv):
+        assert exit_of(lambda: main(argv)) == 2
+        assert capsys.readouterr().err.startswith("usage: padicdyn [-h]")
+
+    def test_subcommand_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "analyze", "--prime", "3", "--coeffs", Q3)[0] == 0
+        assert built == ["padicdyn analyze"]
+
+
+def python(*args):
+    """Run a fresh interpreter that imports padicdyn from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).parent.parent))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+class TestFreshInterpreter:
+    def test_import_loads_no_process_pool(self):
+        done = python("-c", "import sys, padicdyn.cli; "
+                            "print('multiprocessing' in sys.modules)")
+        assert (done.returncode, done.stdout) == (0, "False\n")
+
+    @pytest.mark.parametrize("coeffs,code", [(Q3, 0), (W3, 1)])
+    def test_module_reads_sys_argv(self, capsys, coeffs, code):
+        argv = ["analyze", "--prime", "3", "--coeffs", coeffs]
+        done = python("-m", "padicdyn.cli", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+        assert done.returncode == code

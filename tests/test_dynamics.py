@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,6 +134,11 @@ class TestTables:
     def test_table_bound(self):
         with pytest.raises(TableBoundError):
             reduced_map_table(W2, 5, table_bound=16)
+        # refused from the level, before 2^(10^9) is computed
+        t0 = time.perf_counter()
+        with pytest.raises(TableBoundError):
+            reduced_map_table(W2, 10**9)
+        assert time.perf_counter() - t0 < 1.0
         with pytest.raises(PadicError):
             reduced_map_table(W2, 0)
 

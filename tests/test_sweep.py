@@ -229,7 +229,7 @@ class TestDisagreements:
         pools = []
         if pooled:
             monkeypatch.setattr(_RecordingPool, "instances", pools)
-            monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+            monkeypatch.setattr(sweep, "_pool", _RecordingPool)
             monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         box = bound**degree
         baseline = run_sweep(SweepConfig(prime, degree, bound, a0=a0))
@@ -335,8 +335,8 @@ class TestWorkers:
 
 
 class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor that runs jobs in this process
-    and records what the sweep asked of it."""
+    """Stand-in for sweep._pool's process pool that runs jobs in this
+    process and records what the sweep asked of it."""
 
     instances = []
 
@@ -360,7 +360,7 @@ class TestWorkerCap:
     @pytest.fixture
     def pools(self, monkeypatch):
         _RecordingPool.instances = []
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(sweep, "_pool", _RecordingPool)
         return _RecordingPool.instances
 
     @pytest.mark.parametrize("threads,cpus,box,want", [
