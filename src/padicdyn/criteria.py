@@ -27,7 +27,8 @@ from typing import NamedTuple
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
-    _check_table_size,
+    TableBoundError,
+    derivative,
     is_full_cycle,
     lift_check,
 )
@@ -298,19 +299,120 @@ def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
                     "level-2" if case is None else "level-3")
 
 
-def _orbit_from_zero(f: IntPolynomial, n: int, table_bound: int) -> tuple[list[int], int]:
-    """The residues the orbit of 0 visits mod p^n up to its first
-    repeat, in order, and the index at which its eventual cycle starts."""
-    # the walk may hold every residue, so it is bounded like a table
-    size = _check_table_size(f.prime, n, table_bound)
-    seen_at: dict[int, int] = {}
-    order: list[int] = []
-    x = 0
-    while x not in seen_at:
-        seen_at[x] = len(order)
-        order.append(x)
-        x = f.eval_mod(x, size)
-    return order, seen_at[x]
+class LiftStep(NamedTuple):
+    """How the cycle that the orbit of 0 enters mod p^n lifts to mod
+    p^(n+1) (Fan and Liao 2011).  Above its first point x, f^k moves
+    x + p^n z to x + p^n (a z + b) mod p^(n+1), so the orbit of 0 at the
+    next level: keeps its k-cycle ("split", b = 0); grows into a
+    k*p-cycle ("grow", a = 1); reaches a k-cycle j0 + 1 steps later, j0
+    the first step from x at which f' is 0 mod p ("attract", a = 0); or
+    runs round a k*ord(a)-cycle ("partial")."""
+
+    length: int
+    a: int
+    b: int
+    kind: str
+
+
+class OrbitShape(NamedTuple):
+    """The orbit of 0 mod p^level: `tail` residues, then a cycle of
+    `length` residues from `base` = f^tail(0); steps[n - 1] is the lift
+    from level n."""
+
+    tail: int
+    length: int
+    base: int
+    steps: tuple[LiftStep, ...]
+
+
+def _order(a: int, p: int) -> int:
+    r, y = 1, a
+    while y != 1:
+        r, y = r + 1, y * a % p
+    return r
+
+
+def _orbit_shape(f: IntPolynomial, level: int) -> OrbitShape:
+    """Tail and cycle of the orbit of 0 mod p^level, in constant memory:
+    Brent's cycle finding mod p (about 3 (tail + length) evaluations),
+    then one k-step walk per higher level, classified by its LiftStep."""
+    p = f.prime
+    modulus = p**level
+    ev = f.eval_mod
+    power = length = 1
+    tortoise, hare = 0, ev(0, p)
+    while tortoise != hare:
+        if power == length:
+            tortoise, power, length = hare, power * 2, 0
+        hare = ev(hare, p)
+        length += 1
+    hare = 0
+    for _ in range(length):
+        hare = ev(hare, p)
+    # the tortoise walks at the full modulus, so it stops on f^tail(0)
+    base = tail = 0
+    while base % p != hare:
+        base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
+    df = derivative(f).eval_mod
+    steps = []
+    for n in range(1, level):
+        q = p**n
+        x, a, entry = base, 1, None
+        for j in range(1, length + 1):
+            if a:
+                a = a * df(x % p, p) % p
+                x = ev(x, modulus)
+                if not a:
+                    entry = (j, x)
+            else:
+                x = ev(x, modulus)
+        b = (x - base) % (q * p) // q
+        step = LiftStep(length, a, b, "split" if b == 0 else "grow" if a == 1
+                        else "attract" if a == 0 else "partial")
+        if step.kind == "grow":
+            length *= p
+        elif step.kind == "attract":
+            tail, base = tail + entry[0], entry[1]
+        elif step.kind == "partial":
+            length *= _order(a, p)
+        steps.append(step)
+    return OrbitShape(tail, length, base, tuple(steps))
+
+
+def _cycle_of_zero(f: IntPolynomial, level: int, table_bound: int) -> tuple[int, ...]:
+    """The cycle the orbit of 0 runs into mod p^level, level >= 2, from
+    its first residue on.  Its length is known before it is built, and
+    table_bound caps it.  One block of k residues is walked, k the cycle
+    length at level - 1; f^k moves the block's start y by p^(level-1) z
+    and each later block by the next z of z -> a z + b, so its residues
+    are f^i(y) + (f^i)'(y) p^(level-1) z mod p^level: one multiply-add
+    each."""
+    shape = _orbit_shape(f, level)
+    if shape.length > table_bound:
+        raise TableBoundError(
+            f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
+    p = f.prime
+    modulus = p**level
+    q = modulus // p
+    ev = f.eval_mod
+    last = shape.steps[-1]
+    block = last.length
+    df = derivative(f).eval_mod
+    ys, shifts = [], []
+    x, slope = shape.base, 1
+    for _ in range(block):
+        ys.append(x)
+        shifts.append(slope * q)
+        slope = slope * df(x % p, p) % p
+        x = ev(x, modulus)
+    zs = [0]
+    for _ in range(shape.length // block - 1):
+        zs.append((last.a * zs[-1] + last.b) % p)
+    # column i holds f^i(y) in every block
+    cycle = [0] * shape.length
+    for i, (y, s) in enumerate(zip(ys, shifts)):
+        cycle[i::block] = [(y + s * z) % modulus for z in zs]
+    return tuple(cycle)
 
 
 def _first_broken_level(f: IntPolynomial, n: int) -> int | None:
@@ -341,14 +443,13 @@ def minimal_general(
     """Minimality for any prime via a full cycle at the decision level
     (3 for p in {2,3}, else 2), decided by lifting.  When there is none,
     the witness is the short cycle the orbit of 0 runs into at that
-    level; table_bound caps that walk, which may hold every residue."""
+    level; table_bound caps its length."""
     p = f.prime
     level = decision_level(p)
     if full_cycle_by_lifting(f, level):
         cond = ConditionCheck("full_cycle_at_decision_level", p**level, p**level, True)
         return MinimalityVerdict(True, METHOD_DELTA, None, (cond,))
-    order, start = _orbit_from_zero(f, level, table_bound)
-    witness = tuple(order[start:])
+    witness = _cycle_of_zero(f, level, table_bound)
     cond = ConditionCheck("full_cycle_at_decision_level", len(witness), p**level, False)
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 

@@ -20,9 +20,9 @@ class NotFullCycleError(PadicError):
     pass
 
 
-# Largest map table (p^n entries) that cycle decompositions, odometer
-# tables and the witness walk of a non-minimal verdict will hold.
-# Full-cycle verdicts, towers and streams build no table.
+# Largest map table (p^n entries) that cycle decompositions and odometer
+# tables will hold, and the longest witness cycle of a non-minimal
+# verdict.  Full-cycle verdicts, towers and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .criteria import _first_broken_level, _orbit_from_zero, full_cycle_by_lifting
+from .criteria import _first_broken_level, _orbit_shape, full_cycle_by_lifting
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
@@ -85,8 +85,8 @@ def verify_conjugacy_tower(
     decides whether levels 1..n_max are full cycles.  The errors are those
     of an exhaustive check indexing a table per level in turn:
     TableBoundError at the first level above table_bound, or
-    NotFullCycleError at the first broken level b, with the text of one
-    walk of the orbit of 0 mod p^b.
+    NotFullCycleError at the first broken level b, counting the residues
+    the orbit of 0 visits mod p^b (its tail and cycle, by _orbit_shape).
     """
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
@@ -95,7 +95,8 @@ def verify_conjugacy_tower(
     for n in range(1, n_max + 1):
         size = _check_table_size(p, n, table_bound)
         if n == broken:
-            k = len(_orbit_from_zero(f, n, table_bound)[0])
+            shape = _orbit_shape(f, n)
+            k = shape.tail + shape.length
             raise NotFullCycleError(
                 f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
                 else f"orbit of 0 does not return to 0 at level {n}")

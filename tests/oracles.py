@@ -46,6 +46,38 @@ def full_cycle_oracle(coeffs, p, n):
     return x == 0 and len(seen) == m
 
 
+def orbit_from_zero(coeffs, p, n):
+    """The residues the orbit of 0 visits mod p^n up to its first repeat,
+    in order, and the index at which its eventual cycle starts: a walk
+    that remembers every residue it has seen."""
+    m = p**n
+    seen_at = {}
+    order = []
+    x = 0
+    while x not in seen_at:
+        seen_at[x] = len(order)
+        order.append(x)
+        x = eval_pow_mod(coeffs, x, m)
+    return order, seen_at[x]
+
+
+def tower_by_walk(f, n_max, table_bound=DEFAULT_TABLE_BOUND):
+    """The conjugacy tower's outcome from one walk of the orbit of 0 per
+    level: the bound at the first level above it, else the first level
+    whose orbit of 0 is no full cycle, counting the residues it visits."""
+    p = f.prime
+    for n in range(1, n_max + 1):
+        size = p**n
+        if size > table_bound:
+            raise TableBoundError(f"table of {p}^{n} entries exceeds bound {table_bound}")
+        order, start = orbit_from_zero(f.coefficients, p, n)
+        count = len(order)
+        if start or count < size:
+            raise NotFullCycleError(
+                f"orbit of 0 closes after {count} of {size} residues at level {n}"
+                if count < size else f"orbit of 0 does not return to 0 at level {n}")
+
+
 def cycles_oracle(table):
     """Cycle sets via brute iteration: x is periodic iff iterating the
     table size times from x comes back to x."""

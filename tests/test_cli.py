@@ -38,6 +38,20 @@ class TestAnalyze:
         assert "level-3" in out
         assert "case 1" in out
 
+    def test_nonminimal_at_a_large_prime_exits_one_with_its_cycle(self, capsys):
+        # the witness of (x + 1)^2 is known to hold 2,466,716 residues mod
+        # p^2 before it is built; a witness walk bounded by p^2 refused it
+        p = 100003
+        m = p * p
+        code, out, _ = run(capsys, "analyze", "--prime", str(p), "--coeffs", "1,2,1",
+                           "--format", "structured")
+        assert code == 1
+        verdict = json.loads(out)["delta_rule"]
+        w = verdict["witness"]
+        assert len(w) == verdict["conditions"][0]["residue"] == 2466716
+        assert w.count(w[0]) == 1
+        assert all((x + 1) ** 2 % m == y for x, y in zip(w, w[1:] + w[:1]))
+
     def test_p2_witness(self, capsys):
         code, out, _ = run(capsys, "analyze", "--prime", "2", "--coeffs", W2)
         assert code == 1

@@ -24,7 +24,8 @@ from padicdyn.criteria import (
     minimal_z2_larin_form,
     minimal_z3,
 )
-from padicdyn.dynamics import IntPolynomial, is_full_cycle
+from padicdyn.dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError, is_full_cycle
+from padicdyn.odometer import verify_conjugacy_tower
 from padicdyn.padic import PadicError
 
 import oracles
@@ -277,6 +278,93 @@ class TestMinimalGeneral:
         v = minimal_general(IntPolynomial(1009, (1, 1)))
         assert v.minimal
         assert v.conditions[0].residue == 1009**2
+
+
+def _tower_outcome(tower, f, n_max, table_bound):
+    try:
+        tower(f, n_max, table_bound=table_bound)
+    except PadicError as e:
+        return type(e).__name__, str(e)
+    return "passed"
+
+
+class TestWitnessByLifting:
+    # one map per lift class at the decision level, with the level-1
+    # (tail, length) of the orbit of 0 and its level-2 tail and witness
+    @pytest.mark.parametrize("p,coeffs,kind,level1,tail,witness", [
+        # b = 0: the 3-cycle mod 5 lifts to 3-cycles
+        (5, (-3, -3, -2, 1), "split", (1, 3), 1, (22, 11, 3)),
+        # a = 1, b != 0: the 2-cycle grows into one of length 2 * 5
+        (5, (-2, 0, -1, 1), "grow", (1, 2), 1,
+         (23, 11, 8, 21, 18, 6, 3, 16, 13, 1)),
+        # a = 0, b != 0: f' vanishes mod 7 one step into the 2-cycle
+        # (j0 = 1), so the orbit reaches its 2-cycle two steps later
+        (7, (-1, -1, 0, -1), "attract", (2, 2), 4, (29, 32)),
+        # a = 4, of order 3 mod 7: a 2-cycle of length 2 * 3
+        (7, (-2, 0, 0, 1), "partial", (2, 2), 2, (39, 27, 32, 34, 4, 13)),
+    ])
+    def test_pinned_lift_class(self, p, coeffs, kind, level1, tail, witness):
+        f = IntPolynomial(p, coeffs)
+        assert criteria._orbit_shape(f, 1)[:2] == level1
+        shape = criteria._orbit_shape(f, 2)
+        assert shape.steps[-1].kind == kind
+        assert (shape.tail, shape.length) == (tail, len(witness))
+        v = minimal_general(f)
+        assert not v.minimal and v.witness == witness
+        order, start = oracles.orbit_from_zero(coeffs, p, 2)
+        assert (start, tuple(order[start:])) == (tail, witness)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_orbit_walk_on_boxes(self, p):
+        # every map a0 + a1 x + a2 x^2 + a3 x^3 with a1..a3 in [-2, 2] and
+        # a0 in {1, -1, 2, p}: the witness at the decision level L, and
+        # verify_conjugacy_tower's result or error up to L + 1 with the
+        # default bound and p^2, equal those of the walk that remembers
+        # every residue; the last lift reaches every class (no partial
+        # split at p = 2, whose only unit is 1)
+        level = decision_level(p)
+        kinds = set()
+        for a0 in sorted({1, -1, 2, p}):
+            for tail in itertools.product(range(-2, 3), repeat=3):
+                coeffs = (a0, *tail)
+                f = IntPolynomial(p, coeffs, allow_constant=True)
+                order, start = oracles.orbit_from_zero(coeffs, p, level)
+                if start == 0 and len(order) == p**level:
+                    assert minimal_general(f).minimal, coeffs
+                else:
+                    assert minimal_general(f).witness == tuple(order[start:]), coeffs
+                kinds.add(criteria._orbit_shape(f, level).steps[-1].kind)
+                for bound in (DEFAULT_TABLE_BOUND, p**2):
+                    for n_max in range(1, level + 2):
+                        got = _tower_outcome(verify_conjugacy_tower, f, n_max, bound)
+                        want = _tower_outcome(oracles.tower_by_walk, f, n_max, bound)
+                        assert got == want, (coeffs, n_max, bound)
+        assert kinds == {"split", "grow", "attract", *(["partial"] if p > 2 else [])}
+
+    def test_bound_caps_the_witness_length(self):
+        f = IntPolynomial(5, (1, 2, 1))
+        assert minimal_general(f, table_bound=3).witness == (0, 1, 4)
+        with pytest.raises(TableBoundError, match="witness cycle of 3 residues"):
+            minimal_general(f, table_bound=2)
+
+    def test_refusal_walks_only_the_lift_chain(self, monkeypatch):
+        # the witness of (x + 1)^2 mod 100003^2 holds 2,466,716 residues;
+        # refusing it costs the decision's p-step walk mod p, Brent's
+        # walk on a tail and cycle of 571 residues and one 74-step walk
+        # at level 2, and fills nothing
+        f = IntPolynomial(100003, (1, 2, 1))
+        calls = 0
+        eval_mod = IntPolynomial.eval_mod
+
+        def counted(self, x, m):
+            nonlocal calls
+            calls += 1
+            return eval_mod(self, x, m)
+
+        monkeypatch.setattr(IntPolynomial, "eval_mod", counted)
+        with pytest.raises(TableBoundError, match="witness cycle of 2466716 residues"):
+            minimal_general(f, table_bound=2466715)
+        assert calls < 100003 + 5000
 
 
 class TestDecide:
