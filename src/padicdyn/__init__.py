@@ -6,14 +6,12 @@ from .dynamics import (
     DEFAULT_TABLE_BOUND,
     CycleDecomposition,
     IntPolynomial,
-    LiftReport,
     NotFullCycleError,
     ReducedMapTable,
     TableBoundError,
     cycle_decomposition,
     derivative,
     is_full_cycle,
-    lift_check,
     reduced_map_table,
 )
 from .criteria import (

@@ -35,6 +35,7 @@ WORK_BUDGET_ENV = "PADICDYN_WORK_BUDGET"
 # lowest limit on int-to-str conversion an interpreter can be set to, so
 # every residue of every format prints
 STREAM_DIGITS = 600
+WITNESS_BLOCK = 1 << 14  # residues of a text witness line formatted at once
 
 # a value such as "-1,2"; no option of the parser starts with a digit
 _SIGNED_VALUE = re.compile(r"-\d")
@@ -54,7 +55,7 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
 
-def _render_verdict(v: MinimalityVerdict) -> list[str]:
+def _print_verdict(v: MinimalityVerdict) -> None:
     head = "minimal" if v.minimal else "not minimal"
     if v.failed_stage:
         head += f" (first failure at {v.failed_stage})"
@@ -64,9 +65,13 @@ def _render_verdict(v: MinimalityVerdict) -> list[str]:
     for c in v.conditions:
         mark = "ok  " if c.passed else "FAIL"
         lines.append(f"  {mark} {c.name}: residue {c.residue} mod {c.modulus}")
+    print("\n".join(lines))
     if v.witness is not None:
-        lines.append("  witness cycle: " + " ".join(str(x) for x in v.witness))
-    return lines
+        # a block at a time: a witness may hold millions of residues
+        print("  witness cycle:", end="")
+        for i in range(0, len(v.witness), WITNESS_BLOCK):
+            print("", " ".join(map(str, v.witness[i:i + WITNESS_BLOCK])), end="")
+        print()
 
 
 def _parse_poly(args: argparse.Namespace) -> IntPolynomial:
@@ -93,8 +98,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print(f"f = {f} over Z_{args.prime}")
         if closed is not None:
-            print("\n".join(_render_verdict(closed)))
-        print("\n".join(_render_verdict(delta_verdict)))
+            _print_verdict(closed)
+        _print_verdict(delta_verdict)
         if agree is not None:
             print(f"agreement: {'yes' if agree else 'NO'}")
     if agree is False:

@@ -29,8 +29,6 @@ from .dynamics import (
     IntPolynomial,
     TableBoundError,
     derivative,
-    is_full_cycle,
-    lift_check,
 )
 from .padic import PadicError
 
@@ -332,27 +330,39 @@ def _order(a: int, p: int) -> int:
     return r
 
 
-def _orbit_shape(f: IntPolynomial, level: int) -> OrbitShape:
+def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitShape | None:
     """Tail and cycle of the orbit of 0 mod p^level, in constant memory:
-    Brent's cycle finding mod p (about 3 (tail + length) evaluations),
-    then one k-step walk per higher level, classified by its LiftStep."""
+    Brent's cycle finding mod p, which also stops at the first return to
+    0, then one k-step walk per higher level, classified by its LiftStep.
+    This walk decides every full cycle: f is one mod p^level exactly when
+    the cycle length is p^level, and a full cycle mod p^n lifts to one mod
+    p^(n+1) exactly when the lift is "grow".  With stop, the walk ends at
+    the first level with no full cycle and returns the shape there; when
+    that is level 1 it returns None, with no tail phase."""
     p = f.prime
-    modulus = p**level
     ev = f.eval_mod
+    # the hare stands on f^(power - 1 + length)(0)
     power = length = 1
     tortoise, hare = 0, ev(0, p)
-    while tortoise != hare:
+    while hare and hare != tortoise:
         if power == length:
             tortoise, power, length = hare, power * 2, 0
         hare = ev(hare, p)
         length += 1
-    hare = 0
-    for _ in range(length):
-        hare = ev(hare, p)
-    # the tortoise walks at the full modulus, so it stops on f^tail(0)
-    base = tail = 0
-    while base % p != hare:
-        base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
+    if not hare:  # 0 is periodic, and the hare stands on its first return
+        tail, length, base = 0, power - 1 + length, 0
+    if stop and length < p:  # with a tail, too, the cycle is shorter than p
+        return None
+    modulus = p**level
+    if hare:
+        # Brent's second phase; the tortoise walks at the full modulus, so
+        # it stops on f^tail(0)
+        hare = 0
+        for _ in range(length):
+            hare = ev(hare, p)
+        base = tail = 0
+        while base % p != hare:
+            base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
     df = derivative(f).eval_mod
     steps = []
     for n in range(1, level):
@@ -376,23 +386,24 @@ def _orbit_shape(f: IntPolynomial, level: int) -> OrbitShape:
         elif step.kind == "partial":
             length *= _order(a, p)
         steps.append(step)
+        if stop and step.kind != "grow":
+            break
     return OrbitShape(tail, length, base, tuple(steps))
 
 
-def _cycle_of_zero(f: IntPolynomial, level: int, table_bound: int) -> tuple[int, ...]:
-    """The cycle the orbit of 0 runs into mod p^level, level >= 2, from
-    its first residue on.  Its length is known before it is built, and
-    table_bound caps it.  One block of k residues is walked, k the cycle
-    length at level - 1; f^k moves the block's start y by p^(level-1) z
-    and each later block by the next z of z -> a z + b, so its residues
-    are f^i(y) + (f^i)'(y) p^(level-1) z mod p^level: one multiply-add
-    each."""
-    shape = _orbit_shape(f, level)
+def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tuple[int, ...]:
+    """The cycle the orbit of 0 runs into mod p^level, from its first
+    residue on, given its shape there (level >= 2).  Its length is known
+    before it is built, and table_bound caps it.  One block of k residues
+    is walked, k the cycle length at level - 1; f^k moves the block's
+    start y by p^(level-1) z and each later block by the next z of
+    z -> a z + b, so its residues are f^i(y) + (f^i)'(y) p^(level-1) z
+    mod p^level: one multiply-add each."""
     if shape.length > table_bound:
         raise TableBoundError(
             f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
     p = f.prime
-    modulus = p**level
+    modulus = p ** (len(shape.steps) + 1)
     q = modulus // p
     ev = f.eval_mod
     last = shape.steps[-1]
@@ -415,26 +426,15 @@ def _cycle_of_zero(f: IntPolynomial, level: int, table_bound: int) -> tuple[int,
     return tuple(cycle)
 
 
-def _first_broken_level(f: IntPolynomial, n: int) -> int | None:
-    """The first level k <= n at which f is not one full cycle mod p^k,
-    or None.  Found by lifting from mod p: a full cycle at level k lifts
-    to level k+1 exactly when lift_check says so (Anashin; Fan and Liao
-    2011), so this costs an orbit walk mod p and one p^k-step walk per
-    level k, with no table.  Levels above the decision level L add
-    nothing: a full cycle at L is one at every level."""
+def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
+    """Is f one full cycle mod p^n?  Decided by lifting, with no table:
+    one walk of the orbit of 0 that stops at the first broken level.  A
+    full cycle at the decision level is one at every level."""
     if n < 1:
         raise PadicError(f"level must be >= 1, got {n}")
-    if not is_full_cycle(f, 1):
-        return 1
-    for k in range(1, min(n, decision_level(f.prime))):
-        if not lift_check(f, k).lifts:
-            return k + 1
-    return None
-
-
-def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
-    """Is f one full cycle mod p^n?  Decided by lifting, with no table."""
-    return _first_broken_level(f, n) is None
+    level = min(n, decision_level(f.prime))
+    shape = _orbit_shape(f, level, stop=True)
+    return shape is not None and shape.length == f.prime**level
 
 
 def minimal_general(
@@ -443,13 +443,14 @@ def minimal_general(
     """Minimality for any prime via a full cycle at the decision level
     (3 for p in {2,3}, else 2), decided by lifting.  When there is none,
     the witness is the short cycle the orbit of 0 runs into at that
-    level; table_bound caps its length."""
+    level, from the same walk; table_bound caps its length."""
     p = f.prime
     level = decision_level(p)
-    if full_cycle_by_lifting(f, level):
+    shape = _orbit_shape(f, level)
+    if shape.length == p**level:
         cond = ConditionCheck("full_cycle_at_decision_level", p**level, p**level, True)
         return MinimalityVerdict(True, METHOD_DELTA, None, (cond,))
-    witness = _cycle_of_zero(f, level, table_bound)
+    witness = _cycle_of_zero(f, shape, table_bound)
     cond = ConditionCheck("full_cycle_at_decision_level", len(witness), p**level, False)
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 

@@ -199,8 +199,8 @@ def is_full_cycle(f: IntPolynomial, n: int) -> bool:
     """Does the induced map on Z/p^n consist of one cycle through all
     p^n residues?  The brute-force check: walk the orbit of 0 until its
     first return, which comes at step p^n exactly when the cycle is
-    full.  Deciders lift from mod p instead
-    (criteria.full_cycle_by_lifting)."""
+    full.  It is the sweep's independent reference; deciders lift from
+    mod p instead (criteria.full_cycle_by_lifting)."""
     if n < 1:
         raise PadicError(f"level must be >= 1, got {n}")
     size = f.prime**n
@@ -210,45 +210,3 @@ def is_full_cycle(f: IntPolynomial, n: int) -> bool:
         if x == 0:
             return steps == size
     return False
-
-
-@dataclass(frozen=True)
-class LiftReport:
-    """Whether one-cycle structure at level n lifts to level n+1.
-
-    Given a full cycle at level n, the lift happens exactly when the
-    displacement of the p^n-fold iterate at 0 is a unit and its
-    derivative is 1 mod p.
-    """
-
-    lifts: bool
-    derivative_mod_p: int
-    displacement_mod_p: int
-
-    def __bool__(self) -> bool:
-        return self.lifts
-
-
-def lift_check(f: IntPolynomial, n: int) -> LiftReport:
-    """One walk of the orbit of 0, p^n steps at modulus p^(n+1), carrying
-    the product of f' mod p along it.  The same walk checks the
-    precondition: 0 must first return mod p^n at step p^n, which is a
-    full cycle at level n; otherwise NotFullCycleError."""
-    if n < 1:
-        raise PadicError(f"level must be >= 1, got {n}")
-    p = f.prime
-    cycle = p**n
-    modulus = cycle * p
-    df = derivative(f)
-    x = 0
-    slope = 1
-    for step in range(1, cycle + 1):
-        slope = slope * df.eval_mod(x, p) % p
-        x = f.eval_mod(x, modulus)
-        if x % cycle == 0:
-            break
-    if step < cycle or x % cycle:
-        raise NotFullCycleError(f"lift_check needs a full cycle at level {n} first")
-    displacement = x // cycle
-    return LiftReport(lifts=(displacement != 0 and slope == 1),
-                      derivative_mod_p=slope, displacement_mod_p=displacement)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .criteria import _first_broken_level, _orbit_shape, full_cycle_by_lifting
+from .criteria import _orbit_shape, decision_level, full_cycle_by_lifting
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
@@ -81,21 +81,25 @@ def verify_conjugacy_tower(
     Both identities hold wherever f is one full cycle.  psi_n indexes the
     orbit of 0, psi_n(f^k(0) mod p^n) = k mod p^n, so psi_n(f(x)) =
     psi_n(x) + 1 (conjugation); reduction mod p^n commutes with f, so
-    psi_(n+1)(x) = psi_n(x mod p^n) mod p^n (projection).  The lift chain
-    decides whether levels 1..n_max are full cycles.  The errors are those
-    of an exhaustive check indexing a table per level in turn:
-    TableBoundError at the first level above table_bound, or
-    NotFullCycleError at the first broken level b, counting the residues
-    the orbit of 0 visits mod p^b (its tail and cycle, by _orbit_shape).
+    psi_(n+1)(x) = psi_n(x mod p^n) mod p^n (projection).  One walk of
+    the orbit of 0, which stops at the first broken level, decides whether
+    levels 1..n_max are full cycles.  The errors are those of an
+    exhaustive check indexing a table per level in turn: TableBoundError
+    at the first level above table_bound, or NotFullCycleError at the
+    first broken level b, counting the residues the orbit of 0 visits mod
+    p^b (its tail and cycle).
     """
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
     p = f.prime
-    broken = _first_broken_level(f, n_max)
+    top = min(n_max, decision_level(p))
+    # a break at level 1 comes back as None, with no tail; the count its
+    # message reports takes a second walk mod p
+    shape = _orbit_shape(f, top, stop=True) or _orbit_shape(f, 1)
+    broken = None if shape.length == p**top else len(shape.steps) + 1
     for n in range(1, n_max + 1):
         size = _check_table_size(p, n, table_bound)
         if n == broken:
-            shape = _orbit_shape(f, n)
             k = shape.tail + shape.length
             raise NotFullCycleError(
                 f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size

@@ -12,6 +12,7 @@ from collections import Counter
 from itertools import product
 
 from padicdyn.criteria import (
+    _orbit_shape,
     minimal_general,
     minimal_z2,
     minimal_z2_larin_form,
@@ -21,7 +22,6 @@ from padicdyn.dynamics import (
     IntPolynomial,
     cycle_decomposition,
     is_full_cycle,
-    lift_check,
     reduced_map_table,
 )
 from padicdyn.odometer import full_cycle_stream, verify_conjugacy_tower
@@ -160,6 +160,8 @@ def test_c05_decision_level_sharpness_p5_p7():
 
 
 def test_c06_lift_check_equals_next_level():
+    # the walk that decides every verdict classifies the lift of each
+    # full-cycle level n; "grow" must be exactly a full cycle at n + 1
     population = [
         t for t in product(range(9), repeat=5)
         if any(t) and is_full_cycle(IntPolynomial(3, (1, *t)), 1)
@@ -169,15 +171,15 @@ def test_c06_lift_check_equals_next_level():
         survivors = []
         for t in population:
             f = IntPolynomial(3, (1, *t))
-            lifts = lift_check(f, n).lifts
+            grows = _orbit_shape(f, n + 1).steps[n - 1].kind == "grow"
             nxt = is_full_cycle(f, n + 1)
-            assert lifts == nxt, (t, n)
+            assert grows == nxt, (t, n)
             if nxt:
                 survivors.append(t)
         population = survivors
         sizes.append(len(population))
     assert sizes == [6561, 648, 405, 405]
-    print("C6 PASS: lift_check = next-level full cycle over the p=3 box, "
+    print("C6 PASS: grow lift = next-level full cycle over the p=3 box, "
           "populations 6561 -> 648 -> 405 -> 405, 0 disagreements")
 
 

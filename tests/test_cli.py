@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import padicdyn
-from padicdyn import sweep
+from padicdyn import cli, sweep
 from padicdyn.cli import build_parser, main
 
 W2 = "1,3,0,2"
@@ -51,6 +51,14 @@ class TestAnalyze:
         assert len(w) == verdict["conditions"][0]["residue"] == 2466716
         assert w.count(w[0]) == 1
         assert all((x + 1) ** 2 % m == y for x, y in zip(w, w[1:] + w[:1]))
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_witness_line_is_the_same_in_blocks(self, capsys, monkeypatch, block):
+        _, whole, _ = run(capsys, "analyze", "--prime", "5", "--coeffs", "1,1,1")
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "analyze", "--prime", "5", "--coeffs", "1,1,1")
+        assert code == 1 and out == whole
+        assert "\n  witness cycle: 3 13 8 23\n" in out
 
     def test_p2_witness(self, capsys):
         code, out, _ = run(capsys, "analyze", "--prime", "2", "--coeffs", W2)

@@ -349,22 +349,44 @@ class TestWitnessByLifting:
 
     def test_refusal_walks_only_the_lift_chain(self, monkeypatch):
         # the witness of (x + 1)^2 mod 100003^2 holds 2,466,716 residues;
-        # refusing it costs the decision's p-step walk mod p, Brent's
-        # walk on a tail and cycle of 571 residues and one 74-step walk
-        # at level 2, and fills nothing
+        # refusing it costs one walk: Brent's on a tail and cycle of 571
+        # residues mod p and one 74-step walk at level 2, and fills nothing
         f = IntPolynomial(100003, (1, 2, 1))
-        calls = 0
-        eval_mod = IntPolynomial.eval_mod
-
-        def counted(self, x, m):
-            nonlocal calls
-            calls += 1
-            return eval_mod(self, x, m)
-
-        monkeypatch.setattr(IntPolynomial, "eval_mod", counted)
+        calls = counting(monkeypatch)
         with pytest.raises(TableBoundError, match="witness cycle of 2466716 residues"):
             minimal_general(f, table_bound=2466715)
-        assert calls < 100003 + 5000
+        assert calls[0] < 5000
+
+    def test_minimal_map_costs_one_walk(self, monkeypatch):
+        # a full cycle mod 701 in 701 steps, and one 701-step walk carrying
+        # f' mod p that lifts it to mod 701^2
+        f = IntPolynomial(701, (1, 1, 701))
+        calls = counting(monkeypatch)
+        assert minimal_general(f).minimal
+        assert calls[0] <= 3 * 701
+
+    def test_verdict_alone_stops_at_the_break(self, monkeypatch):
+        # 0 is not periodic mod 100003 under (x + 1)^2: the verdict is
+        # Brent's first phase alone, with no tail phase and no lift
+        f = IntPolynomial(100003, (1, 2, 1))
+        calls = counting(monkeypatch)
+        assert not full_cycle_by_lifting(f, 2)
+        assert calls[0] < 2 * 571
+        assert criteria._orbit_shape(f, 2, stop=True) is None
+
+
+def counting(monkeypatch):
+    """calls[0] counts IntPolynomial.eval_mod calls from here on,
+    derivatives' included."""
+    calls = [0]
+    eval_mod = IntPolynomial.eval_mod
+
+    def counted(f, x, m):
+        calls[0] += 1
+        return eval_mod(f, x, m)
+
+    monkeypatch.setattr(IntPolynomial, "eval_mod", counted)
+    return calls
 
 
 class TestDecide:

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padicdyn.criteria import _orbit_shape
 from padicdyn.dynamics import (
     IntPolynomial,
-    NotFullCycleError,
     TableBoundError,
     cycle_decomposition,
     derivative,
     is_full_cycle,
-    lift_check,
     reduced_map_table,
 )
 from padicdyn.padic import PadicError
@@ -297,21 +296,30 @@ class TestTaylorData:
             taylor_data(W2, 2, 0, 0)
 
 
+def lift_from(f, n):
+    """The lift from level n that the walk deciding every verdict
+    classifies, or None when it stops at a broken level first."""
+    shape = _orbit_shape(f, n + 1, stop=True)
+    return shape.steps[n - 1] if shape is not None and len(shape.steps) == n else None
+
+
 class TestLiftCheck:
+    # the lift of a full cycle mod p^n to mod p^(n+1), as classified by
+    # criteria._orbit_shape: a = (f^(p^n))'(0) mod p and
+    # b = f^(p^n)(0) / p^n mod p, and the cycle lifts ("grow") exactly
+    # when a = 1 and b != 0
     def test_frozen(self):
-        assert lift_check(Q3, 1).lifts
-        assert lift_check(Q3, 2).lifts
-        rep = lift_check(W2, 2)
-        assert not rep.lifts
-        assert rep.displacement_mod_p == 0 and rep.derivative_mod_p == 1
+        assert lift_from(Q3, 1).kind == "grow"
+        assert lift_from(Q3, 2).kind == "grow"
+        step = lift_from(W2, 2)
+        assert step.kind == "split"
+        assert (step.length, step.a, step.b) == (4, 1, 0)
 
     def test_requires_full_cycle(self):
-        with pytest.raises(NotFullCycleError):
-            lift_check(IntPolynomial(5, (1, 1, 1)), 1)
-        with pytest.raises(NotFullCycleError):
-            lift_check(W2, 3)
-        with pytest.raises(PadicError):
-            lift_check(Q3, 0)
+        # 0 -> 1 -> 3 -> 3 mod 5 is no full cycle, and W2 breaks at level 3:
+        # the walk stops there and classifies no lift from that level
+        assert lift_from(IntPolynomial(5, (1, 1, 1)), 1) is None
+        assert lift_from(W2, 3) is None
 
     @pytest.mark.parametrize("f", [W2, W3])
     def test_rejects_period_one_level_down(self, f):
@@ -321,28 +329,27 @@ class TestLiftCheck:
         assert iterate_mod(f, 0, p**2, p**3) == 0
         assert iterate_mod(f, 0, p**3, p**3) == 0
         assert is_full_cycle(f, 2) and not is_full_cycle(f, 3)
-        with pytest.raises(NotFullCycleError):
-            lift_check(f, 3)
+        assert lift_from(f, 2).kind == "split"
+        assert lift_from(f, 3) is None
+        shape = _orbit_shape(f, 4, stop=True)
+        assert (shape.tail, shape.length, len(shape.steps)) == (0, p**2, 2)
 
     @given(poly_strategy(primes=(2, 3, 5, 7), max_degree=6, coeff=30), st.integers(1, 3))
     def test_raises_exactly_without_full_cycle(self, f, n):
-        if is_full_cycle(f, n):
-            lift_check(f, n)
-        else:
-            with pytest.raises(NotFullCycleError):
-                lift_check(f, n)
+        # the walk lifts from level n exactly when level n is a full cycle
+        assert (lift_from(f, n) is not None) == is_full_cycle(f, n)
 
     @given(poly_strategy(primes=(2, 3, 5), max_degree=4, coeff=30), st.integers(1, 2))
     def test_matches_taylor_data(self, f, n):
         if not is_full_cycle(f, n):
             return
-        rep = lift_check(f, n)
+        step = lift_from(f, n)
         td = taylor_data(f, n, 0, 1)
-        assert (rep.derivative_mod_p, rep.displacement_mod_p) == (
-            td.derivative, td.displacement)
+        assert step.length == f.prime**n
+        assert (step.a, step.b) == (td.derivative, td.displacement)
 
     @given(poly_strategy(primes=(2, 3, 5), max_degree=4, coeff=30), st.integers(1, 2))
     def test_equivalent_to_next_level_full_cycle(self, f, n):
         if not is_full_cycle(f, n):
             return
-        assert lift_check(f, n).lifts == is_full_cycle(f, n + 1)
+        assert (lift_from(f, n).kind == "grow") == is_full_cycle(f, n + 1)
