@@ -10,7 +10,6 @@ from .dynamics import (
     ReducedMapTable,
     TableBoundError,
     cycle_decomposition,
-    derivative,
     is_full_cycle,
     reduced_map_table,
 )

@@ -51,8 +51,26 @@ def _env_int(name: str, fallback: int) -> int:
         raise PadicError(f"{name} must be an integer, got {raw!r}") from e
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+def _print_blocks(head: str, values: tuple[int, ...], sep: str, tail: str) -> None:
+    """Print head, values joined by sep a block at a time (a witness may
+    hold millions of residues), then tail and a newline."""
+    print(head, end="")
+    for i in range(0, len(values), WITNESS_BLOCK):
+        # the JSON encoder writes a list of ints faster than join and str
+        block = json.dumps(values[i:i + WITNESS_BLOCK], separators=(sep, ":"))
+        print(sep * (i > 0) + block[1:-1], end="")
+    print(tail)
+
+
+def _emit(record: dict, witness: tuple[int, ...] | None = None) -> None:
+    """Print record as one JSON line; a witness goes where the
+    "witness":null that sorts last stands."""
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    if witness is None:
+        print(text)
+    else:
+        head, _, tail = text.rpartition('"witness":null')
+        _print_blocks(head + '"witness":[', witness, ",", "]" + tail)
 
 
 def _print_verdict(v: MinimalityVerdict) -> None:
@@ -67,11 +85,7 @@ def _print_verdict(v: MinimalityVerdict) -> None:
         lines.append(f"  {mark} {c.name}: residue {c.residue} mod {c.modulus}")
     print("\n".join(lines))
     if v.witness is not None:
-        # a block at a time: a witness may hold millions of residues
-        print("  witness cycle:", end="")
-        for i in range(0, len(v.witness), WITNESS_BLOCK):
-            print("", " ".join(map(str, v.witness[i:i + WITNESS_BLOCK])), end="")
-        print()
+        _print_blocks("  witness cycle: ", v.witness, " ", "")
 
 
 def _parse_poly(args: argparse.Namespace) -> IntPolynomial:
@@ -92,9 +106,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "prime": args.prime,
             "coeffs": list(f.coefficients),
             "closed_form": closed.to_record() if closed is not None else None,
-            "delta_rule": delta_verdict.to_record(),
+            "delta_rule": delta_verdict._replace(witness=None).to_record(),
             "agree": agree,
-        })
+        }, delta_verdict.witness)
     else:
         print(f"f = {f} over Z_{args.prime}")
         if closed is not None:

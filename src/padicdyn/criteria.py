@@ -24,12 +24,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .dynamics import (
-    DEFAULT_TABLE_BOUND,
-    IntPolynomial,
-    TableBoundError,
-    derivative,
-)
+from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError
 from .padic import PadicError
 
 METHOD_P2 = "closed-form-p2"
@@ -300,11 +295,12 @@ def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
 class LiftStep(NamedTuple):
     """How the cycle that the orbit of 0 enters mod p^n lifts to mod
     p^(n+1) (Fan and Liao 2011).  Above its first point x, f^k moves
-    x + p^n z to x + p^n (a z + b) mod p^(n+1), so the orbit of 0 at the
-    next level: keeps its k-cycle ("split", b = 0); grows into a
-    k*p-cycle ("grow", a = 1); reaches a k-cycle j0 + 1 steps later, j0
-    the first step from x at which f' is 0 mod p ("attract", a = 0); or
-    runs round a k*ord(a)-cycle ("partial")."""
+    x + p^n z to x + p^n (a z + b) mod p^(n+1), a = (f^k)'(x) mod p, so
+    the orbit of 0 at the next level: keeps its k-cycle ("split", b = 0);
+    grows into a k*p-cycle ("grow", a = 1); reaches a k-cycle j0 + 1 steps
+    later, j0 the first step from x at which f' is 0 mod p ("attract",
+    a = 0); or runs round a k*ord(a)-cycle ("partial").  a reads f' mod p
+    only, so the next level's a is a^(k'/k): 1 after grow and partial."""
 
     length: int
     a: int
@@ -333,28 +329,37 @@ def _order(a: int, p: int) -> int:
 def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitShape | None:
     """Tail and cycle of the orbit of 0 mod p^level, in constant memory:
     Brent's cycle finding mod p, which also stops at the first return to
-    0, then one k-step walk per higher level, classified by its LiftStep.
-    This walk decides every full cycle: f is one mod p^level exactly when
-    the cycle length is p^level, and a full cycle mod p^n lifts to one mod
-    p^(n+1) exactly when the lift is "grow".  With stop, the walk ends at
-    the first level with no full cycle and returns the shape there; when
-    that is level 1 it returns None, with no tail phase."""
+    0, with the hare carried mod p^level and a = (f^j)'(0) mod p, so that
+    a periodic 0 has level 1's lift on its return; with a tail, Brent's
+    second phase and a k-step walk from the cycle give it.  Higher lifts
+    need no f': split takes no step, grow and partial walk on, attract
+    walks k steps from its new base.  This walk decides every full cycle:
+    f is one mod p^level exactly when the cycle length is p^level, and a
+    full cycle mod p^n lifts to one mod p^(n+1) exactly when the lift is
+    "grow".  With stop, the walk ends at the first level with no full
+    cycle and returns the shape there; when that is level 1 it returns
+    None, with no tail phase."""
     p = f.prime
-    ev = f.eval_mod
+    modulus = p**level
+    fused, ev = f.eval_slope_mod, f.eval_mod
     # the hare stands on f^(power - 1 + length)(0)
     power = length = 1
-    tortoise, hare = 0, ev(0, p)
-    while hare and hare != tortoise:
+    tortoise = 0
+    x, a = fused(0, modulus)
+    entry = None if a else (1, x)
+    while (h := x % p) and h != tortoise:
         if power == length:
-            tortoise, power, length = hare, power * 2, 0
-        hare = ev(hare, p)
+            tortoise, power, length = h, power * 2, 0
+        x, d = fused(x, modulus)
+        a = a * d % p
+        if not a and entry is None:
+            entry = (power + length, x)
         length += 1
-    if not hare:  # 0 is periodic, and the hare stands on its first return
+    if not h:  # 0 is periodic, and the hare stands on its first return
         tail, length, base = 0, power - 1 + length, 0
     if stop and length < p:  # with a tail, too, the cycle is shorter than p
         return None
-    modulus = p**level
-    if hare:
+    if h:
         # Brent's second phase; the tortoise walks at the full modulus, so
         # it stops on f^tail(0)
         hare = 0
@@ -363,31 +368,32 @@ def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitSh
         base = tail = 0
         while base % p != hare:
             base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
-    df = derivative(f).eval_mod
     steps = []
+    walk = h  # does base start a cycle not walked yet?
     for n in range(1, level):
-        q = p**n
-        x, a, entry = base, 1, None
-        for j in range(1, length + 1):
-            if a:
-                a = a * df(x % p, p) % p
-                x = ev(x, modulus)
-                if not a:
+        if walk:
+            x, a, entry = base, 1, None
+            for j in range(1, length + 1):
+                x, d = fused(x, modulus)
+                a = a * d % p
+                if not a and entry is None:
                     entry = (j, x)
-            else:
-                x = ev(x, modulus)
+        # x = f^length(base) mod p^level, and a and entry are its walk's
+        q = p**n
         b = (x - base) % (q * p) // q
         step = LiftStep(length, a, b, "split" if b == 0 else "grow" if a == 1
                         else "attract" if a == 0 else "partial")
-        if step.kind == "grow":
-            length *= p
-        elif step.kind == "attract":
-            tail, base = tail + entry[0], entry[1]
-        elif step.kind == "partial":
-            length *= _order(a, p)
         steps.append(step)
-        if stop and step.kind != "grow":
+        walk = step.kind == "attract"
+        if walk:
+            tail, base = tail + entry[0], entry[1]
+        elif step.kind != "split":
+            length *= p if step.kind == "grow" else _order(a, p)
+            a = 1
+        if n == level - 1 or stop and step.kind != "grow":
             break
+        for _ in range(length - step.length):
+            x = ev(x, modulus)
     return OrbitShape(tail, length, base, tuple(steps))
 
 
@@ -395,27 +401,26 @@ def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tup
     """The cycle the orbit of 0 runs into mod p^level, from its first
     residue on, given its shape there (level >= 2).  Its length is known
     before it is built, and table_bound caps it.  One block of k residues
-    is walked, k the cycle length at level - 1; f^k moves the block's
-    start y by p^(level-1) z and each later block by the next z of
-    z -> a z + b, so its residues are f^i(y) + (f^i)'(y) p^(level-1) z
-    mod p^level: one multiply-add each."""
+    is walked with (f^i)' mod p, k the cycle length at level - 1; f^k
+    moves the block's start y by p^(level-1) z and each later block by the
+    next z of z -> a z + b, so its residues are f^i(y) + (f^i)'(y)
+    p^(level-1) z mod p^level: one multiply-add each."""
     if shape.length > table_bound:
         raise TableBoundError(
             f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
     p = f.prime
     modulus = p ** (len(shape.steps) + 1)
     q = modulus // p
-    ev = f.eval_mod
+    fused = f.eval_slope_mod
     last = shape.steps[-1]
     block = last.length
-    df = derivative(f).eval_mod
     ys, shifts = [], []
     x, slope = shape.base, 1
     for _ in range(block):
         ys.append(x)
         shifts.append(slope * q)
-        slope = slope * df(x % p, p) % p
-        x = ev(x, modulus)
+        x, d = fused(x, modulus)
+        slope = slope * d % p
     zs = [0]
     for _ in range(shape.length // block - 1):
         zs.append((last.a * zs[-1] + last.b) % p)

@@ -85,8 +85,8 @@ class IntPolynomial:
         return cls(prime, coeffs)
 
     def eval_mod(self, x: int, modulus: int) -> int:
-        """f(x) mod modulus.  The one Horner loop of the package: every
-        table, orbit walk and stream evaluates through it."""
+        """f(x) mod modulus.  With eval_slope_mod, the only Horner loops of
+        the package: every table, orbit walk and stream evaluates here."""
         # exact integers throughout and a single reduction at the end;
         # for the residues and degrees used here that is faster than
         # reducing after every step
@@ -94,6 +94,15 @@ class IntPolynomial:
         for c in self._horner:
             acc = acc * x + c
         return acc % modulus
+
+    def eval_slope_mod(self, x: int, modulus: int) -> tuple[int, int]:
+        """(f(x) mod modulus, f'(x) mod p) from one Horner loop, for the
+        walks that carry the derivative of an iterate mod p."""
+        acc = slope = 0
+        for c in self._horner:
+            slope = slope * x + acc
+            acc = acc * x + c
+        return acc % modulus, slope % self.prime
 
     def __str__(self) -> str:
         parts = []
@@ -107,13 +116,6 @@ class IntPolynomial:
             else:
                 parts.append(f"{c}*x^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def derivative(f: IntPolynomial) -> IntPolynomial:
-    """Formal derivative; may degrade to a constant or to the zero
-    polynomial."""
-    coeffs = f.coefficients
-    return IntPolynomial._of_ints(f.prime, tuple(i * coeffs[i] for i in range(1, len(coeffs))))
 
 
 def _check_table_size(prime: int, level: int, table_bound: int) -> int:

@@ -6,6 +6,11 @@ recovered by repeated iteration instead of a path-marking sweep, and
 iterate derivatives come from symbolic composition instead of chain-rule
 products.
 
+`derivative` and `orbit_shape_by_rewalking` are code the library
+replaced, kept as references: the formal derivative as an IntPolynomial,
+and the walk of the orbit of 0 that walked each level's cycle again,
+evaluating f and f' apart through the library's eval_mod.
+
 The exhaustive re-checks further down (the table-built conjugacy tower,
 Taylor data of the p^n-fold iterate, bijectivity and the cross-validation
 of a verdict against full cycles level by level) take an IntPolynomial
@@ -15,8 +20,20 @@ errors directly; they evaluate only through eval_pow_mod.
 
 from dataclasses import dataclass
 
-from padicdyn.criteria import MinimalityVerdict, decide, decision_level
-from padicdyn.dynamics import DEFAULT_TABLE_BOUND, NotFullCycleError, TableBoundError
+from padicdyn.criteria import (
+    LiftStep,
+    MinimalityVerdict,
+    OrbitShape,
+    _order,
+    decide,
+    decision_level,
+)
+from padicdyn.dynamics import (
+    DEFAULT_TABLE_BOUND,
+    IntPolynomial,
+    NotFullCycleError,
+    TableBoundError,
+)
 from padicdyn.odometer import LevelCheck, TowerReport
 from padicdyn.padic import PadicError
 
@@ -148,6 +165,66 @@ def poly_derivative(coeffs, order=1):
     for _ in range(order):
         c = [i * c[i] for i in range(1, len(c))] or [0]
     return c
+
+
+def derivative(f):
+    """Formal derivative of an IntPolynomial; may degrade to a constant or
+    to the zero polynomial."""
+    return IntPolynomial(f.prime, tuple(poly_derivative(f.coefficients)), allow_constant=True)
+
+
+def orbit_shape_by_rewalking(f, level, *, stop=False):
+    """criteria._orbit_shape as it was before the walk was fused: Brent's
+    cycle finding mod p (stopping at the first return to 0 as well), then
+    one k-step walk per level from the cycle's first point, carrying f'
+    mod p from a separate evaluation of the derivative."""
+    p = f.prime
+    ev = f.eval_mod
+    power = length = 1
+    tortoise, hare = 0, ev(0, p)
+    while hare and hare != tortoise:
+        if power == length:
+            tortoise, power, length = hare, power * 2, 0
+        hare = ev(hare, p)
+        length += 1
+    if not hare:
+        tail, length, base = 0, power - 1 + length, 0
+    if stop and length < p:
+        return None
+    modulus = p**level
+    if hare:
+        hare = 0
+        for _ in range(length):
+            hare = ev(hare, p)
+        base = tail = 0
+        while base % p != hare:
+            base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
+    df = derivative(f).eval_mod
+    steps = []
+    for n in range(1, level):
+        q = p**n
+        x, a, entry = base, 1, None
+        for j in range(1, length + 1):
+            if a:
+                a = a * df(x % p, p) % p
+                x = ev(x, modulus)
+                if not a:
+                    entry = (j, x)
+            else:
+                x = ev(x, modulus)
+        b = (x - base) % (q * p) // q
+        step = LiftStep(length, a, b, "split" if b == 0 else "grow" if a == 1
+                        else "attract" if a == 0 else "partial")
+        if step.kind == "grow":
+            length *= p
+        elif step.kind == "attract":
+            tail, base = tail + entry[0], entry[1]
+        elif step.kind == "partial":
+            length *= _order(a, p)
+        steps.append(step)
+        if stop and step.kind != "grow":
+            break
+    return OrbitShape(tail, length, base, tuple(steps))
 
 
 def taylor_oracle(coeffs, p, n, x0, precision):

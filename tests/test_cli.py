@@ -60,6 +60,20 @@ class TestAnalyze:
         assert code == 1 and out == whole
         assert "\n  witness cycle: 3 13 8 23\n" in out
 
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    @pytest.mark.parametrize("prime,coeffs", [("5", "1,1,1"), ("3", W3)])
+    def test_structured_witness_is_the_same_in_blocks(self, capsys, monkeypatch, block,
+                                                      prime, coeffs):
+        # at p = 3 the closed form's null witness sorts before delta_rule's
+        argv = ("analyze", "--prime", prime, "--coeffs", coeffs, "--format", "structured")
+        _, whole, _ = run(capsys, *argv)
+        rec = json.loads(whole)
+        assert whole == json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        assert len(rec["delta_rule"]["witness"]) >= block
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and out == whole
+
     def test_p2_witness(self, capsys):
         code, out, _ = run(capsys, "analyze", "--prime", "2", "--coeffs", W2)
         assert code == 1

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -358,12 +359,19 @@ class TestWitnessByLifting:
         assert calls[0] < 5000
 
     def test_minimal_map_costs_one_walk(self, monkeypatch):
-        # a full cycle mod 701 in 701 steps, and one 701-step walk carrying
-        # f' mod p that lifts it to mod 701^2
+        # a full cycle mod 701 in 701 steps of one walk carried mod 701^2,
+        # whose first return also gives the lift to mod 701^2
         f = IntPolynomial(701, (1, 1, 701))
         calls = counting(monkeypatch)
         assert minimal_general(f).minimal
-        assert calls[0] <= 3 * 701
+        assert calls == [701, 701]
+
+    def test_minimal_map_at_p3_costs_nine_steps(self, monkeypatch):
+        # 3 steps carrying f' to the first return mod 3, then 6 plain ones
+        # to f^9(0) mod 27, the lift from level 2 (a stays 1 after a grow)
+        calls = counting(monkeypatch)
+        assert minimal_general(Q3).minimal
+        assert calls == [9, 3]
 
     def test_verdict_alone_stops_at_the_break(self, monkeypatch):
         # 0 is not periodic mod 100003 under (x + 1)^2: the verdict is
@@ -376,17 +384,70 @@ class TestWitnessByLifting:
 
 
 def counting(monkeypatch):
-    """calls[0] counts IntPolynomial.eval_mod calls from here on,
-    derivatives' included."""
-    calls = [0]
-    eval_mod = IntPolynomial.eval_mod
+    """calls[0] counts the Horner loops run from here on, through
+    IntPolynomial.eval_mod and eval_slope_mod; calls[1] those of
+    eval_slope_mod, which compute f' as well."""
+    calls = [0, 0]
+    eval_mod, eval_slope_mod = IntPolynomial.eval_mod, IntPolynomial.eval_slope_mod
 
     def counted(f, x, m):
         calls[0] += 1
         return eval_mod(f, x, m)
 
+    def counted_slope(f, x, m):
+        calls[0] += 1
+        calls[1] += 1
+        return eval_slope_mod(f, x, m)
+
     monkeypatch.setattr(IntPolynomial, "eval_mod", counted)
+    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", counted_slope)
     return calls
+
+
+def _signed_maps(count, seed):
+    """p in {2, 3, 5, 7, 11, 13, 101} in turn, degree 1-12, signed
+    coefficients with a0 != 1, every other one near-odometer:
+    a0 + (1 + p k) x + p h(x)."""
+    rng = random.Random(seed)
+    primes = (2, 3, 5, 7, 11, 13, 101)
+    for i in range(count):
+        p = primes[i % len(primes)]
+        tail = [rng.randint(-40, 40) for _ in range(rng.randint(1, 12))]
+        if i // len(primes) % 2:
+            tail = [1 + p * tail[0]] + [p * c for c in tail[1:]]
+        tail[-1] = tail[-1] or p
+        yield IntPolynomial(p, (rng.choice([c for c in range(-40, 41) if c != 1]), *tail))
+
+
+class TestFusedWalk:
+    def test_matches_the_rewalking_walk(self):
+        # at every level 1..L+1 with stop on and off, the fused walk's
+        # shape equals that of the walk that walks each level again and
+        # evaluates f' apart, and the witness built from it is that walk's
+        # cycle at the decision level L.  p = 101 stops at L: a grow there
+        # would make the reference walk 101^2 steps twice
+        kinds = collections.Counter()
+        for f in _signed_maps(2100, seed=11):
+            p = f.prime
+            level = decision_level(p)
+            for n in range(1, level + 1 + (p < 101)):
+                for stop in (False, True):
+                    got = criteria._orbit_shape(f, n, stop=stop)
+                    assert got == oracles.orbit_shape_by_rewalking(f, n, stop=stop), (
+                        f.coefficients, p, n, stop)
+                    if got:
+                        kinds.update(s.kind for s in got.steps)
+            want = oracles.orbit_shape_by_rewalking(f, level)
+            witness = minimal_general(f).witness
+            if want.length == p**level:
+                assert witness is None
+                continue
+            x, cycle = want.base, []
+            for _ in range(want.length):
+                cycle.append(x)
+                x = f.eval_mod(x, p**level)
+            assert witness == tuple(cycle), (f.coefficients, p)
+        assert set(kinds) == {"split", "grow", "attract", "partial"}, kinds
 
 
 class TestDecide:

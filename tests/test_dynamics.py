@@ -9,14 +9,13 @@ from padicdyn.dynamics import (
     IntPolynomial,
     TableBoundError,
     cycle_decomposition,
-    derivative,
     is_full_cycle,
     reduced_map_table,
 )
 from padicdyn.padic import PadicError
 
 import oracles
-from oracles import NotPeriodicError, taylor_data
+from oracles import NotPeriodicError, derivative, taylor_data
 
 W2 = IntPolynomial(2, (1, 3, 0, 2))        # 1 + 3x + 2x^3
 W3 = IntPolynomial(3, (1, 4, 0, 4, 0, 2))  # 1 + 4x + 4x^3 + 2x^5
@@ -88,6 +87,25 @@ class TestEvaluate:
         # evaluating then reducing equals reducing then evaluating
         hi, lo = f.prime**n, f.prime ** (n - 1)
         assert f.eval_mod(x, hi) % lo == f.eval_mod(x % lo, lo)
+
+
+class TestEvalSlope:
+    def test_frozen_values(self):
+        # W2 = 1 + 3x + 2x^3, W2' = 3 + 6x^2
+        assert W2.eval_slope_mod(1, 8) == (6, 1)
+        assert W2.eval_slope_mod(-3, 8) == (2, 1)  # -62 mod 8, 57 mod 2
+        assert IntPolynomial(5, (7,), allow_constant=True).eval_slope_mod(9, 25) == (7, 0)
+
+    @given(st.sampled_from([2, 3, 5, 7, 101]),
+           st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=15),
+           st.integers(1, 4), st.integers(-10**7, 10**7))
+    def test_matches_pow_oracle(self, p, coeffs, n, x):
+        # degrees 0-14, signed coefficients, x negative or past p^n
+        f = IntPolynomial(p, tuple(coeffs), allow_constant=True)
+        m = p**n
+        assert f.eval_slope_mod(x, m) == (
+            oracles.eval_pow_mod(f.coefficients, x, m),
+            oracles.eval_pow_mod(oracles.poly_derivative(f.coefficients), x, p))
 
 
 class TestDerivative:
