@@ -1,7 +1,7 @@
 """Polynomial dynamics on p-adic integers: minimality deciders, cycle
 structure of the finite reductions, and conjugacy to the +1 odometer."""
 
-from .padic import PadicError, PrecisionError, is_prime
+from .padic import PadicError, is_prime
 from .dynamics import (
     DEFAULT_TABLE_BOUND,
     CycleDecomposition,
@@ -14,18 +14,14 @@ from .dynamics import (
     reduced_map_table,
 )
 from .criteria import (
-    CoefficientSums,
     ConditionCheck,
     MinimalityVerdict,
     closed_form,
-    coefficient_sums,
     decide,
     decision_level,
     full_cycle_by_lifting,
-    minimal_degree5_z3,
     minimal_general,
     minimal_z2,
-    minimal_z2_larin_form,
     minimal_z3,
 )
 from .odometer import (

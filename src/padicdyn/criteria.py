@@ -28,25 +28,13 @@ from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError
 from .padic import PadicError
 
 METHOD_P2 = "closed-form-p2"
-METHOD_P2_LARIN = "closed-form-p2-larin"
 METHOD_P3 = "closed-form-p3"
-METHOD_P3_DEG5 = "closed-form-p3-deg5"
 METHOD_DELTA = "delta-rule"
 
 
 def decision_level(prime: int) -> int:
     """Smallest level whose full-cycle check settles minimality."""
     return 3 if prime in (2, 3) else 2
-
-
-class CoefficientSums(NamedTuple):
-    even_sum: int
-    odd_sum: int
-    even_weighted: int
-    odd_weighted: int
-    primed: bool
-    # modulus exponent the primed sums are reduced at; None for exact sums
-    precision: int | None = None
 
 
 def _sums(c: tuple[int, ...], m: int | None) -> tuple[int, ...]:
@@ -63,13 +51,6 @@ def _sums(c: tuple[int, ...], m: int | None) -> tuple[int, ...]:
         return sums
     even, odd, even_w, odd_w = sums
     return even % m, odd % m, even_w % m, odd_w % m
-
-
-def coefficient_sums(f: IntPolynomial, *, primed: bool = False) -> CoefficientSums:
-    if not primed:
-        return CoefficientSums(*_sums(f.coefficients, None), primed=False)
-    # primed sums are residues mod p^2, all that the closed forms read
-    return CoefficientSums(*_sums(f.coefficients, f.prime**2), primed=True, precision=2)
 
 
 class ConditionCheck(NamedTuple):
@@ -112,10 +93,14 @@ class MinimalityVerdict(NamedTuple):
 # order.  The public function checks its preconditions and turns that into
 # records; a sweep calls the core alone.  The p = 2 and p = 3 cores read
 # the exact sums for constant term 1 and the primed sums mod p^2 otherwise.
+# The alternate cores, Larin's shape at p = 2 and the degree-5 form at
+# p = 3, are the sweep's second closed-form route and build no record:
+# they return the verdict alone, and _closed_forms applies them only where
+# their preconditions hold.
 
 
 def _verdict(method: str, core: tuple, names: tuple[str, ...],
-             moduli: tuple[int, ...], stage: str | None) -> MinimalityVerdict:
+             moduli: tuple[int, ...], stage: str) -> MinimalityVerdict:
     minimal, case, residues, passed = core
     conditions = tuple(map(ConditionCheck, names, residues, moduli, passed))
     return MinimalityVerdict(minimal, method, case, conditions, None,
@@ -154,26 +139,11 @@ def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
     return _verdict(METHOD_P2, core, _Z2_NAMES, (2, 2, 2, 4, 4), stage)
 
 
-_LARIN_NAMES = ("a1_odd", "odd_sum_gap_zero_mod_4", "even_sum_gap_zero_mod_4")
-
-
-def _z2_larin_core(c: tuple[int, ...]) -> tuple:
+def _z2_larin_core(c: tuple[int, ...]) -> bool:
+    """Larin's shape of the p = 2 criterion, for constant term 1."""
     _, a1, a2 = (c + (0, 0))[:3]
     even, odd, _, _ = _sums(c, None)
-    residues = (a1 % 2, (odd - a1 - 2 * a2) % 4, (even - a2 - (a1 + a2 - 1)) % 4)
-    passed = (residues[0] == 1, residues[1] == 0, residues[2] == 0)
-    return all(passed), None, residues, passed
-
-
-def minimal_z2_larin_form(f: IntPolynomial) -> MinimalityVerdict:
-    """Equivalent rephrasing of the p = 2 criterion (Larin's shape),
-    restricted to constant term 1.  Must agree with minimal_z2."""
-    if f.prime != 2:
-        raise PadicError(f"minimal_z2_larin_form needs prime 2, got {f.prime}")
-    if f.coefficient(0) != 1:
-        raise PadicError("larin form assumes constant term 1")
-    return _verdict(METHOD_P2_LARIN, _z2_larin_core(f.coefficients), _LARIN_NAMES,
-                    (2, 4, 4), None)
+    return a1 % 2 == 1 and (odd - a1 - 2 * a2) % 4 == 0 and (even - a1 - 2 * a2 + 1) % 4 == 0
 
 
 # (even_weighted, odd_weighted, a1) mod 3 for the four admissible
@@ -248,48 +218,25 @@ _DEG5_CASES = {
     (2, 1, 0, 2, 2): 3,
     (2, 2, 0, 1, 2): 4,
 }
-_DEG5_NAMES = tuple(f"a{i}_mod_3" for i in range(1, 6))
 
 
-def _deg5_core(c: tuple[int, ...]) -> tuple:
+def _deg5_core(c: tuple[int, ...]) -> bool:
+    """The resolved p = 3 criterion for constant term 1 and degree at
+    most 5: a residue pattern mod 3 on (a1..a5), absent ones zero, and
+    one sum congruence mod 9 per case."""
     a = (c + (0,) * 5)[:6]
-    residues = (a[1] % 3, a[2] % 3, a[3] % 3, a[4] % 3, a[5] % 3)
-    case = _DEG5_CASES.get(residues)
+    case = _DEG5_CASES.get((a[1] % 3, a[2] % 3, a[3] % 3, a[4] % 3, a[5] % 3))
     if case is None:
-        return False, None, residues, (False,) * 5
-    odd_slots = (a[1] + a[3] + a[5]) % 9
-    even_slots = (a[2] + a[4]) % 9
+        return False
     if case == 1:
-        ok, pinned = odd_slots == 7, odd_slots
-    elif case == 2:
-        ok, pinned = even_slots in (0, 6), even_slots
-    elif case == 3:
+        return (a[1] + a[3] + a[5]) % 9 == 7
+    if case == 3:
         # target 1, not 7: forced by the exhaustive mod-27 cross-check
         # in the acceptance suite (one published table differs and loses
         # against brute force on 162 of 243 pattern tuples)
-        ok, pinned = odd_slots == 1, odd_slots
-    else:
-        ok, pinned = even_slots == 0, even_slots
-    return ok, case, (*residues, pinned), (True,) * 5 + (ok,)
-
-
-def minimal_degree5_z3(f: IntPolynomial) -> MinimalityVerdict:
-    """Resolved form of the 3-adic criterion for constant term 1 and
-    degree at most 5: a residue pattern mod 3 on (a1..a5) plus one sum
-    congruence mod 9 per case.  Absent coefficients count as zero.
-    """
-    if f.prime != 3:
-        raise PadicError(f"minimal_degree5_z3 needs prime 3, got {f.prime}")
-    if f.coefficient(0) != 1:
-        raise PadicError("degree-5 form assumes constant term 1")
-    if f.degree > 5:
-        raise PadicError(f"degree {f.degree} exceeds 5")
-    core = _deg5_core(f.coefficients)
-    case = core[1]
-    names = _DEG5_NAMES if case is None else _DEG5_NAMES + (
-        "a1_a3_a5_sum_mod_9" if case in (1, 3) else "a2_a4_sum_mod_9",)
-    return _verdict(METHOD_P3_DEG5, core, names, (3, 3, 3, 3, 3, 9),
-                    "level-2" if case is None else "level-3")
+        return (a[1] + a[3] + a[5]) % 9 == 1
+    even_slots = (a[2] + a[4]) % 9
+    return even_slots == 0 or case == 2 and even_slots == 6
 
 
 class LiftStep(NamedTuple):

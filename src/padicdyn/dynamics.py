@@ -7,7 +7,7 @@ finite reductions; iteration is always pointwise, never symbolic.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .padic import PadicError, _check_prime
 
@@ -30,31 +30,25 @@ DEFAULT_TABLE_BOUND = 1 << 24
 class IntPolynomial:
     """Integer-coefficient polynomial, constant term first.
 
-    Trailing zero coefficients are trimmed.  Degree 0 is rejected unless
-    allow_constant is passed: a constant is a legal formal polynomial
-    (derivatives produce them) but not a dynamical system worth studying.
+    Trailing zero coefficients are trimmed.  A constant is a legal map
+    (the all-zero tail of a sweep box builds one) and every route reports
+    it as not minimal; from_text, the parser of outside text, refuses it.
     """
 
     prime: int
     coefficients: tuple[int, ...]
-    allow_constant: InitVar[bool] = False
     # highest degree first, the order Horner's rule consumes them
     _horner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, allow_constant: bool):
+    def __post_init__(self):
         _check_prime(self.prime)
         self._set_coefficients(tuple(map(int, self.coefficients)))
-        if len(self.coefficients) < 2 and not allow_constant:
-            raise PadicError(
-                "degree 0 polynomial rejected; pass allow_constant=True for formal use"
-            )
 
     @classmethod
     def _of_ints(cls, prime: int, coeffs: tuple[int, ...]) -> "IntPolynomial":
-        """The polynomial of a tuple of ints at a prime already checked,
-        constants allowed.  It skips the checks and conversions of
-        __init__, which halves the cost of the polynomial a sweep builds
-        for every tuple of its box."""
+        """The polynomial of a tuple of ints at a prime already checked.
+        It skips the checks and conversions of __init__, which halves the
+        cost of the polynomial a sweep builds for every tuple of its box."""
         f = object.__new__(cls)
         object.__setattr__(f, "prime", prime)
         f._set_coefficients(coeffs)
@@ -77,12 +71,17 @@ class IntPolynomial:
     @classmethod
     def from_text(cls, prime: int, text: str) -> "IntPolynomial":
         """Parse the shared text format: comma-separated signed decimals,
-        constant term first ("1,3,0,2" is 1 + 3x + 2x^3)."""
+        constant term first ("1,3,0,2" is 1 + 3x + 2x^3).  Degree 0 is
+        refused after trailing zeros are trimmed: a constant is no
+        dynamical system worth studying."""
         try:
             coeffs = tuple(int(part.strip()) for part in text.split(","))
         except ValueError as e:
             raise PadicError(f"bad coefficient list {text!r}") from e
-        return cls(prime, coeffs)
+        f = cls(prime, coeffs)
+        if f.degree < 1:
+            raise PadicError("degree 0 polynomial rejected")
+        return f
 
     def eval_mod(self, x: int, modulus: int) -> int:
         """f(x) mod modulus.  With eval_slope_mod, the only Horner loops of

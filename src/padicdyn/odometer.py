@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .criteria import _orbit_shape, decision_level, full_cycle_by_lifting
-from .dynamics import (
-    DEFAULT_TABLE_BOUND,
-    IntPolynomial,
-    NotFullCycleError,
-    _check_table_size,
-    reduced_map_table,
-)
+from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size
 from .padic import PadicError
 
 
@@ -38,10 +32,10 @@ class ConjugacyTable:
 def build_psi(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ConjugacyTable:
-    """Index table of the full cycle at level n; errors out when the
-    cycle is not full."""
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
-    size = len(table)
+    """Index table of the full cycle at level n, from one walk of the
+    orbit of 0 with no map table; errors out when the cycle is not full."""
+    size = _check_table_size(f.prime, n, table_bound)
+    eval_mod = f.eval_mod
     orbit_index = [-1] * size
     orbit_point = [0] * size
     x = 0
@@ -52,25 +46,18 @@ def build_psi(
             )
         orbit_index[x] = k
         orbit_point[k] = x
-        x = table[x]
+        x = eval_mod(x, size)
     if x != 0:
         raise NotFullCycleError(f"orbit of 0 does not return to 0 at level {n}")
     return ConjugacyTable(f.prime, n, tuple(orbit_index), tuple(orbit_point))
 
 
 @dataclass(frozen=True)
-class LevelCheck:
-    level: int
-    conjugation_ok: bool
-    projection_ok: bool
-
-
-@dataclass(frozen=True)
 class TowerReport:
+    """A tower certified at every level 1..n_max; a failure raises."""
+
     prime: int
     n_max: int
-    levels: tuple[LevelCheck, ...]
-    passed: bool
 
 
 def verify_conjugacy_tower(
@@ -104,8 +91,7 @@ def verify_conjugacy_tower(
             raise NotFullCycleError(
                 f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
                 else f"orbit of 0 does not return to 0 at level {n}")
-    levels = tuple(LevelCheck(n, True, True) for n in range(1, n_max + 1))
-    return TowerReport(p, n_max, levels, True)
+    return TowerReport(p, n_max)
 
 
 def full_cycle_stream(

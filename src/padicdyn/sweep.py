@@ -13,7 +13,8 @@ and counts agreement.  Routes per tuple:
                 table (below) or, past its size cap, dynamics.is_full_cycle
 
 closed and alt call the record-free cores that criteria picks for the
-prime and builds its records from; they build no ConditionCheck.  The
+prime, closed the one it builds its records from; they build no
+ConditionCheck.  The
 all-zero tail is built as the constant map a0, which every route reports
 as not minimal.  The index range (or the sorted sample) is cut into
 contiguous chunks, one per worker process; the workers are capped at the
@@ -74,7 +75,6 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepReport:
-    config: SweepConfig
     total: int
     agree_minimal: int
     agree_nonminimal: int
@@ -159,7 +159,7 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     for idx, coeffs, table in _tables(cfg, indices):
         f = IntPolynomial._of_ints(p, coeffs)
         closed = None if closed_core is None else closed_core(coeffs)[0]
-        alt = None if alt_core is None else alt_core(coeffs)[0]
+        alt = None if alt_core is None else alt_core(coeffs)
         delta = full_cycle_by_lifting(f, level)
         full = is_full_cycle(f, n_max) if table is None else _full_cycle_in(table)
         if delta == full and closed in (None, delta) and alt in (None, delta):
@@ -231,7 +231,6 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     _, first_tuple, first_routes = min(
         (r[3] for r in results if r[3] is not None), default=(None, None, None))
     return SweepReport(
-        config=cfg,
         total=total,
         agree_minimal=sum(r[0] for r in results),
         agree_nonminimal=sum(r[1] for r in results),

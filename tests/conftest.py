@@ -15,10 +15,9 @@ def rng():
 @pytest.fixture
 def no_tables(monkeypatch):
     """Make building any reduced map table fail the test."""
-    from padicdyn import dynamics, odometer
+    from padicdyn import dynamics
 
     def refuse(*args, **kwargs):
         raise AssertionError("a reduced map table was built")
 
     monkeypatch.setattr(dynamics, "reduced_map_table", refuse)
-    monkeypatch.setattr(odometer, "reduced_map_table", refuse)

@@ -34,7 +34,7 @@ from padicdyn.dynamics import (
     NotFullCycleError,
     TableBoundError,
 )
-from padicdyn.odometer import LevelCheck, TowerReport
+from padicdyn.odometer import TowerReport
 from padicdyn.padic import PadicError
 
 
@@ -170,7 +170,7 @@ def poly_derivative(coeffs, order=1):
 def derivative(f):
     """Formal derivative of an IntPolynomial; may degrade to a constant or
     to the zero polynomial."""
-    return IntPolynomial(f.prime, tuple(poly_derivative(f.coefficients)), allow_constant=True)
+    return IntPolynomial(f.prime, tuple(poly_derivative(f.coefficients)))
 
 
 def orbit_shape_by_rewalking(f, level, *, stop=False):
@@ -253,7 +253,8 @@ def tower_oracle(f, n_max, table_bound=DEFAULT_TABLE_BOUND):
     """The conjugacy tower checked exhaustively: at each level 1..n_max in
     turn a map table and the orbit index psi of 0 through it, then the
     conjugation identity psi(f(x)) = psi(x) + 1 at every residue and the
-    projection identity psi_(n+1)(x) = psi_n(x mod p^n) mod p^n."""
+    projection identity psi_(n+1)(x) = psi_n(x mod p^n) mod p^n.  Both
+    are asserted, so a report comes back only when every level holds."""
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
     p = f.prime
@@ -273,16 +274,15 @@ def tower_oracle(f, n_max, table_bound=DEFAULT_TABLE_BOUND):
             raise NotFullCycleError(f"orbit of 0 does not return to 0 at level {n}")
         tables.append(table)
         psis.append(psi)
-    checks = []
     for n in range(1, n_max + 1):
         size = p**n
         table, psi = tables[n - 1], psis[n - 1]
-        conj = all(psi[table[x]] == (psi[x] + 1) % size for x in range(size))
-        proj = n == n_max or all(psis[n][x] % size == psi[x % size]
-                                 for x in range(size * p))
-        checks.append(LevelCheck(n, conj, proj))
-    return TowerReport(p, n_max, tuple(checks),
-                       all(c.conjugation_ok and c.projection_ok for c in checks))
+        assert all(psi[table[x]] == (psi[x] + 1) % size for x in range(size)), (
+            f"conjugation fails at level {n}")
+        assert n == n_max or all(psis[n][x] % size == psi[x % size]
+                                 for x in range(size * p)), (
+            f"projection fails at level {n}")
+    return TowerReport(p, n_max)
 
 
 class NotPeriodicError(PadicError):

@@ -13,9 +13,9 @@ from itertools import product
 
 from padicdyn.criteria import (
     _orbit_shape,
+    _z2_larin_core,
     minimal_general,
     minimal_z2,
-    minimal_z2_larin_form,
     minimal_z3,
 )
 from padicdyn.dynamics import (
@@ -24,7 +24,7 @@ from padicdyn.dynamics import (
     is_full_cycle,
     reduced_map_table,
 )
-from padicdyn.odometer import full_cycle_stream, verify_conjugacy_tower
+from padicdyn.odometer import TowerReport, full_cycle_stream, verify_conjugacy_tower
 from padicdyn.sweep import SweepConfig, run_sweep
 
 import oracles
@@ -110,11 +110,10 @@ def test_c03_exhaustive_equivalence_p2():
     assert rep.total == 4096
     assert rep.disagreements == 0, rep.first_counterexample
     assert elapsed < 1.0  # stated budget for the 8^4 box
-    brute = sum(
-        oracles.full_cycle_oracle((1, *t), 2, 3)
-        for t in product(range(8), repeat=4)
-    )
-    assert brute == rep.agree_minimal
+    box = [(1, *t) for t in product(range(8), repeat=4)]
+    brute = [oracles.full_cycle_oracle(c, 2, 3) for c in box]
+    assert [_z2_larin_core(c) for c in box] == brute
+    assert sum(brute) == rep.agree_minimal
     print(f"C3 PASS: 4096 p=2 polynomials, closed = larin = mod-8 check, "
           f"{rep.agree_minimal} minimal, 0 disagreements, {elapsed:.2f}s")
 
@@ -206,8 +205,7 @@ def test_c08_conjugacy_towers():
     ):
         for f in sample:
             report = verify_conjugacy_tower(f, n_max)
-            assert report.passed, f.coefficients
-            assert len(report.levels) == n_max
+            assert report == TowerReport(p, n_max), f.coefficients
             # the identities themselves, at every residue of every level
             assert tower_oracle(f, n_max) == report, f.coefficients
     print("C8 PASS: conjugation and projection identities exhaustively "

@@ -189,6 +189,24 @@ class TestConjugacy:
         assert rec["passed"] is True
         assert [c["level"] for c in rec["levels"]] == [1, 2, 3]
 
+    @pytest.mark.parametrize("n_max", range(1, 6))
+    def test_tower_lines_and_record(self, capsys, n_max):
+        # one line or record entry per certified level, as the tower has
+        # always printed them
+        levels = range(1, n_max + 1)
+        code, out, _ = run(capsys, "conjugacy", "--prime", "3", "--coeffs", Q3,
+                           "--nmax", str(n_max))
+        assert code == 0
+        assert out == "".join(
+            f"level {n}: conjugation ok, projection ok\n" for n in levels) + "tower: ok\n"
+        code, out, _ = run(capsys, "conjugacy", "--prime", "3", "--coeffs", Q3,
+                           "--nmax", str(n_max), "--format", "structured")
+        assert code == 0
+        entries = ",".join(
+            f'{{"conjugation_ok":true,"level":{n},"projection_ok":true}}' for n in levels)
+        assert out == (f'{{"coeffs":[1,1,6],"command":"conjugacy","levels":[{entries}],'
+                       f'"n_max":{n_max},"passed":true,"prime":3}}\n')
+
     def test_tower_on_nonminimal_map_exits_two(self, capsys):
         code, _, err = run(capsys, "conjugacy", "--prime", "2", "--coeffs", W2,
                            "--nmax", "3")

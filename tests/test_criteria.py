@@ -10,19 +10,13 @@ from padicdyn import criteria
 from padicdyn.criteria import (
     METHOD_DELTA,
     METHOD_P2,
-    METHOD_P2_LARIN,
     METHOD_P3,
-    METHOD_P3_DEG5,
-    CoefficientSums,
     closed_form,
-    coefficient_sums,
     decide,
     decision_level,
     full_cycle_by_lifting,
-    minimal_degree5_z3,
     minimal_general,
     minimal_z2,
-    minimal_z2_larin_form,
     minimal_z3,
 )
 from padicdyn.dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError, is_full_cycle
@@ -54,26 +48,23 @@ class TestDecisionLevel:
 
 
 class TestCoefficientSums:
+    # (even_sum, odd_sum, even_weighted, odd_weighted): exact, or primed
+    # and reduced mod m
     def test_frozen(self):
-        assert coefficient_sums(W3) == CoefficientSums(0, 10, 0, 26, primed=False)
-        assert coefficient_sums(W2) == CoefficientSums(0, 5, 0, 9, primed=False)
+        assert criteria._sums(W3.coefficients, None) == (0, 10, 0, 26)
+        assert criteria._sums(W2.coefficients, None) == (0, 5, 0, 9)
 
     def test_primed_reduces_to_plain_for_unit_constant_one(self):
-        plain = coefficient_sums(Q3)
-        primed = coefficient_sums(Q3, primed=True)
-        assert (primed.even_sum, primed.odd_sum) == (
-            plain.even_sum % 9,
-            plain.odd_sum % 9,
-        )
-        assert primed.precision == 2
+        plain = criteria._sums(Q3.coefficients, None)
+        primed = criteria._sums(Q3.coefficients, 9)
+        assert primed == tuple(s % 9 for s in plain)
 
     def test_primed_weights(self):
-        f = IntPolynomial(3, (2, 5, 7))
-        s = coefficient_sums(f, primed=True)
-        assert s.odd_sum == 5 % 9
-        assert s.even_sum == (7 * 2) % 9
-        assert s.even_weighted == (2 * 7 * 2) % 9
-        assert s.odd_weighted == 5 % 9
+        even, odd, even_w, odd_w = criteria._sums((2, 5, 7), 9)
+        assert odd == 5 % 9
+        assert even == (7 * 2) % 9
+        assert even_w == (2 * 7 * 2) % 9
+        assert odd_w == 5 % 9
 
 
 class TestMinimalZ2:
@@ -118,7 +109,7 @@ class TestMinimalZ2:
                     f = IntPolynomial(2, coeffs)
                     want = oracles.full_cycle_oracle(coeffs, 2, 3)
                     assert minimal_z2(f).minimal == want, coeffs
-                    assert minimal_z2_larin_form(f).minimal == want, coeffs
+                    assert criteria._z2_larin_core(coeffs) == want, coeffs
 
     def test_exhaustive_general_constant_term(self):
         # quadratics with any odd constant term
@@ -144,15 +135,9 @@ class TestMinimalZ2:
 
 
 class TestLarinForm:
-    def test_preconditions(self):
-        with pytest.raises(PadicError):
-            minimal_z2_larin_form(IntPolynomial(2, (3, 1)))
-        with pytest.raises(PadicError):
-            minimal_z2_larin_form(Q3)
-
     @given(tails(2, 5, 31))
     def test_agrees_with_primary_form(self, f):
-        assert minimal_z2_larin_form(f).minimal == minimal_z2(f).minimal
+        assert criteria._z2_larin_core(f.coefficients) == minimal_z2(f).minimal
 
 
 class TestMinimalZ3:
@@ -210,13 +195,18 @@ class TestMinimalZ3:
             minimal_z3(W2)
 
 
+def _deg5_case(f):
+    """The case that the residues of (a1..a5) mod 3 select, or None."""
+    return criteria._DEG5_CASES.get(tuple(f.coefficient(i) % 3 for i in range(1, 6)))
+
+
 class TestDegree5Form:
     def test_frozen_witness(self):
-        v = minimal_degree5_z3(W3)
-        assert not v.minimal and v.case == 1
-        by_name = {c.name: c for c in v.conditions}
-        assert by_name["a1_a3_a5_sum_mod_9"].residue == 1
-        assert not by_name["a1_a3_a5_sum_mod_9"].passed
+        # case 1 wants a1 + a3 + a5 = 7 mod 9; W3's sum is 1
+        assert _deg5_case(W3) == 1
+        assert sum(W3.coefficients[1::2]) % 9 == 1
+        assert not criteria._deg5_core(W3.coefficients)
+        assert not oracles.full_cycle_oracle(W3.coefficients, 3, 3)
 
     @pytest.mark.parametrize(
         "tail,case",
@@ -229,8 +219,7 @@ class TestDegree5Form:
     )
     def test_positive_example_per_case(self, tail, case):
         f = IntPolynomial(3, (1, *tail))
-        v = minimal_degree5_z3(f)
-        assert v.minimal and v.case == case
+        assert criteria._deg5_core(f.coefficients) and _deg5_case(f) == case
         # independent confirmation: an actual full cycle mod 27
         assert oracles.full_cycle_oracle(f.coefficients, 3, 3)
         assert minimal_z3(f).minimal
@@ -239,21 +228,13 @@ class TestDegree5Form:
         # same residue pattern, sum 7 instead of 1 mod 9
         f = IntPolynomial(3, (1, 2, 1, 0, 2, 5))
         assert (2 + 0 + 5) % 9 == 7
-        v = minimal_degree5_z3(f)
-        assert not v.minimal and v.case == 3
+        assert not criteria._deg5_core(f.coefficients) and _deg5_case(f) == 3
         assert not oracles.full_cycle_oracle(f.coefficients, 3, 3)
+        assert not minimal_z3(f).minimal
 
     @given(tails(3, 5, 26))
     def test_agrees_with_general_form(self, f):
-        assert minimal_degree5_z3(f).minimal == minimal_z3(f).minimal
-
-    def test_preconditions(self):
-        with pytest.raises(PadicError):
-            minimal_degree5_z3(W2)
-        with pytest.raises(PadicError):
-            minimal_degree5_z3(IntPolynomial(3, (2, 1, 1)))
-        with pytest.raises(PadicError):
-            minimal_degree5_z3(IntPolynomial(3, (1, 0, 0, 0, 0, 0, 1)))
+        assert criteria._deg5_core(f.coefficients) == minimal_z3(f).minimal
 
 
 class TestMinimalGeneral:
@@ -328,7 +309,7 @@ class TestWitnessByLifting:
         for a0 in sorted({1, -1, 2, p}):
             for tail in itertools.product(range(-2, 3), repeat=3):
                 coeffs = (a0, *tail)
-                f = IntPolynomial(p, coeffs, allow_constant=True)
+                f = IntPolynomial(p, coeffs)
                 order, start = oracles.orbit_from_zero(coeffs, p, level)
                 if start == 0 and len(order) == p**level:
                     assert minimal_general(f).minimal, coeffs
@@ -526,9 +507,10 @@ def _box(a0, degree, seed):
 
 
 class TestCores:
-    """The record-free cores that a sweep calls give the verdict of the
-    public records, on the coefficient tuple with or without trailing
-    zeros, and that verdict is the brute-force one mod p^3."""
+    """The record-free cores that a sweep calls, the alternate ones where
+    their preconditions hold, give the verdict of the public records, on
+    the coefficient tuple with or without trailing zeros, and that verdict
+    is the brute-force one mod p^3."""
 
     @pytest.mark.parametrize("prime,a0", [
         (2, 1), (2, -1), (2, 5), (2, 6), (3, 1), (3, -1), (3, 4), (3, -6),
@@ -537,19 +519,19 @@ class TestCores:
         seen = set()
         for degree in range(1, 13):
             for coeffs in _box(a0, degree, seed=degree):
-                f = IntPolynomial(prime, coeffs, allow_constant=True)
-                forms = [(minimal_z2, criteria._z2_core)] if prime == 2 else [
-                    (minimal_z3, criteria._z3_core)]
+                f = IntPolynomial(prime, coeffs)
+                record, core = ((minimal_z2, criteria._z2_core) if prime == 2
+                                else (minimal_z3, criteria._z3_core))
+                alt = None
                 if a0 == 1 and prime == 2:
-                    forms.append((minimal_z2_larin_form, criteria._z2_larin_core))
+                    alt = criteria._z2_larin_core
                 if a0 == 1 and prime == 3 and f.degree <= 5:
-                    forms.append((minimal_degree5_z3, criteria._deg5_core))
+                    alt = criteria._deg5_core
                 want = oracles.full_cycle_oracle(f.coefficients, prime, 3)
-                for record, core in forms:
-                    minimal = record(f).minimal
-                    assert minimal == want, (record.__name__, coeffs)
-                    for c in (f.coefficients, coeffs + (0, 0)):
-                        assert core(c)[0] == minimal, (core.__name__, c)
+                assert record(f).minimal == want, (record.__name__, coeffs)
+                for c in (f.coefficients, coeffs + (0, 0)):
+                    assert core(c)[0] == want, (core.__name__, c)
+                    assert alt is None or alt(c) == want, (alt.__name__, c)
                 seen.add(want)
         # both verdicts occur wherever a0 is a unit
         assert seen == ({True, False} if a0 % prime else {False})

@@ -51,12 +51,13 @@ class TestConstruction:
         assert IntPolynomial(2, (1, 3, 0, 2, 0, 0)).coefficients == (1, 3, 0, 2)
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(PadicError):
-            IntPolynomial(3, (7,))
-        with pytest.raises(PadicError):
-            IntPolynomial(3, (7, 0, 0))
-        # formal opt-in used by derivative()
-        assert IntPolynomial(3, (7,), allow_constant=True).degree == 0
+        # the parser of outside text refuses a constant, trailing zeros
+        # trimmed first; the constructor takes it as a formal map
+        with pytest.raises(PadicError, match="degree 0"):
+            IntPolynomial.from_text(3, "7")
+        with pytest.raises(PadicError, match="degree 0"):
+            IntPolynomial.from_text(3, "7,0,0")
+        assert IntPolynomial(3, (7, 0, 0)).degree == 0
 
     def test_bad_inputs(self):
         with pytest.raises(PadicError):
@@ -94,14 +95,14 @@ class TestEvalSlope:
         # W2 = 1 + 3x + 2x^3, W2' = 3 + 6x^2
         assert W2.eval_slope_mod(1, 8) == (6, 1)
         assert W2.eval_slope_mod(-3, 8) == (2, 1)  # -62 mod 8, 57 mod 2
-        assert IntPolynomial(5, (7,), allow_constant=True).eval_slope_mod(9, 25) == (7, 0)
+        assert IntPolynomial(5, (7,)).eval_slope_mod(9, 25) == (7, 0)
 
     @given(st.sampled_from([2, 3, 5, 7, 101]),
            st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=15),
            st.integers(1, 4), st.integers(-10**7, 10**7))
     def test_matches_pow_oracle(self, p, coeffs, n, x):
         # degrees 0-14, signed coefficients, x negative or past p^n
-        f = IntPolynomial(p, tuple(coeffs), allow_constant=True)
+        f = IntPolynomial(p, tuple(coeffs))
         m = p**n
         assert f.eval_slope_mod(x, m) == (
             oracles.eval_pow_mod(f.coefficients, x, m),

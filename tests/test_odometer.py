@@ -73,6 +73,32 @@ class TestBuildPsi:
         with pytest.raises(NotFullCycleError):
             build_psi(IntPolynomial(5, (1, 1, 1)), 1)
 
+    def test_matches_the_orbit_walk_with_no_table(self, no_tables):
+        # every map a0 + a1 x + a2 x^2 with a0..a2 in [-2, 2], at levels 1
+        # and 2: the index table of a full cycle, else the error of the
+        # walk that remembers every residue, which counts the residues the
+        # orbit of 0 visits, or finds it visits all and misses 0
+        seen = set()
+        for p in (2, 3, 5):
+            for coeffs in product(range(-2, 3), repeat=3):
+                f = IntPolynomial(p, coeffs)
+                for n in (1, 2):
+                    order, start = oracles.orbit_from_zero(coeffs, p, n)
+                    size = p**n
+                    if start == 0 and len(order) == size:
+                        assert build_psi(f, n).orbit_point == tuple(order)
+                        continue
+                    seen.add((start > 0, len(order) < size))
+                    with pytest.raises(NotFullCycleError) as err:
+                        build_psi(f, n)
+                    assert str(err.value) == (
+                        f"orbit of 0 closes after {len(order)} of {size} residues "
+                        f"at level {n}" if len(order) < size
+                        else f"orbit of 0 does not return to 0 at level {n}")
+        # 0 periodic on a short cycle, 0 not periodic, and a tail and cycle
+        # that cover every residue
+        assert seen == {(False, True), (True, True), (True, False)}
+
 
 def _outcome(tower, f, n_max, table_bound):
     try:
@@ -91,10 +117,7 @@ def _kind(outcome):
 class TestConjugacyTower:
     @pytest.mark.parametrize("f,n_max", [(X_PLUS_1[2], 3), (Q3, 3), (X_PLUS_1[3], 4)])
     def test_passes_for_minimal_maps(self, f, n_max):
-        rep = verify_conjugacy_tower(f, n_max)
-        assert rep.passed
-        assert rep.n_max == n_max and len(rep.levels) == n_max
-        assert all(c.conjugation_ok and c.projection_ok for c in rep.levels)
+        assert verify_conjugacy_tower(f, n_max) == TowerReport(f.prime, n_max)
 
     def test_raises_for_nonminimal_map(self):
         with pytest.raises(NotFullCycleError):
@@ -118,7 +141,7 @@ class TestConjugacyTower:
                 coeffs = [a0] + [0] * exponents[-1]
                 for e, a in zip(exponents, tail):
                     coeffs[e] = a
-                f = IntPolynomial(p, coeffs, allow_constant=True)
+                f = IntPolynomial(p, coeffs)
                 for table_bound in (DEFAULT_TABLE_BOUND, p**2):
                     for n_max in range(1, level + 3):
                         got = _outcome(verify_conjugacy_tower, f, n_max, table_bound)
@@ -133,7 +156,7 @@ class TestConjugacyTower:
     @given(st.sampled_from(MINIMAL_SAMPLES))
     def test_tower_always_passes_for_certified_minimal(self, f):
         assert decide(f).minimal
-        assert verify_conjugacy_tower(f, 3).passed
+        assert verify_conjugacy_tower(f, 3) == TowerReport(f.prime, 3)
 
 
 class TestFullCycleStream:

@@ -1,14 +1,18 @@
 import pytest
 
-from padicdyn.padic import PrecisionError, is_prime
+from padicdyn.padic import PadicError, is_prime
 
 
 def test_is_prime_small_and_rejection():
-    odds = [n for n in range(2, 200) if is_prime(n)]
-    sieve = [n for n in range(2, 200)
-             if all(n % d for d in range(2, int(n**0.5) + 1))]
-    assert odds == sieve
-    with pytest.raises(PrecisionError):
+    limit = 10**4
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+    assert [n for n in range(-5, limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+    with pytest.raises(PadicError, match="not supported"):
         is_prime(1 << 33)
     # largest 32-bit primes are accepted, their neighbors rejected
     assert is_prime(4294967291)

@@ -1,12 +1,15 @@
-"""Smoke test: every script under scripts/ runs end to end on small
-arguments, so a change to the library API cannot break one unnoticed."""
+"""Smoke test: every script under scripts/ and the README's library
+example run end to end on small arguments, so a change to the library
+API cannot break one unnoticed."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 # script -> (argv, expected exit status)
 RUNS = {
@@ -38,3 +41,11 @@ def test_stream_script_refuses_a_nonminimal_map(capsys):
     main = load("stream_equidistribution.py").main
     assert main(["--prime", "3", "--coeffs", "1,4,0,4,0,2", "--level", "3"]) == 2
     assert "not minimal" in capsys.readouterr().err
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

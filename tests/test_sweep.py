@@ -175,7 +175,7 @@ class TestTables:
         seen = []
         for idx, coeffs, table in _tables(cfg, indices):
             assert coeffs == (cfg.a0, *_index_to_tail(idx, cfg.bound, cfg.degree))
-            f = IntPolynomial(cfg.prime, coeffs, allow_constant=True)
+            f = IntPolynomial(cfg.prime, coeffs)
             assert tuple(table) == reduced_map_table(f, n_max).entries
             seen.append(idx)
         assert seen == list(indices)
@@ -243,7 +243,7 @@ class TestDisagreements:
                 rep = run_sweep(SweepConfig(prime, degree, bound, a0=a0,
                                             workers=2 if pooled else 1))
             first = (a0, *_index_to_tail(min(picks), bound, degree))
-            truth = full_cycle_by_lifting(IntPolynomial(prime, first, allow_constant=True),
+            truth = full_cycle_by_lifting(IntPolynomial(prime, first),
                                           decision_level(prime))
             flipped = "delta" if route == "full_cycle_by_lifting" else "closed"
             assert rep.total == box and rep.disagreements == len(picks)
