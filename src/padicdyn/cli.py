@@ -6,7 +6,8 @@ whose field names are frozen; see the schema section of the README.
 
 Exit status: analyze exits 0 when the map is minimal, 1 when it is not,
 2 on errors; sweep exits 1 when decision routes disagree; everything
-else exits 0 on success, 2 on errors.
+else exits 0 on success, 2 on errors.  A reader that closes stdout
+early (`| head`) is an error too: exit 2, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import os
 import re
 import sys
+from itertools import groupby, islice
+from typing import Iterable
 
 from .criteria import MinimalityVerdict, closed_form, decision_level, minimal_general
 from .dynamics import (
@@ -35,7 +38,7 @@ WORK_BUDGET_ENV = "PADICDYN_WORK_BUDGET"
 # lowest limit on int-to-str conversion an interpreter can be set to, so
 # every residue of every format prints
 STREAM_DIGITS = 600
-WITNESS_BLOCK = 1 << 14  # residues of a text witness line formatted at once
+WITNESS_BLOCK = 1 << 14  # residues or lines formatted and written at once
 
 # a value such as "-1,2"; no option of the parser starts with a digit
 _SIGNED_VALUE = re.compile(r"-\d")
@@ -62,15 +65,36 @@ def _print_blocks(head: str, values: tuple[int, ...], sep: str, tail: str) -> No
     print(tail)
 
 
-def _emit(record: dict, witness: tuple[int, ...] | None = None) -> None:
-    """Print record as one JSON line; a witness goes where the
-    "witness":null that sorts last stands."""
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline, WITNESS_BLOCK lines per write.  The
+    lines are pulled a block at a time, never all at once: a stream's
+    default count at a deep level is all but endless."""
+    lines = iter(lines)
+    while block := list(islice(lines, WITNESS_BLOCK)):
+        block.append("")
+        sys.stdout.write("\n".join(block))
+
+
+def _emit(record: dict, field: str | None = None,
+          values: Iterable[int] | None = None) -> None:
+    """Print record as one JSON line.  Values, if given, go a block at a
+    time where the "field":null that sorts last stands."""
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    if witness is None:
+    if values is None:
         print(text)
-    else:
-        head, _, tail = text.rpartition('"witness":null')
-        _print_blocks(head + '"witness":[', witness, ",", "]" + tail)
+        return
+    head, _, tail = text.rpartition(f'"{field}":null')
+    head += f'"{field}":['
+    if isinstance(values, tuple):  # a witness, already held whole
+        _print_blocks(head, values, ",", "]" + tail)
+        return
+    print(head, end="")
+    values = iter(values)
+    sep = ""
+    while block := list(islice(values, WITNESS_BLOCK)):
+        print(sep + json.dumps(block, separators=(",", ":"))[1:-1], end="")
+        sep = ","
+    print("]" + tail)
 
 
 def _print_verdict(v: MinimalityVerdict) -> None:
@@ -108,7 +132,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "closed_form": closed.to_record() if closed is not None else None,
             "delta_rule": delta_verdict._replace(witness=None).to_record(),
             "agree": agree,
-        }, delta_verdict.witness)
+        }, "witness", delta_verdict.witness)
     else:
         print(f"f = {f} over Z_{args.prime}")
         if closed is not None:
@@ -141,8 +165,14 @@ def cmd_cycles(args: argparse.Namespace) -> int:
     print(f"f = {f} mod {args.prime}^{n}")
     print(f"bijective: {'yes' if dec.bijective else 'no'}")
     print(f"cycles ({len(dec.cycles)}):")
-    for c in dec.cycles:
-        print("  " + " ".join(str(x) for x in c))
+    # a cycle longer than a block is printed a block at a time, and each
+    # run of shorter ones goes to the line writer as a whole
+    for long, run in groupby(dec.cycles, key=lambda c: len(c) > WITNESS_BLOCK):
+        if long:
+            for c in run:
+                _print_blocks("  ", c, " ", "")
+        else:
+            _write_lines("  " + " ".join(map(str, c)) for c in run)
     print(f"non-periodic residues: {dec.non_periodic_count}")
     return 0
 
@@ -181,8 +211,7 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
         })
     else:
         # two columns: residue, its position along the orbit of 0
-        for x, k in enumerate(table.orbit_index):
-            print(f"{x} {k}")
+        _write_lines(f"{x} {k}" for x, k in enumerate(table.orbit_index))
     return 0
 
 
@@ -214,21 +243,25 @@ def cmd_stream(args: argparse.Namespace) -> int:
             "level": n,
             "seed": seed,
             "count": count,
-            "values": list(values),
-        })
+            "values": None,
+        }, "values", values)
         return 0
     if args.format == "packed":
-        print(f"{args.prime} {n} {count} {seed}")
-        sep = "" if args.prime <= 10 else "."
-        for v in values:
-            digits = []
-            for _ in range(n):
-                v, d = divmod(v, args.prime)
-                digits.append(str(d))
-            print(sep.join(digits))
+        p = args.prime
+        print(f"{p} {n} {count} {seed}")
+        sep = "" if p <= 10 else "."
+
+        def digit_lines() -> Iterable[str]:
+            for v in values:
+                digits = []
+                for _ in range(n):
+                    v, d = divmod(v, p)
+                    digits.append(str(d))
+                yield sep.join(digits)
+
+        _write_lines(digit_lines())
         return 0
-    for v in values:
-        print(v)
+    _write_lines(map(str, values))
     return 0
 
 
@@ -366,9 +399,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "table_bound" in args and args.table_bound is None:
             args.table_bound = _env_int(TABLE_BOUND_ENV, DEFAULT_TABLE_BOUND)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (PadicError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone, so the rest of the output has nowhere to go.
+        # The interpreter flushes sys.stdout once more at exit: point the
+        # process's stdout at devnull so that flush does not raise again
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import padicdyn
 from padicdyn import cli, sweep
 from padicdyn.cli import build_parser, main
+from padicdyn.dynamics import IntPolynomial
 
 W2 = "1,3,0,2"
 W3 = "1,4,0,4,0,2"
@@ -301,6 +303,118 @@ class TestStream:
         assert out.split() == ["0", "1", "2"]
 
 
+def orbit(coeffs, p, n, seed, count):
+    """The first count residues of the orbit of seed mod p^n."""
+    m = p**n
+    x = seed % m
+    values = []
+    for _ in range(count):
+        values.append(x)
+        x = oracles.eval_pow_mod(coeffs, x, m)
+    return values
+
+
+def coeff_text(coeffs):
+    return ",".join(map(str, coeffs))
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+class TestBlocks:
+    """Output written a block at a time against one line per residue,
+    rendered here, at block sizes that split it anywhere.  12 lines are
+    whole blocks of every size, and 0 lines print nothing."""
+
+    @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 2), (2, (1, 1), 3),
+                                            (5, (1, 1, 5), 2)])
+    def test_conjugacy_rows(self, capsys, monkeypatch, block, p, coeffs, n):
+        index = {x: k for k, x in enumerate(orbit(coeffs, p, n, 0, p**n))}
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "conjugacy", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--level", str(n))
+        assert code == 0
+        assert out == "".join(f"{x} {index[x]}\n" for x in range(p**n))
+
+    @pytest.mark.parametrize("count", [0, 1, 10, 12])
+    def test_stream_text(self, capsys, monkeypatch, block, count):
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "stream", "--prime", "3", "--coeffs", Q3,
+                           "--level", "3", "--seed", "5", "--count", str(count))
+        assert code == 0
+        assert out == "".join(f"{v}\n" for v in orbit((1, 1, 6), 3, 3, 5, count))
+
+    @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 3), (13, (1, 1), 2)])
+    @pytest.mark.parametrize("count", [0, 1, 10, 12])
+    def test_stream_packed(self, capsys, monkeypatch, block, p, coeffs, n, count):
+        # little-endian base-p digits, concatenated for p <= 10, dotted above
+        sep = "" if p <= 10 else "."
+        lines = [sep.join(str(v // p**i % p) for i in range(n))
+                 for v in orbit(coeffs, p, n, 7, count)]
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "stream", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--level", str(n), "--seed", "7",
+                           "--count", str(count), "--format", "packed")
+        assert code == 0
+        assert out == "".join(f"{line}\n" for line in [f"{p} {n} {count} 7", *lines])
+
+    @pytest.mark.parametrize("count", [0, 1, 10, 12])
+    def test_stream_structured(self, capsys, monkeypatch, block, count):
+        record = {"command": "stream", "prime": 3, "coeffs": [1, 1, 6], "level": 3,
+                  "seed": 5, "count": count, "values": orbit((1, 1, 6), 3, 3, 5, count)}
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "stream", "--prime", "3", "--coeffs", Q3,
+                           "--level", "3", "--seed", "5", "--count", str(count),
+                           "--format", "structured")
+        assert code == 0
+        assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("p,coeffs,n", [
+        # cycles of lengths 2, 9, 2, 9, 2, 3, 1 and 2, 6, 12, 1: short and
+        # long ones interleaved at every block size
+        (7, (1, 6, 4, 1), 2), (7, (1, 6, 0, 5), 2), (2, (1, 3, 0, 2), 3),
+    ])
+    def test_cycles_text(self, capsys, monkeypatch, block, p, coeffs, n):
+        cycles, non_periodic = oracles.cycles_oracle(oracles.table_oracle(coeffs, p, n))
+        f = IntPolynomial.from_text(p, coeff_text(coeffs))
+        lines = [f"f = {f} mod {p}^{n}", f"bijective: {'no' if non_periodic else 'yes'}",
+                 f"cycles ({len(cycles)}):", *("  " + " ".join(map(str, c)) for c in cycles),
+                 f"non-periodic residues: {non_periodic}"]
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "cycles", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--level", str(n))
+        assert code == 0
+        assert out == "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "packed", "structured"])
+def test_stream_pulls_one_block_before_it_writes(monkeypatch, fmt):
+    # a deep level's default count is all but endless: the stream must be
+    # written as it is pulled, never gathered first
+    pulled = 0
+
+    def counted(f, n, seed, count):
+        nonlocal pulled
+        for x in range(10**5):
+            pulled += 1
+            yield x
+
+    class ClosedAfterHeader:
+        """Takes what is written before the first residue is pulled."""
+
+        def write(self, text):
+            if pulled:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "WITNESS_BLOCK", 4)
+    monkeypatch.setattr(cli, "full_cycle_stream", counted)
+    monkeypatch.setattr(sys, "stdout", ClosedAfterHeader())
+    code = main(["stream", "--prime", "2", "--coeffs", "1,1", "--level", "40",
+                 "--format", fmt])
+    assert code == 2 and 0 < pulled <= 4
+
+
 class TestSweep:
     def test_exhaustive_box_structured(self, capsys):
         code, out, _ = run(capsys, "sweep", "--prime", "3", "--degree", "2",
@@ -553,14 +667,52 @@ class TestParsers:
         assert built == ["padicdyn analyze"]
 
 
-def python(*args):
-    """Run a fresh interpreter that imports padicdyn from this checkout."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports padicdyn from
+    this checkout, with stdout buffered as it is by default."""
     env = dict(os.environ, PYTHONPATH=str(Path(padicdyn.__file__).parent.parent))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], env=fresh_env(), capture_output=True,
                           text=True, timeout=60)
 
 
 class TestFreshInterpreter:
+    @pytest.mark.parametrize("argv,first", [
+        (["stream", "--prime", "2", "--coeffs", "1,1", "--level", "20"], "0\n"),
+        (["conjugacy", "--prime", "2", "--coeffs", "1,1", "--level", "16"], "0 0\n"),
+    ])
+    def test_closed_pipe_exits_two_quietly(self, argv, first):
+        # `padicdyn ... | head -n 1`: the reader leaves after one line
+        proc = subprocess.Popen([sys.executable, "-m", "padicdyn.cli", *argv],
+                                env=fresh_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (line, err, proc.wait(timeout=60)) == (first, "", 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--prime", "2", "--coeffs", "1,1", "--level", "3", "--count", "1"],
+        ["stream", "--prime", "2", "--coeffs", "1,1", "--level", "3", "--format", "packed"],
+        ["analyze", "--prime", "3", "--coeffs", Q3],
+    ])
+    def test_reader_gone_before_the_first_line(self, argv):
+        # output that fits the stdout buffer meets the closed pipe only
+        # when it is flushed, and the interpreter flushes once more at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "padicdyn.cli", *argv],
+                                  env=fresh_env(), stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.stderr, done.returncode) == ("", 2)
+
     def test_import_loads_no_process_pool(self):
         done = python("-c", "import sys, padicdyn.cli; "
                             "print('multiprocessing' in sys.modules)")
