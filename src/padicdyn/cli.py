@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -54,15 +53,18 @@ def _env_int(name: str, fallback: int) -> int:
         raise PadicError(f"{name} must be an integer, got {raw!r}") from e
 
 
-def _print_blocks(head: str, values: tuple[int, ...], sep: str, tail: str) -> None:
-    """Print head, values joined by sep a block at a time (a witness may
-    hold millions of residues), then tail and a newline."""
-    print(head, end="")
-    for i in range(0, len(values), WITNESS_BLOCK):
+def _write_items(head: str, values: Iterable, sep: str, tail: str) -> None:
+    """Write head, the values joined by sep, then tail.  The values are
+    pulled and encoded WITNESS_BLOCK at a time, never all at once: a
+    witness, a table or a stream may hold millions of them."""
+    sys.stdout.write(head)
+    values = iter(values)
+    lead = ""
+    while block := list(islice(values, WITNESS_BLOCK)):
         # the JSON encoder writes a list of ints faster than join and str
-        block = json.dumps(values[i:i + WITNESS_BLOCK], separators=(sep, ":"))
-        print(sep * (i > 0) + block[1:-1], end="")
-    print(tail)
+        sys.stdout.write(lead + json.dumps(block, separators=(sep, ":"))[1:-1])
+        lead = sep
+    sys.stdout.write(tail)
 
 
 def _write_lines(lines: Iterable[str]) -> None:
@@ -75,26 +77,20 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write("\n".join(block))
 
 
-def _emit(record: dict, field: str | None = None,
-          values: Iterable[int] | None = None) -> None:
-    """Print record as one JSON line.  Values, if given, go a block at a
-    time where the "field":null that sorts last stands."""
-    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    if values is None:
-        print(text)
-        return
-    head, _, tail = text.rpartition(f'"{field}":null')
-    head += f'"{field}":['
-    if isinstance(values, tuple):  # a witness, already held whole
-        _print_blocks(head, values, ",", "]" + tail)
-        return
-    print(head, end="")
-    values = iter(values)
-    sep = ""
-    while block := list(islice(values, WITNESS_BLOCK)):
-        print(sep + json.dumps(block, separators=(",", ":"))[1:-1], end="")
-        sep = ","
-    print("]" + tail)
+def _emit(record: dict) -> None:
+    """Print record as one JSON line.  A value that is an iterator is a
+    large field, written a block at a time where it stands."""
+    large = []
+
+    def defer(values: Iterable) -> str:
+        large.append(values)
+        return "\0"
+
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"), default=defer)
+    parts = text.split('"\\u0000"')
+    for part, values in zip(parts, large):
+        _write_items(part + "[", values, ",", "]")
+    print(parts[-1])
 
 
 def _print_verdict(v: MinimalityVerdict) -> None:
@@ -109,7 +105,7 @@ def _print_verdict(v: MinimalityVerdict) -> None:
         lines.append(f"  {mark} {c.name}: residue {c.residue} mod {c.modulus}")
     print("\n".join(lines))
     if v.witness is not None:
-        _print_blocks("  witness cycle: ", v.witness, " ", "")
+        _write_items("  witness cycle: ", v.witness, " ", "\n")
 
 
 def _parse_poly(args: argparse.Namespace) -> IntPolynomial:
@@ -125,14 +121,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     agree = None if closed is None else closed.minimal == delta_verdict.minimal
 
     if args.format == "structured":
+        delta_record = delta_verdict._replace(witness=None).to_record()
+        if delta_verdict.witness is not None:
+            delta_record["witness"] = iter(delta_verdict.witness)
         _emit({
             "command": "analyze",
             "prime": args.prime,
-            "coeffs": list(f.coefficients),
+            "coeffs": f.coefficients,
             "closed_form": closed.to_record() if closed is not None else None,
-            "delta_rule": delta_verdict._replace(witness=None).to_record(),
+            "delta_rule": delta_record,
             "agree": agree,
-        }, "witness", delta_verdict.witness)
+        })
     else:
         print(f"f = {f} over Z_{args.prime}")
         if closed is not None:
@@ -155,10 +154,10 @@ def cmd_cycles(args: argparse.Namespace) -> int:
         _emit({
             "command": "cycles",
             "prime": args.prime,
-            "coeffs": list(f.coefficients),
+            "coeffs": f.coefficients,
             "level": n,
             "bijective": dec.bijective,
-            "cycles": [list(c) for c in dec.cycles],
+            "cycles": iter(dec.cycles),
             "non_periodic": dec.non_periodic_count,
         })
         return 0
@@ -170,7 +169,7 @@ def cmd_cycles(args: argparse.Namespace) -> int:
     for long, run in groupby(dec.cycles, key=lambda c: len(c) > WITNESS_BLOCK):
         if long:
             for c in run:
-                _print_blocks("  ", c, " ", "")
+                _write_items("  ", c, " ", "\n")
         else:
             _write_lines("  " + " ".join(map(str, c)) for c in run)
     print(f"non-periodic residues: {dec.non_periodic_count}")
@@ -187,7 +186,7 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
             _emit({
                 "command": "conjugacy",
                 "prime": args.prime,
-                "coeffs": list(f.coefficients),
+                "coeffs": f.coefficients,
                 "n_max": report.n_max,
                 "levels": [{"level": n, "conjugation_ok": True, "projection_ok": True}
                            for n in levels],
@@ -204,10 +203,10 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
         _emit({
             "command": "conjugacy",
             "prime": args.prime,
-            "coeffs": list(f.coefficients),
+            "coeffs": f.coefficients,
             "level": n,
-            "orbit_index": list(table.orbit_index),
-            "orbit_point": list(table.orbit_point),
+            "orbit_index": iter(table.orbit_index),
+            "orbit_point": iter(table.orbit_point),
         })
     else:
         # two columns: residue, its position along the orbit of 0
@@ -215,36 +214,28 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _more_digits_than(p: int, n: int, digits: int) -> bool:
-    """Does p^n have more than `digits` decimal digits?  p^n itself is
-    computed only for n within one of the float estimate of the boundary,
-    where it has about `digits` digits."""
-    edge = int(digits / math.log10(p))
-    if abs(n - edge) > 1:
-        return n > edge
-    return p**n >= 10**digits
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     f = _parse_poly(args)
     n = args.level if args.level is not None else decision_level(args.prime)
-    if _more_digits_than(args.prime, n, STREAM_DIGITS):
+    if n < 1:  # p^n would be a float, which may round to 0
+        raise PadicError(f"level must be >= 1, got {n}")
+    # 2^2000 has 603 digits, so p^n is never computed far past the cap
+    if n > 2000 or (size := args.prime**n) >= 10**STREAM_DIGITS:
         raise PadicError(f"level {n} at prime {args.prime}: the modulus "
                          f"{args.prime}^{n} has more than {STREAM_DIGITS} digits")
-    count = args.count if args.count is not None else args.prime**n
-    size = args.prime**n
+    count = args.count if args.count is not None else size
     seed = args.seed % size
     values = full_cycle_stream(f, n, seed, count)
     if args.format == "structured":
         _emit({
             "command": "stream",
             "prime": args.prime,
-            "coeffs": list(f.coefficients),
+            "coeffs": f.coefficients,
             "level": n,
             "seed": seed,
             "count": count,
-            "values": None,
-        }, "values", values)
+            "values": values,
+        })
         return 0
     if args.format == "packed":
         p = args.prime
@@ -290,10 +281,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "agree_minimal": report.agree_minimal,
             "agree_nonminimal": report.agree_nonminimal,
             "disagreements": report.disagreements,
-            "first_counterexample": (
-                list(report.first_counterexample)
-                if report.first_counterexample is not None else None
-            ),
+            "first_counterexample": report.first_counterexample,
             "first_routes": report.first_routes,
             "sampled": report.sampled,
             "seed": sweep_cfg.seed,
@@ -340,9 +328,11 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     if name != "stream":
         p.add_argument("--format", choices=["text", "structured"], default="text")
     if name in ("cycles", "conjugacy", "stream"):
-        p.add_argument("--level", type=int, default=None)
+        # conjugacy builds a table at --level or certifies a tower to --nmax
+        levels = p.add_mutually_exclusive_group() if name == "conjugacy" else p
+        levels.add_argument("--level", type=int, default=None)
     if name == "conjugacy":
-        p.add_argument("--nmax", type=int, default=None)
+        levels.add_argument("--nmax", type=int, default=None)
     elif name == "stream":
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--count", type=int, default=None)

@@ -7,7 +7,8 @@ finite reductions; iteration is always pointwise, never symbolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .padic import PadicError, _check_prime
 
@@ -26,7 +27,6 @@ class NotFullCycleError(PadicError):
 DEFAULT_TABLE_BOUND = 1 << 24
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Integer-coefficient polynomial, constant term first.
 
@@ -35,31 +35,17 @@ class IntPolynomial:
     it as not minimal; from_text, the parser of outside text, refuses it.
     """
 
-    prime: int
-    coefficients: tuple[int, ...]
-    # highest degree first, the order Horner's rule consumes them
-    _horner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("prime", "coefficients", "_horner")
 
-    def __post_init__(self):
-        _check_prime(self.prime)
-        self._set_coefficients(tuple(map(int, self.coefficients)))
-
-    @classmethod
-    def _of_ints(cls, prime: int, coeffs: tuple[int, ...]) -> "IntPolynomial":
-        """The polynomial of a tuple of ints at a prime already checked.
-        It skips the checks and conversions of __init__, which halves the
-        cost of the polynomial a sweep builds for every tuple of its box."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "prime", prime)
-        f._set_coefficients(coeffs)
-        return f
-
-    def _set_coefficients(self, coeffs: tuple[int, ...]) -> None:
+    def __init__(self, prime: int, coefficients: Iterable[int]) -> None:
+        _check_prime(prime)
+        coeffs = tuple(map(int, coefficients))
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        coeffs = coeffs or (0,)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_horner", coeffs[::-1])
+        self.prime = prime
+        self.coefficients = coeffs or (0,)
+        # highest degree first, the order Horner's rule consumes them
+        self._horner = self.coefficients[::-1]
 
     @property
     def degree(self) -> int:

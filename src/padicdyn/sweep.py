@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from dataclasses import dataclass
 from operator import mul
 
@@ -157,7 +158,7 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     agree_min = agree_non = disagree = 0
     first = None
     for idx, coeffs, table in _tables(cfg, indices):
-        f = IntPolynomial._of_ints(p, coeffs)
+        f = IntPolynomial(p, coeffs)
         closed = None if closed_core is None else closed_core(coeffs)[0]
         alt = None if alt_core is None else alt_core(coeffs)
         delta = full_cycle_by_lifting(f, level)
@@ -203,6 +204,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
             raise PadicError(
                 f"box of {box} tuples of weight {weight} at n_max {n_max} exceeds "
                 f"work budget {cfg.work_budget}; pass a sample count to sweep by sampling"
+            )
+        if box > sys.maxsize:
+            raise PadicError(
+                f"box of {box} tuples is too large to sample (at most {sys.maxsize}); "
+                f"lower the degree or the bound"
             )
         count = min(cfg.samples, box)
         if weight > 1 and count * weight > cfg.work_budget:

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import padicdyn
-from padicdyn import cli, sweep
+from padicdyn import cli, criteria, sweep
 from padicdyn.cli import build_parser, main
 from padicdyn.dynamics import IntPolynomial
 
@@ -118,6 +118,8 @@ class TestAnalyze:
         ("analyze", "--prime", "3", "--coeffs", "7"),
         ("stream", "--prime", "3", "--coeffs", "1,1", "--level", "0"),
         ("stream", "--prime", "3", "--coeffs", "1,1", "--level", "-1"),
+        # 2^-2000 is 0.0 as a float
+        ("stream", "--prime", "2", "--coeffs", "1,1", "--level", "-2000"),
     ])
     def test_bad_input_exits_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -279,10 +281,11 @@ class TestStream:
     @pytest.mark.parametrize("fmt", ["text", "structured", "packed"])
     @pytest.mark.parametrize("prime,coeffs,level", [
         ("2", "1,1", "1994"), ("3", "1,1,0,3", "50000"), ("3", "1,1,0,3", "1000000000"),
+        ("101", "1,1", "300"), ("1009", "1,1", "200"),
     ])
     def test_modulus_over_the_digit_cap_exits_two(self, capsys, fmt, prime, coeffs, level):
-        # 2^1993 has 600 digits, 2^1994 has 601; the level is refused before
-        # p^n is computed or a residue printed
+        # 2^1993 has 600 digits, 2^1994 has 601, 101^300 has 602 and
+        # 1009^200 has 601; the level is refused before a residue is printed
         code, out, err = run(capsys, "stream", "--prime", prime, "--coeffs", coeffs,
                              "--level", level, "--count", "14", "--format", fmt)
         assert code == 2 and out == ""
@@ -293,6 +296,15 @@ class TestStream:
     def test_modulus_at_the_digit_cap_streams(self, capsys, fmt):
         code, out, _ = run(capsys, "stream", "--prime", "2", "--coeffs", "1,1",
                            "--level", "1993", "--count", "2", "--format", fmt)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "packed"])
+    @pytest.mark.parametrize("prime,level", [("101", "299"), ("1009", "199")])
+    def test_modulus_below_the_digit_cap_streams_at_large_primes(self, capsys, fmt,
+                                                                  prime, level):
+        # 101^299 and 1009^199 have 600 digits
+        code, out, _ = run(capsys, "stream", "--prime", prime, "--coeffs", "1,1",
+                           "--level", level, "--count", "2", "--format", fmt)
         assert code == 0 and out
 
     def test_deep_level_builds_no_table(self, capsys, no_tables):
@@ -383,6 +395,49 @@ class TestBlocks:
                            coeff_text(coeffs), "--level", str(n))
         assert code == 0
         assert out == "".join(f"{line}\n" for line in lines)
+
+    @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 2), (2, (1, 1), 3),
+                                            (5, (1, 1, 5), 2)])
+    def test_conjugacy_structured(self, capsys, monkeypatch, block, p, coeffs, n):
+        points = orbit(coeffs, p, n, 0, p**n)
+        index = {x: k for k, x in enumerate(points)}
+        record = {"command": "conjugacy", "prime": p, "coeffs": list(coeffs), "level": n,
+                  "orbit_index": [index[x] for x in range(p**n)], "orbit_point": points}
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "conjugacy", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--level", str(n), "--format", "structured")
+        assert code == 0
+        assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("p,coeffs,n", [
+        (7, (1, 6, 4, 1), 2), (7, (1, 6, 0, 5), 2), (2, (1, 3, 0, 2), 3), (2, (0, 1), 3),
+    ])
+    def test_cycles_structured(self, capsys, monkeypatch, block, p, coeffs, n):
+        cycles, non_periodic = oracles.cycles_oracle(oracles.table_oracle(coeffs, p, n))
+        record = {"command": "cycles", "prime": p, "coeffs": list(coeffs), "level": n,
+                  "bijective": not non_periodic, "cycles": [list(c) for c in cycles],
+                  "non_periodic": non_periodic}
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "cycles", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--level", str(n), "--format", "structured")
+        assert code == 0
+        assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("p,coeffs", [(5, (1, 1, 1)), (2, (1, 3, 0, 2)),
+                                          (3, (1, 4, 0, 4, 0, 2))])
+    def test_analyze_witness_structured(self, capsys, monkeypatch, block, p, coeffs):
+        f = IntPolynomial(p, coeffs)
+        closed = criteria.closed_form(f)
+        delta = criteria.minimal_general(f)
+        record = {"command": "analyze", "prime": p, "coeffs": list(coeffs),
+                  "closed_form": None if closed is None else closed.to_record(),
+                  "delta_rule": delta.to_record(),
+                  "agree": None if closed is None else closed.minimal == delta.minimal}
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        code, out, _ = run(capsys, "analyze", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--format", "structured")
+        assert code == 1 and delta.witness
+        assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "packed", "structured"])
@@ -507,6 +562,14 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "work budget" in err
 
+
+    def test_box_too_large_to_sample_exits_two(self, capsys):
+        # 2^63 tuples: past the largest range that can be sampled
+        code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "63",
+                             "--bound", "2", "--samples", "1", "--threads", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: box of {2**63} tuples is too large to sample")
+        assert "ssize_t" not in err
 
     @pytest.mark.parametrize("extra", [(), ("--samples", "1")])
     def test_large_prime_over_budget_exits_two(self, capsys, extra):
@@ -653,6 +716,15 @@ class TestParsers:
     def test_missing_or_unknown_command_exits_two(self, capsys, argv):
         assert exit_of(lambda: main(argv)) == 2
         assert capsys.readouterr().err.startswith("usage: padicdyn [-h]")
+
+    @pytest.mark.parametrize("parse", [main, build_parser().parse_args])
+    def test_conjugacy_level_and_nmax_exclude_each_other(self, capsys, parse):
+        argv = ["conjugacy", "--prime", "3", "--coeffs", Q3, "--nmax", "2", "--level", "7"]
+        assert exit_of(lambda: parse(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: padicdyn conjugacy [-h]")
+        assert "argument --level: not allowed with argument --nmax" in captured.err
 
     def test_subcommand_builds_one_parser(self, capsys, monkeypatch):
         built = []

@@ -315,6 +315,14 @@ class TestSampling:
         with pytest.raises(PadicError, match="work budget"):
             run_sweep(SweepConfig(100003, 1, 2, samples=samples))
 
+    def test_sampled_box_up_to_the_largest_range(self):
+        # rng.sample draws from a range, whose length must fit sys.maxsize
+        # (2^63 - 1 on a 64-bit build): 2^62 tuples are sampled, 2^63 refused
+        rep = run_sweep(SweepConfig(2, 62, 2, samples=1))
+        assert rep.sampled and rep.total == 1 and rep.disagreements == 0
+        with pytest.raises(PadicError, match=f"box of {2**63} tuples is too large"):
+            run_sweep(SweepConfig(2, 63, 2, samples=1))
+
     def test_huge_n_max_refused_at_once(self):
         with pytest.raises(PadicError):
             run_sweep(SweepConfig(2, 1, 2, n_max=10**9, samples=1))
