@@ -37,20 +37,21 @@ def decision_level(prime: int) -> int:
     return 3 if prime in (2, 3) else 2
 
 
-def _sums(c: tuple[int, ...], m: int | None) -> tuple[int, ...]:
+def _primed(c: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The coefficients c, constant term first, with a_i * a0^(i-1) mod m
+    in place of a_i for i >= 1; c itself when a0 = 1."""
+    a0 = c[0]
+    if a0 == 1:
+        return c
+    return (a0, *(c[i] * pow(a0, i - 1, m) for i in range(1, len(c))))
+
+
+def _sums(c: tuple[int, ...]) -> tuple[int, ...]:
     """(even_sum, odd_sum, even_weighted, odd_weighted) of the coefficients
-    c, constant term first: exact when m is None, else primed and reduced
-    mod m."""
-    if m is not None:
-        a0 = c[0]
-        c = (0, *(c[i] * pow(a0, i - 1, m) for i in range(1, len(c))))
+    c, constant term first, as exact integers."""
     evens, odds = c[2::2], c[1::2]
-    sums = (sum(evens), sum(odds), sum(map(mul, range(2, len(c), 2), evens)),
+    return (sum(evens), sum(odds), sum(map(mul, range(2, len(c), 2), evens)),
             sum(map(mul, range(1, len(c), 2), odds)))
-    if m is None:
-        return sums
-    even, odd, even_w, odd_w = sums
-    return even % m, odd % m, even_w % m, odd_w % m
 
 
 class ConditionCheck(NamedTuple):
@@ -113,7 +114,7 @@ _Z2_NAMES = ("a0_unit_mod_2", "a1_odd", "odd_sum_odd", "full_sum_one_mod_4",
 
 def _z2_core(c: tuple[int, ...]) -> tuple:
     a0, a1, a2 = (c + (0, 0))[:3]
-    even, odd, _, _ = _sums(c, None if a0 == 1 else 4)
+    even, odd, _, _ = _sums(_primed(c, 4))
     residues = (a0 % 2, a1 % 2, odd % 2, (even + odd) % 4,
                 (2 * a2 * a0 + a1 * odd) % 4)
     # every condition asks for residue 1
@@ -142,7 +143,7 @@ def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
 def _z2_larin_core(c: tuple[int, ...]) -> bool:
     """Larin's shape of the p = 2 criterion, for constant term 1."""
     _, a1, a2 = (c + (0, 0))[:3]
-    even, odd, _, _ = _sums(c, None)
+    even, odd, _, _ = _sums(c)
     return a1 % 2 == 1 and (odd - a1 - 2 * a2) % 4 == 0 and (even - a1 - 2 * a2 + 1) % 4 == 0
 
 
@@ -155,18 +156,10 @@ _Z3_NAMES = ("a0_unit_mod_3", "even_sum_zero_mod_3", "odd_sum_one_mod_3",
              "even_weighted_mod_3", "odd_weighted_mod_3", "a1_mod_3")
 
 
-def _six_step_sum(c: tuple[int, ...], first: int, m: int) -> int:
-    # sum of a_i * a0^(i-1) over i = first, first+6, ... up to the degree
-    a0 = c[0]
-    total = 0
-    for i in range(first, len(c), 6):
-        total += c[i] * pow(a0, i - 1, m)
-    return total % m
-
-
 def _z3_core(c: tuple[int, ...]) -> tuple:
     a0, a1, a2 = (c + (0, 0))[:3]
-    even, odd, even_w, odd_w = _sums(c, None if a0 == 1 else 9)
+    primed = _primed(c, 9)
+    even, odd, even_w, odd_w = _sums(primed)
     pattern = (even_w % 3, odd_w % 3, a1 % 3)
     case = _Z3_CASES.get(pattern)
     matched = case is not None
@@ -179,10 +172,10 @@ def _z3_core(c: tuple[int, ...]) -> tuple:
     # second excluded value, built from a2 and a sparse six-step sum
     if case in (1, 3):
         shift = (odd + 5) % 9
-        tail = _six_step_sum(c, 5, 9)
+        tail = sum(primed[5::6])
     else:
         shift = (even + 6) % 9
-        tail = _six_step_sum(c, 2, 9)
+        tail = sum(primed[2::6])
     correction = (_Z3_A2_FACTOR[case] * a2 * a0 + 3 * tail) % 9
     gap = (shift - correction) % 9
     passed += (shift != 0, gap != 0)

@@ -21,8 +21,8 @@ class NotFullCycleError(PadicError):
     pass
 
 
-# Largest map table (p^n entries) that cycle decompositions and odometer
-# tables will hold, and the longest witness cycle of a non-minimal
+# Largest level (p^n residues) that cycle decompositions and odometer
+# tables will cover, and the longest witness cycle of a non-minimal
 # verdict.  Full-cycle verdicts, towers and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
 
@@ -151,8 +151,9 @@ class CycleDecomposition:
 def cycle_decomposition(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> CycleDecomposition:
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
-    size = len(table)
+    # f is evaluated in the walk, once per residue, with no map table
+    size = _check_table_size(f.prime, n, table_bound)
+    eval_mod = f.eval_mod
     state = bytearray(size)  # 0 unseen, 1 on current path, 2 resolved
     cycles = []
     for start in range(size):
@@ -163,7 +164,7 @@ def cycle_decomposition(
         while state[x] == 0:
             state[x] = 1
             path.append(x)
-            x = table[x]
+            x = eval_mod(x, size)
         if state[x] == 1:
             # walked into the current path: its tail is a new cycle
             cyc = path[path.index(x):]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .criteria import _orbit_shape, decision_level, full_cycle_by_lifting
+from .criteria import OrbitShape, _orbit_shape, decision_level, full_cycle_by_lifting
 from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size
 from .padic import PadicError
 
@@ -29,26 +29,33 @@ class ConjugacyTable:
     orbit_point: tuple[int, ...]
 
 
+def _no_full_cycle(shape: OrbitShape, n: int, size: int) -> NotFullCycleError:
+    """The refusal of level n, counting the residues the orbit of 0 visits
+    mod p^n (its tail and cycle), from its shape there."""
+    k = shape.tail + shape.length
+    return NotFullCycleError(
+        f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
+        else f"orbit of 0 does not return to 0 at level {n}")
+
+
 def build_psi(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ConjugacyTable:
     """Index table of the full cycle at level n, from one walk of the
-    orbit of 0 with no map table; errors out when the cycle is not full."""
+    orbit of 0 with no map table.  The full cycle is decided by lifting
+    before either table is built; without one, the error counts the
+    residues the orbit of 0 visits mod p^n."""
     size = _check_table_size(f.prime, n, table_bound)
+    if not full_cycle_by_lifting(f, n):
+        raise _no_full_cycle(_orbit_shape(f, n), n, size)
     eval_mod = f.eval_mod
-    orbit_index = [-1] * size
+    orbit_index = [0] * size
     orbit_point = [0] * size
     x = 0
     for k in range(size):
-        if orbit_index[x] != -1:
-            raise NotFullCycleError(
-                f"orbit of 0 closes after {k} of {size} residues at level {n}"
-            )
         orbit_index[x] = k
         orbit_point[k] = x
         x = eval_mod(x, size)
-    if x != 0:
-        raise NotFullCycleError(f"orbit of 0 does not return to 0 at level {n}")
     return ConjugacyTable(f.prime, n, tuple(orbit_index), tuple(orbit_point))
 
 
@@ -87,10 +94,7 @@ def verify_conjugacy_tower(
     for n in range(1, n_max + 1):
         size = _check_table_size(p, n, table_bound)
         if n == broken:
-            k = shape.tail + shape.length
-            raise NotFullCycleError(
-                f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
-                else f"orbit of 0 does not return to 0 at level {n}")
+            raise _no_full_cycle(shape, n, size)
     return TowerReport(p, n_max)
 
 

@@ -48,19 +48,20 @@ class TestDecisionLevel:
 
 
 class TestCoefficientSums:
-    # (even_sum, odd_sum, even_weighted, odd_weighted): exact, or primed
-    # and reduced mod m
+    # (even_sum, odd_sum, even_weighted, odd_weighted): exact, or of the
+    # coefficients primed mod m and read mod m
     def test_frozen(self):
-        assert criteria._sums(W3.coefficients, None) == (0, 10, 0, 26)
-        assert criteria._sums(W2.coefficients, None) == (0, 5, 0, 9)
+        assert criteria._sums(W3.coefficients) == (0, 10, 0, 26)
+        assert criteria._sums(W2.coefficients) == (0, 5, 0, 9)
 
     def test_primed_reduces_to_plain_for_unit_constant_one(self):
-        plain = criteria._sums(Q3.coefficients, None)
-        primed = criteria._sums(Q3.coefficients, 9)
-        assert primed == tuple(s % 9 for s in plain)
+        plain = criteria._sums(Q3.coefficients)
+        primed = criteria._sums(criteria._primed(Q3.coefficients, 9))
+        assert tuple(s % 9 for s in primed) == tuple(s % 9 for s in plain)
 
     def test_primed_weights(self):
-        even, odd, even_w, odd_w = criteria._sums((2, 5, 7), 9)
+        sums = criteria._sums(criteria._primed((2, 5, 7), 9))
+        even, odd, even_w, odd_w = (s % 9 for s in sums)
         assert odd == 5 % 9
         assert even == (7 * 2) % 9
         assert even_w == (2 * 7 * 2) % 9

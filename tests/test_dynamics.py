@@ -201,6 +201,19 @@ class TestCycles:
         assert dec.non_periodic_count == 3
         assert not dec.bijective
 
+    @pytest.mark.parametrize("f,n", [
+        (W2, 3),  # bijective, two 4-cycles
+        (IntPolynomial(5, (1, 1, 1)), 2),  # not bijective
+        (IntPolynomial(3, (0, 1)), 2),  # the identity: nine fixed points
+    ])
+    def test_builds_no_map_table(self, f, n, no_tables):
+        table = oracles.table_oracle(f.coefficients, f.prime, n)
+        want_cycles, want_free = oracles.cycles_oracle(table)
+        dec = cycle_decomposition(f, n)
+        assert list(dec.cycles) == want_cycles
+        assert dec.non_periodic_count == want_free
+        assert dec.bijective == oracles.is_permutation(table)
+
     @given(poly_strategy(), st.integers(1, 3))
     def test_matches_cycles_oracle(self, f, n):
         table = oracles.table_oracle(f.coefficients, f.prime, n)

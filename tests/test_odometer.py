@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -73,16 +74,30 @@ class TestBuildPsi:
         with pytest.raises(NotFullCycleError):
             build_psi(IntPolynomial(5, (1, 1, 1)), 1)
 
+    def test_refuses_before_either_table_is_built(self):
+        # 1 + 3x runs round half of Z/2^18; the refusal comes from the
+        # lifting walk, which holds no table of 2^18 entries
+        f = IntPolynomial(2, (1, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotFullCycleError, match="closes after 131072 of 262144"):
+                build_psi(f, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_matches_the_orbit_walk_with_no_table(self, no_tables):
         # every map a0 + a1 x + a2 x^2 with a0..a2 in [-2, 2], at levels 1
-        # and 2: the index table of a full cycle, else the error of the
+        # and 2, and up to level 5 at p = 2 and 3, past their decision
+        # level: the index table of a full cycle, else the error of the
         # walk that remembers every residue, which counts the residues the
         # orbit of 0 visits, or finds it visits all and misses 0
         seen = set()
         for p in (2, 3, 5):
             for coeffs in product(range(-2, 3), repeat=3):
                 f = IntPolynomial(p, coeffs)
-                for n in (1, 2):
+                for n in range(1, 6 if p < 5 else 3):
                     order, start = oracles.orbit_from_zero(coeffs, p, n)
                     size = p**n
                     if start == 0 and len(order) == size:
