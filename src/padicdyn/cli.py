@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from typing import Iterable
 
 from .criteria import MinimalityVerdict, closed_form, decision_level, minimal_general
@@ -38,6 +38,7 @@ WORK_BUDGET_ENV = "PADICDYN_WORK_BUDGET"
 # every residue of every format prints
 STREAM_DIGITS = 600
 WITNESS_BLOCK = 1 << 14  # residues or lines formatted and written at once
+PACKED_NAMES = 1 << 12  # most digit strings a packed stream tabulates
 
 # a value such as "-1,2"; no option of the parser starts with a digit
 _SIGNED_VALUE = re.compile(r"-\d")
@@ -210,7 +211,9 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
         })
     else:
         # two columns: residue, its position along the orbit of 0
-        _write_lines(f"{x} {k}" for x, k in enumerate(table.orbit_index))
+        for x in range(0, len(table.orbit_index), WITNESS_BLOCK):
+            rows = tuple(chain.from_iterable(enumerate(table.orbit_index[x:x + WITNESS_BLOCK], x)))
+            sys.stdout.write("%d %d\n" * (len(rows) // 2) % rows)
     return 0
 
 
@@ -241,14 +244,24 @@ def cmd_stream(args: argparse.Namespace) -> int:
         p = args.prime
         print(f"{p} {n} {count} {seed}")
         sep = "" if p <= 10 else "."
+        # names[j][v]: the j + 1 base-p digits of v, least significant first,
+        # up to PACKED_NAMES strings; a larger prime names each digit by str
+        names = [[str(d) for d in range(p)]] if p <= PACKED_NAMES else []
+        while 0 < len(names) < n and p * len(names[-1]) <= PACKED_NAMES:
+            names.append([a + sep + b for b in names[-1] for a in names[0]])
+        k = len(names) or 1
+        full, top = divmod(n - 1, k)  # chunks of k digits, then one of top + 1
+        base = p**k
+        chunk, last = (names[-1].__getitem__, names[top].__getitem__) if names else (str, str)
 
         def digit_lines() -> Iterable[str]:
             for v in values:
-                digits = []
-                for _ in range(n):
-                    v, d = divmod(v, p)
-                    digits.append(str(d))
-                yield sep.join(digits)
+                chunks = []
+                for _ in range(full):
+                    v, c = divmod(v, base)
+                    chunks.append(chunk(c))
+                chunks.append(last(v))
+                yield sep.join(chunks)
 
         _write_lines(digit_lines())
         return 0
@@ -394,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (PadicError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader is gone, so the rest of the output has nowhere to go.

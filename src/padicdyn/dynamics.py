@@ -7,7 +7,10 @@ finite reductions; iteration is always pointwise, never symbolic.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import mod
 from typing import Iterable
 
 from .padic import PadicError, _check_prime
@@ -71,7 +74,8 @@ class IntPolynomial:
 
     def eval_mod(self, x: int, modulus: int) -> int:
         """f(x) mod modulus.  With eval_slope_mod, the only Horner loops of
-        the package: every table, orbit walk and stream evaluates here."""
+        the package: every orbit walk and stream evaluates here, and a map
+        table its first degree + 1 values (reduced_map_table)."""
         # exact integers throughout and a single reduction at the end;
         # for the residues and degrees used here that is faster than
         # reducing after every step
@@ -121,15 +125,25 @@ class ReducedMapTable:
 
     prime: int
     level: int
-    entries: tuple[int, ...]
+    entries: array
 
 
 def reduced_map_table(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ReducedMapTable:
+    """The one tabulation of f: f(x) = sum_j C(x, j) D_j, D_j the j-th
+    difference of f at 0, so for degree d, d + 1 kernel calls and d running
+    sums in C give f at 0..p^n - 1, reduced once at the end."""
     size = _check_table_size(f.prime, n, table_bound)
-    eval_mod = f.eval_mod
-    return ReducedMapTable(f.prime, n, tuple([eval_mod(x, size) for x in range(size)]))
+    d = min(f.degree, size - 1)  # C(x, j) = 0 for j > x
+    heads = [f.eval_mod(x, size) for x in range(d + 1)]
+    for j in range(1, d + 1):  # heads[j] becomes D_j
+        heads[j:] = [b - a for a, b in zip(heads[j - 1:], heads[j:])]
+    values = repeat(heads[d], size - d)  # constant, or read at 0 alone
+    for head in reversed(heads[:d]):
+        values = accumulate(values, initial=head)
+    entries = array("I" if size <= 1 << 32 else "Q", map(mod, values, repeat(size)))
+    return ReducedMapTable(f.prime, n, entries)
 
 
 @dataclass(frozen=True)
@@ -151,29 +165,29 @@ class CycleDecomposition:
 def cycle_decomposition(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> CycleDecomposition:
-    # f is evaluated in the walk, once per residue, with no map table
-    size = _check_table_size(f.prime, n, table_bound)
-    eval_mod = f.eval_mod
-    state = bytearray(size)  # 0 unseen, 1 on current path, 2 resolved
+    table = reduced_map_table(f, n, table_bound=table_bound).entries
+    size = len(table)
+    seen = bytearray(size)
     cycles = []
     for start in range(size):
-        if state[start]:
+        if seen[start]:
             continue
         path = []
         x = start
-        while state[x] == 0:
-            state[x] = 1
+        while not seen[x]:
+            seen[x] = 1
             path.append(x)
-            x = eval_mod(x, size)
-        if state[x] == 1:
-            # walked into the current path: its tail is a new cycle
-            cyc = path[path.index(x):]
-            k = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[k:] + cyc[:k]))
-        for y in path:
-            state[y] = 2
-    cycles.sort(key=lambda c: c[0])
-    periodic = sum(len(c) for c in cycles)
+            x = table[x]
+        if x == start:  # every residue below start is seen: start is least
+            cycles.append(tuple(path))
+        elif x in path:
+            # the path from x on is a new cycle: one copy, from its least residue
+            i = path.index(x)
+            k = path.index(min(islice(path, i, None)), i)
+            cycles.append(tuple(chain(islice(path, k, None), islice(path, i, k))))
+    del table, seen  # freed before tuple(cycles) copies the list
+    cycles.sort()  # by first element: the cycles are disjoint
+    periodic = sum(map(len, cycles))
     return CycleDecomposition(
         prime=f.prime,
         level=n,

@@ -8,11 +8,13 @@ they assemble into a conjugacy with the adding machine on Z_p.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
 from .criteria import OrbitShape, _orbit_shape, decision_level, full_cycle_by_lifting
-from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size
+from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
+                       _check_table_size, reduced_map_table)
 from .padic import PadicError
 
 
@@ -21,12 +23,13 @@ class ConjugacyTable:
     """orbit_index[x] = k with f^k(0) = x; orbit_point is its inverse.
 
     orbit_index[0] = 0 and orbit_index[f(x)] = orbit_index[x] + 1 mod p^n.
+    Both are arrays, of the typecode of the map table walked to fill them.
     """
 
     prime: int
     level: int
-    orbit_index: tuple[int, ...]
-    orbit_point: tuple[int, ...]
+    orbit_index: array
+    orbit_point: array
 
 
 def _no_full_cycle(shape: OrbitShape, n: int, size: int) -> NotFullCycleError:
@@ -42,21 +45,21 @@ def build_psi(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ConjugacyTable:
     """Index table of the full cycle at level n, from one walk of the
-    orbit of 0 with no map table.  The full cycle is decided by lifting
-    before either table is built; without one, the error counts the
+    orbit of 0 through the map table.  The full cycle is decided by
+    lifting before any table is built; without one, the error counts the
     residues the orbit of 0 visits mod p^n."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(_orbit_shape(f, n), n, size)
-    eval_mod = f.eval_mod
-    orbit_index = [0] * size
-    orbit_point = [0] * size
+    table = reduced_map_table(f, n, table_bound=table_bound).entries
+    orbit_index = array(table.typecode, [0]) * size
+    orbit_point = array(table.typecode, [0]) * size
     x = 0
     for k in range(size):
         orbit_index[x] = k
         orbit_point[k] = x
-        x = eval_mod(x, size)
-    return ConjugacyTable(f.prime, n, tuple(orbit_index), tuple(orbit_point))
+        x = table[x]
+    return ConjugacyTable(f.prime, n, orbit_index, orbit_point)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -14,10 +15,15 @@ def rng():
 
 @pytest.fixture
 def no_tables(monkeypatch):
-    """Make building any reduced map table fail the test."""
-    from padicdyn import dynamics
+    """Make building any reduced map table fail the test, under every
+    name that binds it in any padicdyn module."""
+    from padicdyn.dynamics import reduced_map_table
 
     def refuse(*args, **kwargs):
         raise AssertionError("a reduced map table was built")
 
-    monkeypatch.setattr(dynamics, "reduced_map_table", refuse)
+    for name, module in list(sys.modules.items()):
+        if name == "padicdyn" or name.startswith("padicdyn."):
+            for attr, obj in list(vars(module).items()):
+                if obj is reduced_map_table:
+                    monkeypatch.setattr(module, attr, refuse)

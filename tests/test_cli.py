@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import padicdyn
-from padicdyn import cli, criteria, sweep
+from padicdyn import cli, criteria, dynamics, odometer, sweep
 from padicdyn.cli import build_parser, main
 from padicdyn.dynamics import IntPolynomial
 
@@ -156,6 +156,18 @@ class TestCycles:
         assert rec["bijective"] is False
         assert rec["cycles"] == [[2], [3]]
         assert rec["non_periodic"] == 3
+
+    @pytest.mark.parametrize("command", ["cycles", "conjugacy"])
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, command):
+        # not 1, which analyze gives a map that is not minimal
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(dynamics, "reduced_map_table", exhausted)
+        monkeypatch.setattr(odometer, "reduced_map_table", exhausted)
+        code, out, err = run(capsys, command, "--prime", "3", "--coeffs", Q3)
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"
 
     @pytest.mark.parametrize("command", ["cycles", "conjugacy"])
     def test_deep_level_exits_two_at_once(self, capsys, command):
@@ -354,7 +366,12 @@ class TestBlocks:
         assert code == 0
         assert out == "".join(f"{v}\n" for v in orbit((1, 1, 6), 3, 3, 5, count))
 
-    @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 3), (13, (1, 1), 2)])
+    # digit strings of one chunk per value, two chunks of which the last is
+    # shorter (2^12 and 11^3 strings tabulated), and one str per digit
+    # above the table's size
+    @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 3), (13, (1, 1), 2),
+                                            (2, (1, 1), 13), (11, (1, 1), 5),
+                                            (5003, (1, 1), 2)])
     @pytest.mark.parametrize("count", [0, 1, 10, 12])
     def test_stream_packed(self, capsys, monkeypatch, block, p, coeffs, n, count):
         # little-endian base-p digits, concatenated for p <= 10, dotted above

@@ -1,7 +1,8 @@
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padicdyn.criteria import _orbit_shape
@@ -133,7 +134,7 @@ class TestDerivative:
 class TestTables:
     def test_frozen_table(self):
         t = reduced_map_table(W2, 2)
-        assert t.entries == (1, 2, 3, 0)
+        assert tuple(t.entries) == (1, 2, 3, 0)
         assert t.prime == 2 and t.level == 2
 
     @given(poly_strategy(), st.integers(1, 3))
@@ -143,10 +144,20 @@ class TestTables:
         m = f.prime**n
         assert all(big[x] % m == small[x % m] for x in range(len(big)))
 
-    @given(poly_strategy(), st.integers(1, 3))
-    def test_matches_oracle(self, f, n):
+    # degrees 0 to 16, any constant term, signed coefficients, levels to 6
+    @given(st.sampled_from((2, 3, 5)),
+           st.integers(0, 16).flatmap(lambda d: st.lists(
+               st.integers(-50, 50), min_size=d + 1, max_size=d + 1)),
+           st.integers(1, 6))
+    @example(3, [7], 4)  # a constant
+    @example(2, [-3, 5, 0, -1, 2, 1, -4, 9], 6)  # degree 7
+    @example(5, list(range(-8, 9)), 3)  # degree 16
+    @example(3, [2, -1] * 20 + [1], 5)  # degree 40
+    @example(2, [1] * 13, 1)  # p^n = 2 below the degree, 12
+    def test_matches_oracle(self, p, coeffs, n):
+        f = IntPolynomial(p, coeffs)
         assert list(reduced_map_table(f, n).entries) == oracles.table_oracle(
-            f.coefficients, f.prime, n
+            f.coefficients, p, n
         )
 
     def test_table_bound(self):
@@ -205,11 +216,22 @@ class TestCycles:
         (W2, 3),  # bijective, two 4-cycles
         (IntPolynomial(5, (1, 1, 1)), 2),  # not bijective
         (IntPolynomial(3, (0, 1)), 2),  # the identity: nine fixed points
+        (IntPolynomial(2, (1, 1)), 10),  # one cycle of 1024
     ])
-    def test_builds_no_map_table(self, f, n, no_tables):
+    def test_matches_oracle_in_bounded_memory(self, f, n):
         table = oracles.table_oracle(f.coefficients, f.prime, n)
         want_cycles, want_free = oracles.cycles_oracle(table)
-        dec = cycle_decomposition(f, n)
+        tracemalloc.start()
+        try:
+            dec = cycle_decomposition(f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result's tuples and residues, the walk's path and state, and
+        # the map table of 4 bytes a residue: no copy of a cycle but its
+        # tuple.  A cycle sliced and rotated in lists takes 58 bytes a
+        # residue at 2^10
+        assert peak < 48 * len(table) + 1024
         assert list(dec.cycles) == want_cycles
         assert dec.non_periodic_count == want_free
         assert dec.bijective == oracles.is_permutation(table)

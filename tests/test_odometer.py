@@ -41,8 +41,8 @@ MINIMAL_SAMPLES = [
 class TestBuildPsi:
     def test_frozen_index_table(self):
         t = build_psi(Q3, 2)
-        assert t.orbit_index == (0, 1, 8, 6, 7, 5, 3, 4, 2)
-        assert t.orbit_point == (0, 1, 8, 6, 7, 5, 3, 4, 2)
+        assert tuple(t.orbit_index) == (0, 1, 8, 6, 7, 5, 3, 4, 2)
+        assert tuple(t.orbit_point) == (0, 1, 8, 6, 7, 5, 3, 4, 2)
         assert t.prime == 3 and t.level == 2
 
     def test_tables_are_mutually_inverse(self):
@@ -66,7 +66,7 @@ class TestBuildPsi:
 
     def test_odometer_is_its_own_conjugacy(self):
         t = build_psi(X_PLUS_1[5], 2)
-        assert t.orbit_index == tuple(range(25))
+        assert tuple(t.orbit_index) == tuple(range(25))
 
     def test_rejects_short_cycle(self):
         with pytest.raises(NotFullCycleError):
@@ -87,32 +87,55 @@ class TestBuildPsi:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_tables_take_bytes_per_residue(self):
+        # the two index arrays and the map table, 4 bytes a residue each;
+        # a list and a tuple of ints per index table took 96
+        f = X_PLUS_1[2]
+        tracemalloc.start()
+        try:
+            t = build_psi(f, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tuple(t.orbit_point) == tuple(range(1 << 16))
+        assert peak < 16 << 16
+
+    # every map a0 + a1 x + a2 x^2 with a0..a2 in [-2, 2], at levels 1 and
+    # 2, and up to level 5 at p = 2 and 3, past their decision level
+    SMALL_MAPS = [(p, coeffs, n) for p in (2, 3, 5)
+                  for coeffs in product(range(-2, 3), repeat=3)
+                  for n in range(1, 6 if p < 5 else 3)]
+
     def test_matches_the_orbit_walk_with_no_table(self, no_tables):
-        # every map a0 + a1 x + a2 x^2 with a0..a2 in [-2, 2], at levels 1
-        # and 2, and up to level 5 at p = 2 and 3, past their decision
-        # level: the index table of a full cycle, else the error of the
-        # walk that remembers every residue, which counts the residues the
-        # orbit of 0 visits, or finds it visits all and misses 0
+        # the error of the walk that remembers every residue, which counts
+        # the residues the orbit of 0 visits, or finds it visits all and
+        # misses 0, where the orbit of 0 is no full cycle
         seen = set()
-        for p in (2, 3, 5):
-            for coeffs in product(range(-2, 3), repeat=3):
-                f = IntPolynomial(p, coeffs)
-                for n in range(1, 6 if p < 5 else 3):
-                    order, start = oracles.orbit_from_zero(coeffs, p, n)
-                    size = p**n
-                    if start == 0 and len(order) == size:
-                        assert build_psi(f, n).orbit_point == tuple(order)
-                        continue
-                    seen.add((start > 0, len(order) < size))
-                    with pytest.raises(NotFullCycleError) as err:
-                        build_psi(f, n)
-                    assert str(err.value) == (
-                        f"orbit of 0 closes after {len(order)} of {size} residues "
-                        f"at level {n}" if len(order) < size
-                        else f"orbit of 0 does not return to 0 at level {n}")
+        for p, coeffs, n in self.SMALL_MAPS:
+            order, start = oracles.orbit_from_zero(coeffs, p, n)
+            size = p**n
+            if start == 0 and len(order) == size:
+                continue
+            seen.add((start > 0, len(order) < size))
+            with pytest.raises(NotFullCycleError) as err:
+                build_psi(IntPolynomial(p, coeffs), n)
+            assert str(err.value) == (
+                f"orbit of 0 closes after {len(order)} of {size} residues "
+                f"at level {n}" if len(order) < size
+                else f"orbit of 0 does not return to 0 at level {n}")
         # 0 periodic on a short cycle, 0 not periodic, and a tail and cycle
         # that cover every residue
         assert seen == {(False, True), (True, True), (True, False)}
+
+    def test_full_cycles_match_the_orbit_walk(self):
+        full = 0
+        for p, coeffs, n in self.SMALL_MAPS:
+            order, start = oracles.orbit_from_zero(coeffs, p, n)
+            if start == 0 and len(order) == p**n:
+                full += 1
+                t = build_psi(IntPolynomial(p, coeffs), n)
+                assert tuple(t.orbit_point) == tuple(order)
+        assert full
 
 
 def _outcome(tower, f, n_max, table_bound):
