@@ -17,8 +17,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from itertools import chain, groupby, islice
-from typing import Iterable
 
 from .criteria import MinimalityVerdict, closed_form, decision_level, minimal_general
 from .dynamics import (

@@ -16,13 +16,13 @@ Congruences are stated on four coefficient sums of f = a0 + a1 x + ...:
 and their "primed" variants where a_i is replaced by a_i * a0^(i-1),
 which is what a unit-rescaling of the constant term does to the
 coefficients.  For a0 = 1 the two families coincide and the sums are
-kept as exact integers.
+kept as exact integers.  Only the p = 3 form reads the weighted sums,
+and only mod 3, so only their residues mod 3 are computed.
 """
 
 from __future__ import annotations
 
-from operator import mul
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError
 from .padic import PadicError
@@ -46,29 +46,33 @@ def _primed(c: tuple[int, ...], m: int) -> tuple[int, ...]:
     return (a0, *(c[i] * pow(a0, i - 1, m) for i in range(1, len(c))))
 
 
-def _sums(c: tuple[int, ...]) -> tuple[int, ...]:
-    """(even_sum, odd_sum, even_weighted, odd_weighted) of the coefficients
-    c, constant term first, as exact integers."""
-    evens, odds = c[2::2], c[1::2]
-    return (sum(evens), sum(odds), sum(map(mul, range(2, len(c), 2), evens)),
-            sum(map(mul, range(1, len(c), 2), odds)))
+def _sums(c: tuple[int, ...]) -> tuple[int, int]:
+    """(even_sum, odd_sum) of the coefficients c, constant term first, as
+    exact integers."""
+    return sum(c[2::2]), sum(c[1::2])
 
 
-class ConditionCheck(NamedTuple):
-    name: str
-    residue: int
-    modulus: int
-    passed: bool
+def _weighted_mod3(c: tuple[int, ...]) -> tuple[int, int]:
+    """(even_weighted, odd_weighted) mod 3 of the coefficients c, constant
+    term first.  i mod 3 repeats with period 6 in i: 2, 1, 0 at even i
+    = 2, 4, 6 and 1, 0, 2 at odd i = 1, 3, 5."""
+    return ((2 * sum(c[2::6]) + sum(c[4::6])) % 3,
+            (sum(c[1::6]) + 2 * sum(c[5::6])) % 3)
 
 
-class MinimalityVerdict(NamedTuple):
-    minimal: bool
-    method: str
-    case: int | None = None
-    conditions: tuple[ConditionCheck, ...] = ()
-    witness: tuple[int, ...] | None = None
-    # for the staged closed forms: first congruence level that broke
-    failed_stage: str | None = None
+class ConditionCheck(namedtuple("ConditionCheck", "name residue modulus passed")):
+    __slots__ = ()
+
+
+class MinimalityVerdict(namedtuple(
+        "MinimalityVerdict", "minimal method case conditions witness failed_stage",
+        defaults=(None, (), None, None))):
+    """A verdict and the conditions behind it.  case is the matched case of
+    the p = 3 closed form, witness a cycle the orbit of 0 runs into, and
+    failed_stage the first congruence level that broke in a staged closed
+    form; each is None where it does not apply."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.minimal
@@ -114,7 +118,7 @@ _Z2_NAMES = ("a0_unit_mod_2", "a1_odd", "odd_sum_odd", "full_sum_one_mod_4",
 
 def _z2_core(c: tuple[int, ...]) -> tuple:
     a0, a1, a2 = (c + (0, 0))[:3]
-    even, odd, _, _ = _sums(_primed(c, 4))
+    even, odd = _sums(_primed(c, 4))
     residues = (a0 % 2, a1 % 2, odd % 2, (even + odd) % 4,
                 (2 * a2 * a0 + a1 * odd) % 4)
     # every condition asks for residue 1
@@ -143,7 +147,7 @@ def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
 def _z2_larin_core(c: tuple[int, ...]) -> bool:
     """Larin's shape of the p = 2 criterion, for constant term 1."""
     _, a1, a2 = (c + (0, 0))[:3]
-    even, odd, _, _ = _sums(c)
+    even, odd = _sums(c)
     return a1 % 2 == 1 and (odd - a1 - 2 * a2) % 4 == 0 and (even - a1 - 2 * a2 + 1) % 4 == 0
 
 
@@ -159,8 +163,8 @@ _Z3_NAMES = ("a0_unit_mod_3", "even_sum_zero_mod_3", "odd_sum_one_mod_3",
 def _z3_core(c: tuple[int, ...]) -> tuple:
     a0, a1, a2 = (c + (0, 0))[:3]
     primed = _primed(c, 9)
-    even, odd, even_w, odd_w = _sums(primed)
-    pattern = (even_w % 3, odd_w % 3, a1 % 3)
+    even, odd = _sums(primed)
+    pattern = (*_weighted_mod3(primed), a1 % 3)
     case = _Z3_CASES.get(pattern)
     matched = case is not None
     unit, r_even, r_odd = a0 % 3, even % 3, odd % 3
@@ -232,7 +236,7 @@ def _deg5_core(c: tuple[int, ...]) -> bool:
     return even_slots == 0 or case == 2 and even_slots == 6
 
 
-class LiftStep(NamedTuple):
+class LiftStep(namedtuple("LiftStep", "length a b kind")):
     """How the cycle that the orbit of 0 enters mod p^n lifts to mod
     p^(n+1) (Fan and Liao 2011).  Above its first point x, f^k moves
     x + p^n z to x + p^n (a z + b) mod p^(n+1), a = (f^k)'(x) mod p, so
@@ -242,21 +246,15 @@ class LiftStep(NamedTuple):
     a = 0); or runs round a k*ord(a)-cycle ("partial").  a reads f' mod p
     only, so the next level's a is a^(k'/k): 1 after grow and partial."""
 
-    length: int
-    a: int
-    b: int
-    kind: str
+    __slots__ = ()
 
 
-class OrbitShape(NamedTuple):
+class OrbitShape(namedtuple("OrbitShape", "tail length base steps")):
     """The orbit of 0 mod p^level: `tail` residues, then a cycle of
     `length` residues from `base` = f^tail(0); steps[n - 1] is the lift
     from level n."""
 
-    tail: int
-    length: int
-    base: int
-    steps: tuple[LiftStep, ...]
+    __slots__ = ()
 
 
 def _order(a: int, p: int) -> int:

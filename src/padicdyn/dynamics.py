@@ -8,10 +8,10 @@ finite reductions; iteration is always pointwise, never symbolic.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import accumulate, chain, islice, repeat
 from operator import mod
-from typing import Iterable
 
 from .padic import PadicError, _check_prime
 
@@ -119,13 +119,10 @@ def _check_table_size(prime: int, level: int, table_bound: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class ReducedMapTable:
+class ReducedMapTable(namedtuple("ReducedMapTable", "prime level entries")):
     """Value table of the induced map on Z/p^level: entries[x] = f(x) mod p^level."""
 
-    prime: int
-    level: int
-    entries: array
+    __slots__ = ()
 
 
 def reduced_map_table(
@@ -146,20 +143,17 @@ def reduced_map_table(
     return ReducedMapTable(f.prime, n, entries)
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycle structure of the induced map at one level.
+class CycleDecomposition(namedtuple(
+        "CycleDecomposition", "prime level bijective cycles non_periodic_count")):
+    """Cycle structure of the induced map at one level: a tuple of cycles,
+    each a tuple of residues.
 
     Each cycle is rotated so its minimal element comes first and the
     cycles are sorted by that element.  Residues that are not periodic
     (only reachable, never revisited) are just counted.
     """
 
-    prime: int
-    level: int
-    bijective: bool
-    cycles: tuple[tuple[int, ...], ...]
-    non_periodic_count: int
+    __slots__ = ()
 
 
 def cycle_decomposition(

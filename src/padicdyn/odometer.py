@@ -9,27 +9,23 @@ they assemble into a conjugacy with the adding machine on Z_p.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .criteria import OrbitShape, _orbit_shape, decision_level, full_cycle_by_lifting
 from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
-                       _check_table_size, reduced_map_table)
+                       TableBoundError, _check_table_size, reduced_map_table)
 from .padic import PadicError
 
 
-@dataclass(frozen=True)
-class ConjugacyTable:
+class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit_point")):
     """orbit_index[x] = k with f^k(0) = x; orbit_point is its inverse.
 
     orbit_index[0] = 0 and orbit_index[f(x)] = orbit_index[x] + 1 mod p^n.
     Both are arrays, of the typecode of the map table walked to fill them.
     """
 
-    prime: int
-    level: int
-    orbit_index: array
-    orbit_point: array
+    __slots__ = ()
 
 
 def _no_full_cycle(shape: OrbitShape, n: int, size: int) -> NotFullCycleError:
@@ -62,12 +58,10 @@ def build_psi(
     return ConjugacyTable(f.prime, n, orbit_index, orbit_point)
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(namedtuple("TowerReport", "prime n_max")):
     """A tower certified at every level 1..n_max; a failure raises."""
 
-    prime: int
-    n_max: int
+    __slots__ = ()
 
 
 def verify_conjugacy_tower(
@@ -89,15 +83,27 @@ def verify_conjugacy_tower(
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
     p = f.prime
-    top = min(n_max, decision_level(p))
-    # a break at level 1 comes back as None, with no tail; the count its
-    # message reports takes a second walk mod p
-    shape = _orbit_shape(f, top, stop=True) or _orbit_shape(f, 1)
-    broken = None if shape.length == p**top else len(shape.steps) + 1
-    for n in range(1, n_max + 1):
-        size = _check_table_size(p, n, table_bound)
-        if n == broken:
-            raise _no_full_cycle(shape, n, size)
+    # levels 1..m - 1 fit the bound; a break at level m or above comes no
+    # sooner than the bound's refusal at m, so the walk stops below m
+    over = None
+    for m in range(1, n_max + 1):
+        try:
+            _check_table_size(p, m, table_bound)
+        except TableBoundError as error:
+            over = error
+            break
+    else:
+        m = n_max + 1
+    top = min(m - 1, decision_level(p))
+    if top:
+        # a break at level 1 comes back as None, with no tail; the count
+        # its message reports takes a second walk mod p
+        shape = _orbit_shape(f, top, stop=True) or _orbit_shape(f, 1)
+        if shape.length != p**top:
+            broken = len(shape.steps) + 1
+            raise _no_full_cycle(shape, broken, p**broken)
+    if over:
+        raise over
     return TowerReport(p, n_max)
 
 

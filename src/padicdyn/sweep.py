@@ -18,10 +18,11 @@ ConditionCheck.  The
 all-zero tail is built as the constant map a0, which every route reports
 as not minimal.  The index range (or the sorted sample) is cut into
 contiguous chunks, one per worker process; the workers are capped at the
-CPU count and at the number of tuples.  The pool comes from _pool, the
-one place that imports it, so multiprocessing loads at the first sweep
-on two or more workers and not with padicdyn; tests replace _pool with
-an in-process stand-in.
+CPU count and at the number of tuples.  A sweep imports what only some
+sweeps use where it is used: random in the sampled branch of run_sweep,
+and the process pool in _pool, so multiprocessing loads at the first
+sweep on two or more workers.  Neither loads with padicdyn.  Tests
+replace _pool with an in-process stand-in.
 
 A chunk enumerates consecutive indices as an odometer (see _tables) and
 keeps one residue table, table[x] = f(x) mod p^n_max, that each step
@@ -39,9 +40,8 @@ refused before the sweep starts if it is over budget too.
 from __future__ import annotations
 
 import os
-import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .criteria import _closed_forms, decision_level, full_cycle_by_lifting
@@ -58,33 +58,28 @@ DEFAULT_WORK_BUDGET = 10**7
 TABLE_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    prime: int
-    degree: int
-    bound: int
-    a0: int = 1
-    n_max: int | None = None
-    work_budget: int = DEFAULT_WORK_BUDGET
-    samples: int | None = None
-    seed: int = 0
-    workers: int = 1
+class SweepConfig(namedtuple(
+        "SweepConfig", "prime degree bound a0 n_max work_budget samples seed workers",
+        defaults=(1, None, DEFAULT_WORK_BUDGET, None, 0, 1))):
+    """A box (a0, a1..ad), a1..ad in [0, bound), and how to sweep it: n_max
+    None is the decision level, and samples is the sample size for a box
+    over work_budget, which is refused when it is None."""
+
+    __slots__ = ()
 
     def resolved_n_max(self) -> int:
         return self.n_max if self.n_max is not None else decision_level(self.prime)
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    total: int
-    agree_minimal: int
-    agree_nonminimal: int
-    disagreements: int
-    # first offending tuple in lexicographic order, constant term included,
-    # with the per-route verdicts that split
-    first_counterexample: tuple[int, ...] | None
-    first_routes: dict | None
-    sampled: bool
+class SweepReport(namedtuple(
+        "SweepReport", "total agree_minimal agree_nonminimal disagreements "
+        "first_counterexample first_routes sampled")):
+    """Agreement counts of a sweep.  first_counterexample is the first
+    offending tuple in lexicographic order, constant term included, and
+    first_routes the per-route verdicts that split there; both are None
+    when every route agrees."""
+
+    __slots__ = ()
 
 
 def _index_to_tail(idx: int, bound: int, degree: int) -> list[int]:
@@ -216,8 +211,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 f"{count} samples of weight {weight} at n_max {n_max} exceed "
                 f"work budget {cfg.work_budget}; lower n_max or the sample count"
             )
-        rng = random.Random(cfg.seed)
-        indices = sorted(rng.sample(range(box), count))
+        import random  # only a sampled box draws; see the module docstring
+
+        indices = sorted(random.Random(cfg.seed).sample(range(box), count))
     else:
         indices = range(box)
     total = len(indices)

@@ -47,25 +47,40 @@ class TestDecisionLevel:
         assert decision_level(101) == 2
 
 
+def _weighted(c):
+    # (even_weighted, odd_weighted) as exact integers, by their definition
+    return (sum(i * a for i, a in enumerate(c) if i % 2 == 0),
+            sum(i * a for i, a in enumerate(c) if i % 2 == 1))
+
+
 class TestCoefficientSums:
-    # (even_sum, odd_sum, even_weighted, odd_weighted): exact, or of the
-    # coefficients primed mod m and read mod m
+    # (even_sum, odd_sum) exact, and (even_weighted, odd_weighted) mod 3,
+    # the only residue of them the cores read; of the coefficients as they
+    # are, or primed mod m
     def test_frozen(self):
-        assert criteria._sums(W3.coefficients) == (0, 10, 0, 26)
-        assert criteria._sums(W2.coefficients) == (0, 5, 0, 9)
+        assert criteria._sums(W3.coefficients) == (0, 10)
+        assert criteria._weighted_mod3(W3.coefficients) == (0, 26 % 3)
+        assert criteria._sums(W2.coefficients) == (0, 5)
+        assert criteria._weighted_mod3(W2.coefficients) == (0, 9 % 3)
 
     def test_primed_reduces_to_plain_for_unit_constant_one(self):
-        plain = criteria._sums(Q3.coefficients)
-        primed = criteria._sums(criteria._primed(Q3.coefficients, 9))
-        assert tuple(s % 9 for s in primed) == tuple(s % 9 for s in plain)
+        for sums in (criteria._sums, criteria._weighted_mod3):
+            plain = sums(Q3.coefficients)
+            primed = sums(criteria._primed(Q3.coefficients, 9))
+            assert tuple(s % 9 for s in primed) == tuple(s % 9 for s in plain)
 
     def test_primed_weights(self):
-        sums = criteria._sums(criteria._primed((2, 5, 7), 9))
-        even, odd, even_w, odd_w = (s % 9 for s in sums)
+        primed = criteria._primed((2, 5, 7), 9)
+        even, odd = (s % 9 for s in criteria._sums(primed))
+        even_w, odd_w = criteria._weighted_mod3(primed)
         assert odd == 5 % 9
         assert even == (7 * 2) % 9
-        assert even_w == (2 * 7 * 2) % 9
-        assert odd_w == 5 % 9
+        assert even_w == (2 * 7 * 2) % 3
+        assert odd_w == 5 % 3
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=20))
+    def test_weighted_mod3_matches_the_definition(self, c):
+        assert criteria._weighted_mod3(tuple(c)) == tuple(s % 3 for s in _weighted(c))
 
 
 class TestMinimalZ2:

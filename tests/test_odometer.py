@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdyn.criteria import decide, decision_level
+from padicdyn import odometer
+from padicdyn.criteria import _orbit_shape, decide, decision_level
 from padicdyn.dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
     NotFullCycleError,
+    TableBoundError,
     reduced_map_table,
 )
 from padicdyn.odometer import (
@@ -190,6 +192,44 @@ class TestConjugacyTower:
         # each level up to the decision level
         assert seen == {"passed", "TableBoundError", *(
             f"NotFullCycleError at level {k}" for k in range(1, level + 1))}
+
+    def test_bound_alone_refuses_with_no_walk(self, monkeypatch):
+        # level 1 is over the bound, and a break can come no sooner: no
+        # kernel runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbit was walked")
+
+        monkeypatch.setattr(IntPolynomial, "eval_mod", refuse)
+        monkeypatch.setattr(IntPolynomial, "eval_slope_mod", refuse)
+        f = IntPolynomial(1000003, (1, 1))
+        with pytest.raises(TableBoundError, match=r"^table of 1000003\^1 entries exceeds bound 1000$"):
+            verify_conjugacy_tower(f, 1, table_bound=1000)
+        with pytest.raises(TableBoundError, match=r"^table of 2\^1 entries exceeds bound 1$"):
+            verify_conjugacy_tower(W2, 5, table_bound=1)
+
+    @pytest.mark.parametrize("f,n_max,table_bound,walked,error", [
+        # x + 1 at p = 2: 2^3 > 4, so the walk stops at level 2
+        (X_PLUS_1[2], 5, 4, 2, ("TableBoundError", "table of 2^3 entries exceeds bound 4")),
+        # W2 breaks at level 3, above the last level the bound allows
+        (W2, 5, 4, 2, ("TableBoundError", "table of 2^3 entries exceeds bound 4")),
+        (W2, 5, 8, 3, ("NotFullCycleError",
+                       "orbit of 0 closes after 4 of 8 residues at level 3")),
+        # past the decision level the walk stops there
+        (X_PLUS_1[5], 4, 10**6, 2, None),
+    ])
+    def test_walks_only_below_the_first_level_over_the_bound(
+            self, monkeypatch, f, n_max, table_bound, walked, error):
+        levels = []
+
+        def shape(g, level, **kwargs):
+            levels.append(level)
+            return _orbit_shape(g, level, **kwargs)
+
+        monkeypatch.setattr(odometer, "_orbit_shape", shape)
+        outcome = _outcome(verify_conjugacy_tower, f, n_max, table_bound)
+        assert outcome == _outcome(oracles.tower_oracle, f, n_max, table_bound)
+        assert levels[0] == walked
+        assert outcome == (error or TowerReport(f.prime, n_max))
 
     @given(st.sampled_from(MINIMAL_SAMPLES))
     def test_tower_always_passes_for_certified_minimal(self, f):
