@@ -2,16 +2,19 @@
 
 A polynomial with integer coefficients induces a compatible family of
 self-maps of Z/p^nZ, one per level n.  Everything here works on those
-finite reductions; iteration is always pointwise, never symbolic.
+finite reductions; iteration is always pointwise, never symbolic.  A
+map that is one full cycle mod p^n has its orbit produced in blocks
+(_orbit_blocks) from p^ceil(n/2) kernel steps; the map table
+(reduced_map_table) serves the cycles of every other map.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable
-from itertools import accumulate, chain, islice, repeat
-from operator import mod
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain, islice, repeat, tee
+from operator import add, mod, sub
 
 from .padic import PadicError, _check_prime
 
@@ -139,8 +142,49 @@ def reduced_map_table(
     values = repeat(heads[d], size - d)  # constant, or read at 0 alone
     for head in reversed(heads[:d]):
         values = accumulate(values, initial=head)
-    entries = array("I" if size <= 1 << 32 else "Q", map(mod, values, repeat(size)))
+    entries = array(_typecode(size), map(mod, values, repeat(size)))
     return ReducedMapTable(f.prime, n, entries)
+
+
+def _typecode(size: int) -> str:
+    """The array typecode of residues mod size: 4 bytes a residue when
+    they fit."""
+    return "I" if size <= 1 << 32 else "Q"
+
+
+def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[Iterable[int]]:
+    """The first count residues of the orbit of seed mod p^n, in blocks to
+    be read in turn, for f one full cycle mod p^n.
+
+    With K = p^ceil(n/2), x_(i+jK) = x_i + j (x_(i+K) - x_i) mod p^n: K^2
+    = 0 mod p^n, so f^K(y + Kt) = f^K(y) + Kt (f^K)'(y), and (f^K)'(y) is
+    the product of f' over K orbit points, one in every class mod
+    p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
+    first block walks min(count, 2K) residues through eval_mod, lazily,
+    and each later one is a list of K: the block before it plus the step
+    vector of the first two, reduced mod p^n, in two passes in C.  The
+    walked residues are kept only when lists follow them."""
+    size = f.prime**n
+    k = f.prime ** ((n + 1) // 2)
+
+    def walk(x: int, steps: int) -> Iterator[int]:
+        for _ in range(steps):
+            yield x
+            x = f.eval_mod(x, size)
+
+    walked = walk(seed % size, min(count, 2 * k))
+    if count <= 2 * k:
+        yield walked
+        return
+    walked, kept = tee(walked)  # kept buffers each residue the reader takes
+    yield walked
+    kept = list(kept)
+    block = kept[k:]
+    step = list(map(mod, map(sub, block, kept), repeat(size)))
+    del kept
+    for left in range(count - 2 * k, 0, -k):  # the last block holds left < K
+        block = list(map(mod, map(add, block, step), repeat(size, left)))
+        yield block
 
 
 class CycleDecomposition(namedtuple(
@@ -159,8 +203,17 @@ class CycleDecomposition(namedtuple(
 def cycle_decomposition(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> CycleDecomposition:
+    """The cycles of f mod p^n.  A full cycle, decided by lifting, is the
+    orbit of 0 in blocks (_orbit_blocks), with no table; any other map's
+    cycles come from one path-marking walk of its map table."""
+    from .criteria import full_cycle_by_lifting  # criteria imports this module
+
+    size = _check_table_size(f.prime, n, table_bound)
+    if full_cycle_by_lifting(f, n):
+        # one cycle, from its least residue 0
+        cycle = tuple(chain.from_iterable(_orbit_blocks(f, n, 0, size)))
+        return CycleDecomposition(f.prime, n, True, (cycle,), 0)
     table = reduced_map_table(f, n, table_bound=table_bound).entries
-    size = len(table)
     seen = bytearray(size)
     cycles = []
     for start in range(size):

@@ -3,7 +3,9 @@
 When f induces a single p^n-cycle on Z/p^nZ, indexing each residue by
 the time the orbit of 0 reaches it turns f into x -> x + 1.  The index
 tables at successive levels are compatible with reduction mod p^n, so
-they assemble into a conjugacy with the adding machine on Z_p.
+they assemble into a conjugacy with the adding machine on Z_p.  The
+index tables and the stream take the orbit from dynamics._orbit_blocks,
+p^ceil(n/2) kernel steps and then blocks of residues, with no map table.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import chain
 
 from .criteria import OrbitShape, _orbit_shape, decision_level, full_cycle_by_lifting
 from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
-                       TableBoundError, _check_table_size, reduced_map_table)
+                       TableBoundError, _check_table_size, _orbit_blocks, _typecode)
 from .padic import PadicError
 
 
@@ -22,7 +25,7 @@ class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit
     """orbit_index[x] = k with f^k(0) = x; orbit_point is its inverse.
 
     orbit_index[0] = 0 and orbit_index[f(x)] = orbit_index[x] + 1 mod p^n.
-    Both are arrays, of the typecode of the map table walked to fill them.
+    Both are arrays of 4 bytes a residue (8 above 2^32 residues).
     """
 
     __slots__ = ()
@@ -40,21 +43,17 @@ def _no_full_cycle(shape: OrbitShape, n: int, size: int) -> NotFullCycleError:
 def build_psi(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ConjugacyTable:
-    """Index table of the full cycle at level n, from one walk of the
-    orbit of 0 through the map table.  The full cycle is decided by
-    lifting before any table is built; without one, the error counts the
-    residues the orbit of 0 visits mod p^n."""
+    """Index table of the full cycle at level n.  The full cycle is
+    decided by lifting before any table is built; without one, the error
+    counts the residues the orbit of 0 visits mod p^n.  orbit_point is the
+    orbit of 0 in blocks (_orbit_blocks), and orbit_index its inverse."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(_orbit_shape(f, n), n, size)
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
-    orbit_index = array(table.typecode, [0]) * size
-    orbit_point = array(table.typecode, [0]) * size
-    x = 0
-    for k in range(size):
+    orbit_point = array(_typecode(size), chain.from_iterable(_orbit_blocks(f, n, 0, size)))
+    orbit_index = array(orbit_point.typecode, [0]) * size
+    for k, x in enumerate(orbit_point):
         orbit_index[x] = k
-        orbit_point[k] = x
-        x = table[x]
     return ConjugacyTable(f.prime, n, orbit_index, orbit_point)
 
 
@@ -115,18 +114,12 @@ def full_cycle_stream(
     For a minimal map this is a maximal-period sequence: period exactly
     p^n, every residue class mod p^m hit equally often.  The full cycle
     at level n is checked here by lifting, before the first residue, at
-    a cost that does not grow with n past the decision level.
+    a cost that does not grow with n past the decision level.  The
+    residues come from _orbit_blocks: at most min(count, 2 p^ceil(n/2))
+    kernel steps, each yielded as it is walked, then blocks of sums.
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")
     if not full_cycle_by_lifting(f, n):
         raise NotFullCycleError(f"no full cycle at level {n}")
-
-    def generate() -> Iterator[int]:
-        size = f.prime**n
-        x = seed % size
-        for _ in range(count):
-            yield x
-            x = f.eval_mod(x, size)
-
-    return generate()
+    return chain.from_iterable(_orbit_blocks(f, n, seed, count))

@@ -159,15 +159,23 @@ class TestCycles:
 
     @pytest.mark.parametrize("command", ["cycles", "conjugacy"])
     def test_out_of_memory_exits_two(self, capsys, monkeypatch, command):
-        # not 1, which analyze gives a map that is not minimal
+        # not 1, which analyze gives a map that is not minimal.  Each
+        # allocation in turn: cycles takes a full cycle (Q3) in orbit
+        # blocks and tabulates any other map (W3, broken mod 27);
+        # conjugacy --level allocates its two index arrays
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(dynamics, "reduced_map_table", exhausted)
-        monkeypatch.setattr(odometer, "reduced_map_table", exhausted)
-        code, out, err = run(capsys, command, "--prime", "3", "--coeffs", Q3)
-        assert code == 2 and out == ""
-        assert err == "error: out of memory\n"
+        allocations = {
+            "cycles": [(Q3, dynamics, "_orbit_blocks"), (W3, dynamics, "reduced_map_table")],
+            "conjugacy": [(Q3, odometer, "array")],
+        }
+        for coeffs, module, name in allocations[command]:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, exhausted)
+                code, out, err = run(capsys, command, "--prime", "3", "--coeffs", coeffs)
+            assert code == 2 and out == "", name
+            assert err == "error: out of memory\n"
 
     @pytest.mark.parametrize("command", ["cycles", "conjugacy"])
     def test_deep_level_exits_two_at_once(self, capsys, command):
