@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, islice, repeat, tee
+from itertools import accumulate, chain, islice, repeat
 from operator import add, mod, sub
 
 from .padic import PadicError, _check_prime
@@ -31,6 +31,12 @@ class NotFullCycleError(PadicError):
 # tables will cover, and the longest witness cycle of a non-minimal
 # verdict.  Full-cycle verdicts, towers and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
+
+# Longest block (p^ceil(n/2) residues) that _orbit_blocks holds: about
+# 4 blocks of Python ints, 10 MB, at most.  Every level within the
+# default table bound has shorter blocks (the longest, 251^2, is at
+# 251^3); a deeper stream is a plain walk that holds no residue.
+_BLOCK_BOUND = 1 << 16
 
 
 class IntPolynomial:
@@ -162,26 +168,27 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
     first block walks min(count, 2K) residues through eval_mod, lazily,
     and each later one is a list of K: the block before it plus the step
-    vector of the first two, reduced mod p^n, in two passes in C.  The
-    walked residues are kept only when lists follow them."""
+    vector of the first two, reduced mod p^n, in two passes in C.  Where
+    K exceeds _BLOCK_BOUND the first block walks all count residues, and
+    keeps none, so a stream of any length holds a bounded number."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
+    blocks = count > 2 * k and k <= _BLOCK_BOUND  # do lists follow the walk?
+    kept = []
 
-    def walk(x: int, steps: int) -> Iterator[int]:
-        for _ in range(steps):
+    def walk(x: int) -> Iterator[int]:
+        for _ in range(2 * k if blocks else count):
             yield x
+            if blocks:
+                kept.append(x)
             x = f.eval_mod(x, size)
 
-    walked = walk(seed % size, min(count, 2 * k))
-    if count <= 2 * k:
-        yield walked
+    yield walk(seed % size)
+    if not blocks:
         return
-    walked, kept = tee(walked)  # kept buffers each residue the reader takes
-    yield walked
-    kept = list(kept)
     block = kept[k:]
     step = list(map(mod, map(sub, block, kept), repeat(size)))
-    del kept
+    kept.clear()
     for left in range(count - 2 * k, 0, -k):  # the last block holds left < K
         block = list(map(mod, map(add, block, step), repeat(size, left)))
         yield block
@@ -205,11 +212,15 @@ def cycle_decomposition(
 ) -> CycleDecomposition:
     """The cycles of f mod p^n.  A full cycle, decided by lifting, is the
     orbit of 0 in blocks (_orbit_blocks), with no table; any other map's
-    cycles come from one path-marking walk of its map table."""
+    cycles, and every map's at the levels where the engine would walk the
+    whole orbit, come from one path-marking walk of its map table."""
     from .criteria import full_cycle_by_lifting  # criteria imports this module
 
     size = _check_table_size(f.prime, n, table_bound)
-    if full_cycle_by_lifting(f, n):
+    # where 2K >= p^n (n = 1, or p = 2 and n <= 3) the engine would walk
+    # the whole orbit after the lifting walk: the map table below costs
+    # one C pass and finds a full cycle as well
+    if size > 2 * f.prime ** ((n + 1) // 2) and full_cycle_by_lifting(f, n):
         # one cycle, from its least residue 0
         cycle = tuple(chain.from_iterable(_orbit_blocks(f, n, 0, size)))
         return CycleDecomposition(f.prime, n, True, (cycle,), 0)

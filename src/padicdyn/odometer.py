@@ -5,7 +5,8 @@ the time the orbit of 0 reaches it turns f into x -> x + 1.  The index
 tables at successive levels are compatible with reduction mod p^n, so
 they assemble into a conjugacy with the adding machine on Z_p.  The
 index tables and the stream take the orbit from dynamics._orbit_blocks,
-p^ceil(n/2) kernel steps and then blocks of residues, with no map table.
+p^ceil(n/2) kernel steps and then blocks of residues, with no map table
+past the levels where those steps would be the whole orbit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import chain
 
 from .criteria import OrbitShape, _orbit_shape, decision_level, full_cycle_by_lifting
 from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
-                       TableBoundError, _check_table_size, _orbit_blocks, _typecode)
+                       TableBoundError, _check_table_size, _orbit_blocks, _typecode,
+                       reduced_map_table)
 from .padic import PadicError
 
 
@@ -46,14 +48,26 @@ def build_psi(
     """Index table of the full cycle at level n.  The full cycle is
     decided by lifting before any table is built; without one, the error
     counts the residues the orbit of 0 visits mod p^n.  orbit_point is the
-    orbit of 0 in blocks (_orbit_blocks), and orbit_index its inverse."""
+    orbit of 0 in blocks (_orbit_blocks), and orbit_index its inverse.
+    Where 2 p^ceil(n/2) >= p^n (n = 1, or p = 2 and n <= 3) the engine
+    would walk the whole orbit, and the map table, one C pass, is
+    cheaper: the orbit is read from it instead."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(_orbit_shape(f, n), n, size)
-    orbit_point = array(_typecode(size), chain.from_iterable(_orbit_blocks(f, n, 0, size)))
-    orbit_index = array(orbit_point.typecode, [0]) * size
-    for k, x in enumerate(orbit_point):
-        orbit_index[x] = k
+    orbit_index = array(_typecode(size), [0]) * size
+    if size > 2 * f.prime ** ((n + 1) // 2):
+        orbit_point = array(orbit_index.typecode, chain.from_iterable(_orbit_blocks(f, n, 0, size)))
+        for k, x in enumerate(orbit_point):
+            orbit_index[x] = k
+    else:
+        table = reduced_map_table(f, n, table_bound=table_bound).entries
+        orbit_point = array(orbit_index.typecode, [0]) * size
+        x = 0
+        for k in range(size):
+            orbit_index[x] = k
+            orbit_point[k] = x
+            x = table[x]
     return ConjugacyTable(f.prime, n, orbit_index, orbit_point)
 
 

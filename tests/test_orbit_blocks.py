@@ -10,13 +10,15 @@ is checked against a plain walk or an oracle that evaluates through pow().
 
 import random
 import time
-from itertools import chain
+import tracemalloc
+from itertools import chain, islice
 from math import prod
 
 import pytest
 
 from padicdyn.cli import main
 from padicdyn.criteria import full_cycle_by_lifting
+from padicdyn import dynamics
 from padicdyn.dynamics import IntPolynomial, TableBoundError, _orbit_blocks, cycle_decomposition
 from padicdyn.odometer import build_psi, full_cycle_stream
 
@@ -106,10 +108,13 @@ def test_blocks_match_the_plain_walk(case):
 
 
 @pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
-def test_tables_and_stream_match_their_oracles(case, no_tables):
+def test_tables_and_stream_match_their_oracles(case, request):
     f, n = case
     p = f.prime
     size = p**n
+    if size > 2 * p ** ((n + 1) // 2):
+        # where the engine's walk is not the whole orbit, no table is built
+        request.getfixturevalue("no_tables")
     order, start = oracles.orbit_from_zero(f.coefficients, p, n)
     assert start == 0 and len(order) == size
     t = build_psi(f, n)
@@ -186,3 +191,54 @@ def test_deep_stream_is_lazy_and_bounded(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 1.0
     assert code == 0 and capsys.readouterr().out.split() == ["0", "1", "2"]
     assert calls - lifting <= 3
+
+
+def _peak_bytes(values, count):
+    """Peak memory traced while count residues are read from values."""
+    tracemalloc.start()
+    try:
+        for _ in islice(values, count):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1000, 40])
+def test_deep_stream_with_the_default_count_holds_no_residues(n):
+    # K = 2^500 and 2^20 exceed the block bound: the stream of all 2^n
+    # residues is a plain walk, whatever it has read
+    f = IntPolynomial(2, (1, 1))
+    assert 2 ** ((n + 1) // 2) > dynamics._BLOCK_BOUND
+    few = _peak_bytes(full_cycle_stream(f, n, 0, 2**n), 10**4)
+    many = _peak_bytes(full_cycle_stream(f, n, 0, 2**n), 10**5)
+    assert many < 64 << 10 and many < 2 * few + (4 << 10)
+
+
+def test_stream_in_blocks_holds_a_bounded_number_of_residues():
+    # K = 2^15: past the 2K walked residues a stream holds about four
+    # blocks of ints, 4K (8 + 28) bytes, however many it reads
+    f = IntPolynomial(2, (1, 1))
+    k = 1 << 15
+    assert k <= dynamics._BLOCK_BOUND
+    some = _peak_bytes(full_cycle_stream(f, 30, 0, 2**30), 4 * k)
+    more = _peak_bytes(full_cycle_stream(f, 30, 0, 2**30), 12 * k)
+    assert more < 160 * k and more < some + (64 << 10)
+
+
+@pytest.mark.parametrize("p,coeffs,n", [(1009, (1, 1), 1), (2, (1, 1), 3), (2, (1, 3, 2), 2)])
+def test_small_levels_read_the_map_table(monkeypatch, p, coeffs, n):
+    # 2K >= p^n: the engine would walk the whole orbit, so build_psi and
+    # cycle_decomposition read it from the map table, with d + 1 kernel
+    # steps, and cycle_decomposition skips the lifting walk
+    f = IntPolynomial(p, coeffs)
+    size = p**n
+    order, start = oracles.orbit_from_zero(f.coefficients, p, n)
+    assert start == 0 and len(order) == size <= 2 * p ** ((n + 1) // 2)
+    kernel = _Kernel(monkeypatch)
+    _, lifting = kernel.cost(full_cycle_by_lifting, f, n)
+    t, calls = kernel.cost(build_psi, f, n)
+    assert list(t.orbit_point) == order and calls - lifting <= f.degree + 1
+    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", None)
+    dec, calls = kernel.cost(cycle_decomposition, f, n)
+    assert dec.cycles == (tuple(order),) and calls <= f.degree + 1
