@@ -2,9 +2,11 @@
 """Exhaustively compare every decision route over the standard boxes.
 
 Runs the degree-4 box mod 8 at p = 2 and the degree-5 box mod 9 at
-p = 3 (the ranges where the closed forms, the alternate closed forms
-and the decision-level check all apply) and reports agreement counts.
-A nonzero disagreement count is a bug in one of the routes.
+p = 3 through the closed form, the decision-level check and a
+brute-force orbit walk, and reports agreement counts.  A nonzero
+disagreement count is a bug in one of the routes.  The degree-4 box is
+every class of the p = 2 certificate; the p = 3 one, the degree-8 box
+mod 9, is a sweep of its own (see the README's Tests section).
 """
 
 import argparse

@@ -98,10 +98,6 @@ class MinimalityVerdict(namedtuple(
 # order.  The public function checks its preconditions and turns that into
 # records; a sweep calls the core alone.  The p = 2 and p = 3 cores read
 # the exact sums for constant term 1 and the primed sums mod p^2 otherwise.
-# The alternate cores, Larin's shape at p = 2 and the degree-5 form at
-# p = 3, are the sweep's second closed-form route and build no record:
-# they return the verdict alone, and _closed_forms applies them only where
-# their preconditions hold.
 
 
 def _verdict(method: str, core: tuple, names: tuple[str, ...],
@@ -142,13 +138,6 @@ def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
     else:
         stage = "level-2" if not all(core[3][:4]) else "level-3"
     return _verdict(METHOD_P2, core, _Z2_NAMES, (2, 2, 2, 4, 4), stage)
-
-
-def _z2_larin_core(c: tuple[int, ...]) -> bool:
-    """Larin's shape of the p = 2 criterion, for constant term 1."""
-    _, a1, a2 = (c + (0, 0))[:3]
-    even, odd = _sums(c)
-    return a1 % 2 == 1 and (odd - a1 - 2 * a2) % 4 == 0 and (even - a1 - 2 * a2 + 1) % 4 == 0
 
 
 # (even_weighted, odd_weighted, a1) mod 3 for the four admissible
@@ -206,34 +195,6 @@ def minimal_z3(f: IntPolynomial) -> MinimalityVerdict:
     else:
         stage = "level-2" if not all(passed[3:7]) else "level-3"
     return _verdict(METHOD_P3, core, names, (3, 3, 3, 3, 3, 3, 9, 9), stage)
-
-
-# degree-5 patterns: (a1..a5) mod 3 and the case each one selects
-_DEG5_CASES = {
-    (1, 0, 1, 0, 2): 1,
-    (1, 0, 0, 0, 0): 2,
-    (2, 1, 0, 2, 2): 3,
-    (2, 2, 0, 1, 2): 4,
-}
-
-
-def _deg5_core(c: tuple[int, ...]) -> bool:
-    """The resolved p = 3 criterion for constant term 1 and degree at
-    most 5: a residue pattern mod 3 on (a1..a5), absent ones zero, and
-    one sum congruence mod 9 per case."""
-    a = (c + (0,) * 5)[:6]
-    case = _DEG5_CASES.get((a[1] % 3, a[2] % 3, a[3] % 3, a[4] % 3, a[5] % 3))
-    if case is None:
-        return False
-    if case == 1:
-        return (a[1] + a[3] + a[5]) % 9 == 7
-    if case == 3:
-        # target 1, not 7: forced by the exhaustive mod-27 cross-check
-        # in the acceptance suite (one published table differs and loses
-        # against brute force on 162 of 243 pattern tuples)
-        return (a[1] + a[3] + a[5]) % 9 == 1
-    even_slots = (a[2] + a[4]) % 9
-    return even_slots == 0 or case == 2 and even_slots == 6
 
 
 class LiftStep(namedtuple("LiftStep", "length a b kind")):
@@ -398,24 +359,20 @@ def minimal_general(
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 
 
-def _closed_forms(prime: int, a0: int, degree: int) -> tuple:
-    """(record function, core, alternate core) of the closed forms: at
-    p = 2 minimal_z2 and the Larin shape, at p = 3 minimal_z3 and the
-    degree-5 form.  The alternate core is None unless it applies to
-    every map with constant term a0 and degree at most `degree` (a0 = 1,
-    and degree <= 5 at p = 3); every other prime gets three Nones."""
+def _closed_forms(prime: int) -> tuple:
+    """(record function, core) of the closed form: minimal_z2 at p = 2,
+    minimal_z3 at p = 3, and two Nones at every other prime."""
     if prime == 2:
-        return minimal_z2, _z2_core, _z2_larin_core if a0 == 1 else None
+        return minimal_z2, _z2_core
     if prime == 3:
-        return (minimal_z3, _z3_core,
-                _deg5_core if a0 == 1 and degree <= 5 else None)
-    return None, None, None
+        return minimal_z3, _z3_core
+    return None, None
 
 
 def closed_form(f: IntPolynomial) -> MinimalityVerdict | None:
     """The closed-form verdict, minimal_z2 at p = 2 and minimal_z3 at
     p = 3; None for every other prime, which has no closed form."""
-    record = _closed_forms(f.prime, f.coefficient(0), f.degree)[0]
+    record = _closed_forms(f.prime)[0]
     return None if record is None else record(f)
 
 

@@ -5,16 +5,13 @@ constant term, runs every applicable decision route on each polynomial
 and counts agreement.  Routes per tuple:
 
     closed      closed-form decider (p = 2 or 3 only)
-    alt         second closed form where one applies: the p = 2 larin
-                shape, or the p = 3 degree-5 form (constant term 1)
     delta       full cycle at the decision level, decided by lifting
                 from mod p (criteria.full_cycle_by_lifting)
     full-cycle  brute-force orbit walk of 0 at n_max, through a residue
                 table (below) or, past its size cap, dynamics.is_full_cycle
 
-closed and alt call the record-free cores that criteria picks for the
-prime, closed the one it builds its records from; they build no
-ConditionCheck.  The
+closed calls the record-free core that criteria picks for the prime,
+the one it builds its records from; it builds no ConditionCheck.  The
 all-zero tail is built as the constant map a0, which every route reports
 as not minimal.  The index range (or the sorted sample) is cut into
 contiguous chunks, one per worker process; the workers are capped at the
@@ -99,9 +96,12 @@ def _tables(cfg: SweepConfig, indices: range | list[int]):
     table is None when it, the step changes and the power rows would hold
     more than TABLE_ENTRIES entries."""
     bound, degree, a0 = cfg.bound, cfg.degree, cfg.a0
-    modulus = cfg.prime ** cfg.resolved_n_max()
+    n_max = cfg.resolved_n_max()
     table = None
-    if (2 * degree + 1) * modulus <= TABLE_ENTRIES:
+    # p^n_max >= 2^n_max passes the cap once n_max reaches its bit length,
+    # so a deep n_max gets no table before p^n_max is computed
+    if (n_max < TABLE_ENTRIES.bit_length()
+            and (2 * degree + 1) * (modulus := cfg.prime**n_max) <= TABLE_ENTRIES):
         # rows[x] = (x, x^2, .., x^d); a step that carries into digit a_i
         # raises it by one and wraps every later digit from bound - 1 to 0,
         # which adds steps[i - 1] to the table
@@ -147,18 +147,15 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     p = cfg.prime
     level = decision_level(p)
     n_max = cfg.resolved_n_max()
-    # the record-free cores; the alternate one applies to the whole box or
-    # to none of it
-    _, closed_core, alt_core = _closed_forms(p, cfg.a0, cfg.degree)
+    _, closed_core = _closed_forms(p)
     agree_min = agree_non = disagree = 0
     first = None
     for idx, coeffs, table in _tables(cfg, indices):
         f = IntPolynomial(p, coeffs)
         closed = None if closed_core is None else closed_core(coeffs)[0]
-        alt = None if alt_core is None else alt_core(coeffs)
         delta = full_cycle_by_lifting(f, level)
         full = is_full_cycle(f, n_max) if table is None else _full_cycle_in(table)
-        if delta == full and closed in (None, delta) and alt in (None, delta):
+        if delta == full and closed in (None, delta):
             if delta:
                 agree_min += 1
             else:
@@ -166,7 +163,7 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
             continue
         disagree += 1
         if first is None:
-            routes = {"closed": closed, "alt": alt, "delta": delta, "full-cycle": full}
+            routes = {"closed": closed, "delta": delta, "full-cycle": full}
             first = (idx, coeffs, {k: v for k, v in routes.items() if v is not None})
     return agree_min, agree_non, disagree, first
 

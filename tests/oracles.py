@@ -63,6 +63,23 @@ def full_cycle_oracle(coeffs, p, n):
     return x == 0 and len(seen) == m
 
 
+def class_representative(coeffs, p):
+    """The representative (c0, b1, .., b_(2+k)) mod m of the class of
+    f = coeffs (constant term first) at p = 2 (k = 2, m = 8) or p = 3
+    (k = 6, m = 9).  A unit constant term a0 goes to 1 by conjugating with
+    x -> a0 x, which gives b_i = a_i a0^(i-1); a non-unit one fixes 0 mod
+    p, so it and the a_i are kept as they are.  Then b1, b2 and, for
+    3 <= e < 3 + k, the sum of b_i over i >= 3, i = e mod k, as the
+    coefficient of x^e.  At p = 2 this is f mod 8 as a map (x^2 = 1 for
+    odd x, x^3 = 0 for even x); at p = 3 it keeps f mod 9 and the verdict
+    mod 27, not f mod 27."""
+    k, m = (2, 8) if p == 2 else (6, 9)
+    a0 = coeffs[0]
+    b = [1, *(a * pow(a0, i, m) for i, a in enumerate(coeffs[1:]))] if a0 % p else list(coeffs)
+    b += [0] * (3 + k - len(b))
+    return tuple(x % m for x in (*b[:3], *(sum(b[e::k]) for e in range(3, 3 + k))))
+
+
 def orbit_from_zero(coeffs, p, n):
     """The residues the orbit of 0 visits mod p^n up to its first repeat,
     in order, and the index at which its eventual cycle starts: a walk

@@ -13,7 +13,6 @@ from itertools import product
 
 from padicdyn.criteria import (
     _orbit_shape,
-    _z2_larin_core,
     minimal_general,
     minimal_z2,
     minimal_z3,
@@ -110,11 +109,13 @@ def test_c03_exhaustive_equivalence_p2():
     assert rep.total == 4096
     assert rep.disagreements == 0, rep.first_counterexample
     assert elapsed < 1.0  # stated budget for the 8^4 box
+    # every class representative of the p = 2 certificate: with the
+    # reduction tests (test_criteria.TestClassReductions), every map
     box = [(1, *t) for t in product(range(8), repeat=4)]
     brute = [oracles.full_cycle_oracle(c, 2, 3) for c in box]
-    assert [_z2_larin_core(c) for c in box] == brute
+    assert [minimal_z2(IntPolynomial(2, c)).minimal for c in box] == brute
     assert sum(brute) == rep.agree_minimal
-    print(f"C3 PASS: 4096 p=2 polynomials, closed = larin = mod-8 check, "
+    print(f"C3 PASS: 4096 p=2 polynomials, closed = mod-8 check, "
           f"{rep.agree_minimal} minimal, 0 disagreements, {elapsed:.2f}s")
 
 
@@ -131,7 +132,7 @@ def test_c04_exhaustive_equivalence_p3():
     assert rep.agree_minimal == 405
     assert brute == 405
     assert elapsed < 30.0  # stated single-threaded budget
-    print(f"C4 PASS: 59049 p=3 polynomials, closed = degree-5 = mod-27 check "
+    print(f"C4 PASS: 59049 p=3 polynomials, closed = mod-27 check "
           f"= brute force, 405 minimal, 0 disagreements, {elapsed:.2f}s")
 
 

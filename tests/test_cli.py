@@ -587,6 +587,15 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "work budget" in err
 
+    def test_zero_samples_at_a_deep_nmax_exit_at_once(self, capsys):
+        # no tuple to walk, and no residue table sized from 2^(10^9)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--prime", "2", "--degree", "1",
+                             "--bound", "2", "--nmax", "1000000000", "--samples", "0",
+                             "--threads", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err) == (0, "")
+        assert "total: 0\n" in out
 
     def test_box_too_large_to_sample_exits_two(self, capsys):
         # 2^63 tuples: past the largest range that can be sampled

@@ -114,7 +114,7 @@ class TestMinimalZ2:
         assert v.failed_stage == stage
         assert v.method == METHOD_P2
 
-    def test_exhaustive_against_brute_force_and_larin(self):
+    def test_exhaustive_against_brute_force(self):
         # all monic-constant cubics with coefficients mod 8
         for a1 in range(8):
             for a2 in range(8):
@@ -125,7 +125,6 @@ class TestMinimalZ2:
                     f = IntPolynomial(2, coeffs)
                     want = oracles.full_cycle_oracle(coeffs, 2, 3)
                     assert minimal_z2(f).minimal == want, coeffs
-                    assert criteria._z2_larin_core(coeffs) == want, coeffs
 
     def test_exhaustive_general_constant_term(self):
         # quadratics with any odd constant term
@@ -150,12 +149,6 @@ class TestMinimalZ2:
             minimal_z2(Q3)
 
 
-class TestLarinForm:
-    @given(tails(2, 5, 31))
-    def test_agrees_with_primary_form(self, f):
-        assert criteria._z2_larin_core(f.coefficients) == minimal_z2(f).minimal
-
-
 class TestMinimalZ3:
     def test_frozen_witness_case1_gap_zero(self):
         v = minimal_z3(W3)
@@ -172,6 +165,32 @@ class TestMinimalZ3:
         assert v.minimal and v.case == 2 and v.method == METHOD_P3
         w = minimal_z3(IntPolynomial(3, (1, 1)))
         assert w.minimal and w.case == 2
+
+    @pytest.mark.parametrize(
+        "tail,case",
+        [
+            ((4, 0, 1, 0, 2), 1),
+            ((1, 6, 0, 0, 0), 2),
+            ((2, 1, 3, 2, 5), 3),
+            ((2, 8, 0, 1, 2), 4),
+        ],
+    )
+    def test_frozen_minimal_per_case(self, tail, case):
+        f = IntPolynomial(3, (1, *tail))
+        v = minimal_z3(f)
+        assert v.minimal and v.case == case
+        # independent confirmation: an actual full cycle mod 27
+        assert oracles.full_cycle_oracle(f.coefficients, 3, 3)
+
+    def test_frozen_case3_near_miss(self):
+        # case 3's positive above with a3 = 0 in place of 3: the same
+        # residues mod 3, but the shift now meets the correction mod 9
+        f = IntPolynomial(3, (1, 2, 1, 0, 2, 5))
+        v = minimal_z3(f)
+        assert not v.minimal and v.case == 3 and v.failed_stage == "level-3"
+        assert v.conditions[7].name == "case3_shift_vs_correction_mod_9"
+        assert v.conditions[7].residue == 0
+        assert not oracles.full_cycle_oracle(f.coefficients, 3, 3)
 
     def test_frozen_pattern_mismatch(self):
         v = minimal_z3(IntPolynomial(3, (1, 1, 2, 0, 1)))
@@ -209,48 +228,6 @@ class TestMinimalZ3:
     def test_wrong_prime(self):
         with pytest.raises(PadicError):
             minimal_z3(W2)
-
-
-def _deg5_case(f):
-    """The case that the residues of (a1..a5) mod 3 select, or None."""
-    return criteria._DEG5_CASES.get(tuple(f.coefficient(i) % 3 for i in range(1, 6)))
-
-
-class TestDegree5Form:
-    def test_frozen_witness(self):
-        # case 1 wants a1 + a3 + a5 = 7 mod 9; W3's sum is 1
-        assert _deg5_case(W3) == 1
-        assert sum(W3.coefficients[1::2]) % 9 == 1
-        assert not criteria._deg5_core(W3.coefficients)
-        assert not oracles.full_cycle_oracle(W3.coefficients, 3, 3)
-
-    @pytest.mark.parametrize(
-        "tail,case",
-        [
-            ((4, 0, 1, 0, 2), 1),
-            ((1, 6, 0, 0, 0), 2),
-            ((2, 1, 3, 2, 5), 3),
-            ((2, 8, 0, 1, 2), 4),
-        ],
-    )
-    def test_positive_example_per_case(self, tail, case):
-        f = IntPolynomial(3, (1, *tail))
-        assert criteria._deg5_core(f.coefficients) and _deg5_case(f) == case
-        # independent confirmation: an actual full cycle mod 27
-        assert oracles.full_cycle_oracle(f.coefficients, 3, 3)
-        assert minimal_z3(f).minimal
-
-    def test_case3_near_misses_are_not_minimal(self):
-        # same residue pattern, sum 7 instead of 1 mod 9
-        f = IntPolynomial(3, (1, 2, 1, 0, 2, 5))
-        assert (2 + 0 + 5) % 9 == 7
-        assert not criteria._deg5_core(f.coefficients) and _deg5_case(f) == 3
-        assert not oracles.full_cycle_oracle(f.coefficients, 3, 3)
-        assert not minimal_z3(f).minimal
-
-    @given(tails(3, 5, 26))
-    def test_agrees_with_general_form(self, f):
-        assert criteria._deg5_core(f.coefficients) == minimal_z3(f).minimal
 
 
 class TestMinimalGeneral:
@@ -523,44 +500,99 @@ def _box(a0, degree, seed):
 
 
 class TestCores:
-    """The record-free cores that a sweep calls, the alternate ones where
-    their preconditions hold, give the verdict of the public records, on
-    the coefficient tuple with or without trailing zeros, and that verdict
-    is the brute-force one mod p^3."""
+    """The record-free cores that a sweep calls give the verdict of the
+    public records, on the coefficient tuple with or without trailing
+    zeros, and that verdict is the brute-force one mod p^3."""
 
     @pytest.mark.parametrize("prime,a0", [
         (2, 1), (2, -1), (2, 5), (2, 6), (3, 1), (3, -1), (3, 4), (3, -6),
     ])
     def test_cores_agree_with_records(self, prime, a0):
+        record, core = criteria._closed_forms(prime)
         seen = set()
         for degree in range(1, 13):
             for coeffs in _box(a0, degree, seed=degree):
                 f = IntPolynomial(prime, coeffs)
-                record, core = ((minimal_z2, criteria._z2_core) if prime == 2
-                                else (minimal_z3, criteria._z3_core))
-                alt = None
-                if a0 == 1 and prime == 2:
-                    alt = criteria._z2_larin_core
-                if a0 == 1 and prime == 3 and f.degree <= 5:
-                    alt = criteria._deg5_core
                 want = oracles.full_cycle_oracle(f.coefficients, prime, 3)
                 assert record(f).minimal == want, (record.__name__, coeffs)
                 for c in (f.coefficients, coeffs + (0, 0)):
                     assert core(c)[0] == want, (core.__name__, c)
-                    assert alt is None or alt(c) == want, (alt.__name__, c)
                 seen.add(want)
         # both verdicts occur wherever a0 is a unit
         assert seen == ({True, False} if a0 % prime else {False})
 
     def test_sweep_cores_follow_the_prime(self):
-        assert criteria._closed_forms(2, 1, 9) == (
-            minimal_z2, criteria._z2_core, criteria._z2_larin_core)
-        assert criteria._closed_forms(2, 3, 2)[2] is None
-        assert criteria._closed_forms(3, 1, 5) == (
-            minimal_z3, criteria._z3_core, criteria._deg5_core)
-        assert criteria._closed_forms(3, 1, 6)[2] is None
-        assert criteria._closed_forms(3, -1, 5)[2] is None
-        assert criteria._closed_forms(5, 1, 2) == (None, None, None)
+        assert criteria._closed_forms(2) == (minimal_z2, criteria._z2_core)
+        assert criteria._closed_forms(3) == (minimal_z3, criteria._z3_core)
+        assert criteria._closed_forms(5) == (None, None)
+
+
+def _class_member(rng, rep, degree):
+    """A map of the given degree (at least 8) in the p = 3 class of rep,
+    whose constant term is 1: a random unit a0, random b_i mod 9 for
+    i >= 3 with the last one of each six-step class setting its sum,
+    a_i = b_i / a0^(i-1) mod 9, and a signed multiple of 9 on each."""
+    a0 = rng.choice([a for a in range(-40, 41) if a % 3])
+    b = [1, rep[1], rep[2], *(rng.randrange(9) for _ in range(degree - 2))]
+    for e in range(3, 9):
+        b[e + 6 * ((degree - e) // 6)] += rep[e] - sum(b[e::6])
+    inverse = pow(a0, -1, 9)
+    tail = [b[i] * pow(inverse, i - 1, 9) % 9 + 9 * rng.randint(-5, 5)
+            for i in range(1, degree + 1)]
+    return (a0, *tail[:-1], tail[-1] or 9)
+
+
+def _x_plus_one_class(rng):
+    """A random p = 3 representative (1, b1, .., b8) that is x + 1 mod 3
+    as a map, drawn by rejection."""
+    while True:
+        rep = (1, *(rng.randrange(9) for _ in range(8)))
+        if oracles.eval_pow_mod(rep, 1, 3) == 2 and oracles.eval_pow_mod(rep, 2, 3) == 0:
+            return rep
+
+
+class TestClassReductions:
+    """The certificate of both closed forms rests on two reductions that
+    carry every map to a representative in a finite box
+    (oracles.class_representative): conjugating by x -> a0 x takes a unit
+    constant term to 1, and the verdict reads only b1, b2 and the tail
+    sums of b_i over i = e mod k, all mod m (k = 2, m = 8 at p = 2; k = 6,
+    m = 9 at p = 3).  The boxes are acceptance C3 at p = 2 and the 9^8
+    sweep at degree 8, bound 9 at p = 3, where the core and brute force
+    agree on every representative.  Here, on maps of any constant term and
+    degrees far above the boxes', the core and the brute-force verdict
+    mod p^3 must both equal the brute-force verdict of the representative."""
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    @pytest.mark.parametrize("spread", [60, 3])
+    def test_random_maps(self, prime, spread):
+        # degrees 1-40, constant terms and coefficients in [-spread, spread]
+        _, core = criteria._closed_forms(prime)
+        rng = random.Random(prime * 100 + spread)
+        seen = set()
+        for _ in range(1000):
+            coeffs = tuple(rng.randint(-spread, spread) for _ in range(rng.randint(2, 41)))
+            rep = oracles.class_representative(coeffs, prime)
+            want = oracles.full_cycle_oracle(rep, prime, 3)
+            assert oracles.full_cycle_oracle(coeffs, prime, 3) == want, (coeffs, rep)
+            assert core(coeffs)[0] == want, (coeffs, rep)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_p3_class_members(self):
+        # classes of maps that are x + 1 mod 3, where 2^4 3^9 of the 3^14
+        # representatives are minimal, at degrees 9-45
+        rng = random.Random(9)
+        minimal = 0
+        for _ in range(600):
+            rep = _x_plus_one_class(rng)
+            want = oracles.full_cycle_oracle(rep, 3, 3)
+            member = _class_member(rng, rep, rng.randint(9, 45))
+            assert oracles.class_representative(member, 3) == rep, member
+            assert oracles.full_cycle_oracle(member, 3, 3) == want, (member, rep)
+            assert criteria._z3_core(member)[0] == want, (member, rep)
+            minimal += want
+        assert 0 < minimal < 600
 
 
 class TestFullCycleByLifting:

@@ -105,8 +105,9 @@ class TestExhaustiveSweeps:
 
 class TestDifferentials:
     """Closed form, lifting chain and brute-force orbit walk on every
-    tuple of a box, for constant terms other than 1 and negative ones
-    (no alternate form applies there)."""
+    tuple of a box, for constant terms other than 1 and negative ones,
+    and on samples at degrees 8-12; TestClassReductions in test_criteria
+    carries these checks to every map."""
 
     @pytest.mark.parametrize("prime,degree,bound,a0", [
         *((2, 4, 8, a0) for a0 in (3, 5, 7, 9, -1)),
@@ -215,9 +216,9 @@ class TestDisagreements:
     @pytest.mark.parametrize("branch", ["table", "eval_mod"])
     @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("prime,degree,bound,a0,route,keys", [
-        (2, 3, 4, 1, "_z2_core", ("closed", "alt", "delta", "full-cycle")),
+        (2, 3, 4, 1, "_z2_core", ("closed", "delta", "full-cycle")),
         (2, 3, 4, 3, "_z2_core", ("closed", "delta", "full-cycle")),
-        (3, 3, 4, 1, "_z3_core", ("closed", "alt", "delta", "full-cycle")),
+        (3, 3, 4, 1, "_z3_core", ("closed", "delta", "full-cycle")),
         (3, 3, 4, 2, "_z3_core", ("closed", "delta", "full-cycle")),
         (3, 6, 2, 1, "_z3_core", ("closed", "delta", "full-cycle")),
         (5, 2, 6, 1, "full_cycle_by_lifting", ("delta", "full-cycle")),
