@@ -10,6 +10,8 @@ from .dynamics import (
     ReducedMapTable,
     TableBoundError,
     cycle_decomposition,
+    decision_level,
+    full_cycle_by_lifting,
     is_full_cycle,
     reduced_map_table,
 )
@@ -18,8 +20,6 @@ from .criteria import (
     MinimalityVerdict,
     closed_form,
     decide,
-    decision_level,
-    full_cycle_by_lifting,
     minimal_general,
     minimal_z2,
     minimal_z3,

@@ -20,12 +20,8 @@ import sys
 from collections.abc import Iterable
 from itertools import chain, groupby, islice
 
-from .criteria import MinimalityVerdict, closed_form, decision_level, minimal_general
-from .dynamics import (
-    DEFAULT_TABLE_BOUND,
-    IntPolynomial,
-    cycle_decomposition,
-)
+from .criteria import MinimalityVerdict, closed_form, minimal_general
+from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, cycle_decomposition, decision_level
 from .odometer import build_psi, full_cycle_stream, verify_conjugacy_tower
 from .padic import PadicError
 from .sweep import DEFAULT_WORK_BUDGET, SweepConfig, run_sweep
@@ -290,13 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "bound": args.bound,
             "coeffs_constant": args.a0,
             "n_max": sweep_cfg.resolved_n_max(),
-            "total": report.total,
-            "agree_minimal": report.agree_minimal,
-            "agree_nonminimal": report.agree_nonminimal,
-            "disagreements": report.disagreements,
-            "first_counterexample": report.first_counterexample,
-            "first_routes": report.first_routes,
-            "sampled": report.sampled,
+            **report._asdict(),
             "seed": sweep_cfg.seed,
             "workers": args.threads,
         })

@@ -2,9 +2,10 @@
 
 Minimality (every orbit dense) is equivalent to the induced map on
 Z/p^nZ being one full cycle at every level n, and a single level
-settles it: level 2 for p > 3, level 3 for p in {2, 3}.  For p = 2 and
-p = 3 there are also closed-form coefficient congruences; those run in
-O(degree) with no iteration at all.
+settles it: level 2 for p > 3, level 3 for p in {2, 3}; minimal_general
+reads it off the lifting walk of dynamics.  For p = 2 and p = 3 there
+are also closed-form coefficient congruences; those run in O(degree)
+with no iteration at all.
 
 Congruences are stated on four coefficient sums of f = a0 + a1 x + ...:
 
@@ -24,17 +25,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError
+from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, _cycle_of_zero, _orbit_shape,
+                       decision_level)
 from .padic import PadicError
 
 METHOD_P2 = "closed-form-p2"
 METHOD_P3 = "closed-form-p3"
 METHOD_DELTA = "delta-rule"
-
-
-def decision_level(prime: int) -> int:
-    """Smallest level whose full-cycle check settles minimality."""
-    return 3 if prime in (2, 3) else 2
 
 
 def _primed(c: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -96,8 +93,9 @@ class MinimalityVerdict(namedtuple(
 # term first (trailing zeros allowed), and returns (minimal, case,
 # residues, passed), the residue and outcome of every condition in record
 # order.  The public function checks its preconditions and turns that into
-# records; a sweep calls the core alone.  The p = 2 and p = 3 cores read
-# the exact sums for constant term 1 and the primed sums mod p^2 otherwise.
+# records; a sweep calls the core alone (_CLOSED_FORMS holds both).  The
+# p = 2 and p = 3 cores read the exact sums for constant term 1 and the
+# primed sums mod p^2 otherwise.
 
 
 def _verdict(method: str, core: tuple, names: tuple[str, ...],
@@ -197,150 +195,6 @@ def minimal_z3(f: IntPolynomial) -> MinimalityVerdict:
     return _verdict(METHOD_P3, core, names, (3, 3, 3, 3, 3, 3, 9, 9), stage)
 
 
-class LiftStep(namedtuple("LiftStep", "length a b kind")):
-    """How the cycle that the orbit of 0 enters mod p^n lifts to mod
-    p^(n+1) (Fan and Liao 2011).  Above its first point x, f^k moves
-    x + p^n z to x + p^n (a z + b) mod p^(n+1), a = (f^k)'(x) mod p, so
-    the orbit of 0 at the next level: keeps its k-cycle ("split", b = 0);
-    grows into a k*p-cycle ("grow", a = 1); reaches a k-cycle j0 + 1 steps
-    later, j0 the first step from x at which f' is 0 mod p ("attract",
-    a = 0); or runs round a k*ord(a)-cycle ("partial").  a reads f' mod p
-    only, so the next level's a is a^(k'/k): 1 after grow and partial."""
-
-    __slots__ = ()
-
-
-class OrbitShape(namedtuple("OrbitShape", "tail length base steps")):
-    """The orbit of 0 mod p^level: `tail` residues, then a cycle of
-    `length` residues from `base` = f^tail(0); steps[n - 1] is the lift
-    from level n."""
-
-    __slots__ = ()
-
-
-def _order(a: int, p: int) -> int:
-    r, y = 1, a
-    while y != 1:
-        r, y = r + 1, y * a % p
-    return r
-
-
-def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitShape | None:
-    """Tail and cycle of the orbit of 0 mod p^level, in constant memory:
-    Brent's cycle finding mod p, which also stops at the first return to
-    0, with the hare carried mod p^level and a = (f^j)'(0) mod p, so that
-    a periodic 0 has level 1's lift on its return; with a tail, Brent's
-    second phase and a k-step walk from the cycle give it.  Higher lifts
-    need no f': split takes no step, grow and partial walk on, attract
-    walks k steps from its new base.  This walk decides every full cycle:
-    f is one mod p^level exactly when the cycle length is p^level, and a
-    full cycle mod p^n lifts to one mod p^(n+1) exactly when the lift is
-    "grow".  With stop, the walk ends at the first level with no full
-    cycle and returns the shape there; when that is level 1 it returns
-    None, with no tail phase."""
-    p = f.prime
-    modulus = p**level
-    fused, ev = f.eval_slope_mod, f.eval_mod
-    # the hare stands on f^(power - 1 + length)(0)
-    power = length = 1
-    tortoise = 0
-    x, a = fused(0, modulus)
-    entry = None if a else (1, x)
-    while (h := x % p) and h != tortoise:
-        if power == length:
-            tortoise, power, length = h, power * 2, 0
-        x, d = fused(x, modulus)
-        a = a * d % p
-        if not a and entry is None:
-            entry = (power + length, x)
-        length += 1
-    if not h:  # 0 is periodic, and the hare stands on its first return
-        tail, length, base = 0, power - 1 + length, 0
-    if stop and length < p:  # with a tail, too, the cycle is shorter than p
-        return None
-    if h:
-        # Brent's second phase; the tortoise walks at the full modulus, so
-        # it stops on f^tail(0)
-        hare = 0
-        for _ in range(length):
-            hare = ev(hare, p)
-        base = tail = 0
-        while base % p != hare:
-            base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
-    steps = []
-    walk = h  # does base start a cycle not walked yet?
-    for n in range(1, level):
-        if walk:
-            x, a, entry = base, 1, None
-            for j in range(1, length + 1):
-                x, d = fused(x, modulus)
-                a = a * d % p
-                if not a and entry is None:
-                    entry = (j, x)
-        # x = f^length(base) mod p^level, and a and entry are its walk's
-        q = p**n
-        b = (x - base) % (q * p) // q
-        step = LiftStep(length, a, b, "split" if b == 0 else "grow" if a == 1
-                        else "attract" if a == 0 else "partial")
-        steps.append(step)
-        walk = step.kind == "attract"
-        if walk:
-            tail, base = tail + entry[0], entry[1]
-        elif step.kind != "split":
-            length *= p if step.kind == "grow" else _order(a, p)
-            a = 1
-        if n == level - 1 or stop and step.kind != "grow":
-            break
-        for _ in range(length - step.length):
-            x = ev(x, modulus)
-    return OrbitShape(tail, length, base, tuple(steps))
-
-
-def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tuple[int, ...]:
-    """The cycle the orbit of 0 runs into mod p^level, from its first
-    residue on, given its shape there (level >= 2).  Its length is known
-    before it is built, and table_bound caps it.  One block of k residues
-    is walked with (f^i)' mod p, k the cycle length at level - 1; f^k
-    moves the block's start y by p^(level-1) z and each later block by the
-    next z of z -> a z + b, so its residues are f^i(y) + (f^i)'(y)
-    p^(level-1) z mod p^level: one multiply-add each."""
-    if shape.length > table_bound:
-        raise TableBoundError(
-            f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
-    p = f.prime
-    modulus = p ** (len(shape.steps) + 1)
-    q = modulus // p
-    fused = f.eval_slope_mod
-    last = shape.steps[-1]
-    block = last.length
-    ys, shifts = [], []
-    x, slope = shape.base, 1
-    for _ in range(block):
-        ys.append(x)
-        shifts.append(slope * q)
-        x, d = fused(x, modulus)
-        slope = slope * d % p
-    zs = [0]
-    for _ in range(shape.length // block - 1):
-        zs.append((last.a * zs[-1] + last.b) % p)
-    # column i holds f^i(y) in every block
-    cycle = [0] * shape.length
-    for i, (y, s) in enumerate(zip(ys, shifts)):
-        cycle[i::block] = [(y + s * z) % modulus for z in zs]
-    return tuple(cycle)
-
-
-def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
-    """Is f one full cycle mod p^n?  Decided by lifting, with no table:
-    one walk of the orbit of 0 that stops at the first broken level.  A
-    full cycle at the decision level is one at every level."""
-    if n < 1:
-        raise PadicError(f"level must be >= 1, got {n}")
-    level = min(n, decision_level(f.prime))
-    shape = _orbit_shape(f, level, stop=True)
-    return shape is not None and shape.length == f.prime**level
-
-
 def minimal_general(
     f: IntPolynomial, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> MinimalityVerdict:
@@ -359,20 +213,13 @@ def minimal_general(
     return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
 
 
-def _closed_forms(prime: int) -> tuple:
-    """(record function, core) of the closed form: minimal_z2 at p = 2,
-    minimal_z3 at p = 3, and two Nones at every other prime."""
-    if prime == 2:
-        return minimal_z2, _z2_core
-    if prime == 3:
-        return minimal_z3, _z3_core
-    return None, None
+_CLOSED_FORMS = {2: (minimal_z2, _z2_core), 3: (minimal_z3, _z3_core)}
 
 
 def closed_form(f: IntPolynomial) -> MinimalityVerdict | None:
     """The closed-form verdict, minimal_z2 at p = 2 and minimal_z3 at
     p = 3; None for every other prime, which has no closed form."""
-    record = _closed_forms(f.prime)[0]
+    record = _CLOSED_FORMS.get(f.prime, (None, None))[0]
     return None if record is None else record(f)
 
 

@@ -2,10 +2,11 @@
 
 A polynomial with integer coefficients induces a compatible family of
 self-maps of Z/p^nZ, one per level n.  Everything here works on those
-finite reductions; iteration is always pointwise, never symbolic.  A
-map that is one full cycle mod p^n has its orbit produced in blocks
-(_orbit_blocks) from p^ceil(n/2) kernel steps; the map table
-(reduced_map_table) serves the cycles of every other map.
+finite reductions; iteration is always pointwise, never symbolic.  One
+walk of the orbit of 0 that lifts its cycle level by level (_orbit_shape)
+decides whether f is one full cycle mod p^n; a full cycle has its orbit
+produced in blocks (_orbit_blocks) from p^ceil(n/2) kernel steps, and the
+map table (reduced_map_table) serves the cycles of every other map.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def coefficient(self, i: int) -> int:
-        return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
 
     @classmethod
     def from_text(cls, prime: int, text: str) -> "IntPolynomial":
@@ -194,6 +192,162 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
         yield block
 
 
+def decision_level(prime: int) -> int:
+    """Smallest level whose full-cycle check settles minimality."""
+    return 3 if prime in (2, 3) else 2
+
+
+class LiftStep(namedtuple("LiftStep", "length a b kind")):
+    """How the cycle that the orbit of 0 enters mod p^n lifts to mod
+    p^(n+1) (Fan and Liao 2011).  Above its first point x, f^k moves
+    x + p^n z to x + p^n (a z + b) mod p^(n+1), a = (f^k)'(x) mod p, so
+    the orbit of 0 at the next level: keeps its k-cycle ("split", b = 0);
+    grows into a k*p-cycle ("grow", a = 1); reaches a k-cycle j0 + 1 steps
+    later, j0 the first step from x at which f' is 0 mod p ("attract",
+    a = 0); or runs round a k*ord(a)-cycle ("partial").  a reads f' mod p
+    only, so the next level's a is a^(k'/k): 1 after grow and partial."""
+
+    __slots__ = ()
+
+
+class OrbitShape(namedtuple("OrbitShape", "tail length base steps")):
+    """The orbit of 0 mod p^level: `tail` residues, then a cycle of
+    `length` residues from `base` = f^tail(0); steps[n - 1] is the lift
+    from level n."""
+
+    __slots__ = ()
+
+
+def _order(a: int, p: int) -> int:
+    r, y = 1, a
+    while y != 1:
+        r, y = r + 1, y * a % p
+    return r
+
+
+def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitShape | None:
+    """Tail and cycle of the orbit of 0 mod p^level, in constant memory:
+    Brent's cycle finding mod p, which also stops at the first return to
+    0, with the hare carried mod p^level and a = (f^j)'(0) mod p, so that
+    a periodic 0 has level 1's lift on its return; with a tail, Brent's
+    second phase and a k-step walk from the cycle give it.  Higher lifts
+    need no f': split takes no step, grow and partial walk on, attract
+    walks k steps from its new base.  This walk decides every full cycle:
+    f is one mod p^level exactly when the cycle length is p^level, and a
+    full cycle mod p^n lifts to one mod p^(n+1) exactly when the lift is
+    "grow".  With stop, the walk ends at the first level with no full
+    cycle and returns the shape there; when that is level 1 it returns
+    None, with no tail phase."""
+    p = f.prime
+    modulus = p**level
+    fused, ev = f.eval_slope_mod, f.eval_mod
+    # the hare stands on f^(power - 1 + length)(0)
+    power = length = 1
+    tortoise = 0
+    x, a = fused(0, modulus)
+    entry = None if a else (1, x)
+    while (h := x % p) and h != tortoise:
+        if power == length:
+            tortoise, power, length = h, power * 2, 0
+        x, d = fused(x, modulus)
+        a = a * d % p
+        if not a and entry is None:
+            entry = (power + length, x)
+        length += 1
+    if not h:  # 0 is periodic, and the hare stands on its first return
+        tail, length, base = 0, power - 1 + length, 0
+    if stop and length < p:  # with a tail, too, the cycle is shorter than p
+        return None
+    if h:
+        # Brent's second phase; the tortoise walks at the full modulus, so
+        # it stops on f^tail(0)
+        hare = 0
+        for _ in range(length):
+            hare = ev(hare, p)
+        base = tail = 0
+        while base % p != hare:
+            base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
+    steps = []
+    walk = h  # does base start a cycle not walked yet?
+    for n in range(1, level):
+        if walk:
+            x, a, entry = base, 1, None
+            for j in range(1, length + 1):
+                x, d = fused(x, modulus)
+                a = a * d % p
+                if not a and entry is None:
+                    entry = (j, x)
+        # x = f^length(base) mod p^level, and a and entry are its walk's
+        q = p**n
+        b = (x - base) % (q * p) // q
+        step = LiftStep(length, a, b, "split" if b == 0 else "grow" if a == 1
+                        else "attract" if a == 0 else "partial")
+        steps.append(step)
+        walk = step.kind == "attract"
+        if walk:
+            tail, base = tail + entry[0], entry[1]
+        elif step.kind != "split":
+            length *= p if step.kind == "grow" else _order(a, p)
+            a = 1
+        if n == level - 1 or stop and step.kind != "grow":
+            break
+        for _ in range(length - step.length):
+            x = ev(x, modulus)
+    return OrbitShape(tail, length, base, tuple(steps))
+
+
+def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tuple[int, ...]:
+    """The cycle the orbit of 0 runs into mod p^level, from its first
+    residue on, given its shape there (level >= 2).  Its length is known
+    before it is built, and table_bound caps it.  One block of k residues
+    is walked with (f^i)' mod p, k the cycle length at level - 1; f^k
+    moves the block's start y by p^(level-1) z and each later block by the
+    next z of z -> a z + b, so its residues are f^i(y) + (f^i)'(y)
+    p^(level-1) z mod p^level: one multiply-add each."""
+    if shape.length > table_bound:
+        raise TableBoundError(
+            f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
+    p = f.prime
+    modulus = p ** (len(shape.steps) + 1)
+    q = modulus // p
+    fused = f.eval_slope_mod
+    last = shape.steps[-1]
+    block = last.length
+    ys, shifts = [], []
+    x, slope = shape.base, 1
+    for _ in range(block):
+        ys.append(x)
+        shifts.append(slope * q)
+        x, d = fused(x, modulus)
+        slope = slope * d % p
+    zs = [0]
+    for _ in range(shape.length // block - 1):
+        zs.append((last.a * zs[-1] + last.b) % p)
+    # column i holds f^i(y) in every block
+    cycle = [0] * shape.length
+    for i, (y, s) in enumerate(zip(ys, shifts)):
+        cycle[i::block] = [(y + s * z) % modulus for z in zs]
+    return tuple(cycle)
+
+
+def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
+    """Is f one full cycle mod p^n?  Decided by lifting, with no table:
+    one walk of the orbit of 0 that stops at the first broken level.  A
+    full cycle at the decision level is one at every level."""
+    if n < 1:
+        raise PadicError(f"level must be >= 1, got {n}")
+    level = min(n, decision_level(f.prime))
+    shape = _orbit_shape(f, level, stop=True)
+    return shape is not None and shape.length == f.prime**level
+
+
+def _small_level(prime: int, n: int) -> bool:
+    """Is 2 p^ceil(n/2) >= p^n (n = 1, or p = 2 and n <= 3)?  There
+    _orbit_blocks would walk the whole orbit of a full cycle, and the map
+    table, one C pass, serves it instead."""
+    return 2 * prime ** ((n + 1) // 2) >= prime**n
+
+
 class CycleDecomposition(namedtuple(
         "CycleDecomposition", "prime level bijective cycles non_periodic_count")):
     """Cycle structure of the induced map at one level: a tuple of cycles,
@@ -214,13 +368,8 @@ def cycle_decomposition(
     orbit of 0 in blocks (_orbit_blocks), with no table; any other map's
     cycles, and every map's at the levels where the engine would walk the
     whole orbit, come from one path-marking walk of its map table."""
-    from .criteria import full_cycle_by_lifting  # criteria imports this module
-
     size = _check_table_size(f.prime, n, table_bound)
-    # where 2K >= p^n (n = 1, or p = 2 and n <= 3) the engine would walk
-    # the whole orbit after the lifting walk: the map table below costs
-    # one C pass and finds a full cycle as well
-    if size > 2 * f.prime ** ((n + 1) // 2) and full_cycle_by_lifting(f, n):
+    if not _small_level(f.prime, n) and full_cycle_by_lifting(f, n):
         # one cycle, from its least residue 0
         cycle = tuple(chain.from_iterable(_orbit_blocks(f, n, 0, size)))
         return CycleDecomposition(f.prime, n, True, (cycle,), 0)
@@ -260,7 +409,7 @@ def is_full_cycle(f: IntPolynomial, n: int) -> bool:
     p^n residues?  The brute-force check: walk the orbit of 0 until its
     first return, which comes at step p^n exactly when the cycle is
     full.  It is the sweep's independent reference; deciders lift from
-    mod p instead (criteria.full_cycle_by_lifting)."""
+    mod p instead (full_cycle_by_lifting)."""
     if n < 1:
         raise PadicError(f"level must be >= 1, got {n}")
     size = f.prime**n

@@ -16,9 +16,9 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain
 
-from .criteria import OrbitShape, _orbit_shape, decision_level, full_cycle_by_lifting
-from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
-                       TableBoundError, _check_table_size, _orbit_blocks, _typecode,
+from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, OrbitShape,
+                       TableBoundError, _check_table_size, _orbit_blocks, _orbit_shape,
+                       _small_level, _typecode, decision_level, full_cycle_by_lifting,
                        reduced_map_table)
 from .padic import PadicError
 
@@ -48,15 +48,14 @@ def build_psi(
     """Index table of the full cycle at level n.  The full cycle is
     decided by lifting before any table is built; without one, the error
     counts the residues the orbit of 0 visits mod p^n.  orbit_point is the
-    orbit of 0 in blocks (_orbit_blocks), and orbit_index its inverse.
-    Where 2 p^ceil(n/2) >= p^n (n = 1, or p = 2 and n <= 3) the engine
-    would walk the whole orbit, and the map table, one C pass, is
-    cheaper: the orbit is read from it instead."""
+    orbit of 0 in blocks (_orbit_blocks), and orbit_index its inverse,
+    except at the small levels (_small_level), where the orbit is read
+    off the map table."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(_orbit_shape(f, n), n, size)
     orbit_index = array(_typecode(size), [0]) * size
-    if size > 2 * f.prime ** ((n + 1) // 2):
+    if not _small_level(f.prime, n):
         orbit_point = array(orbit_index.typecode, chain.from_iterable(_orbit_blocks(f, n, 0, size)))
         for k, x in enumerate(orbit_point):
             orbit_index[x] = k

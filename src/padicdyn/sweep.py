@@ -6,20 +6,21 @@ and counts agreement.  Routes per tuple:
 
     closed      closed-form decider (p = 2 or 3 only)
     delta       full cycle at the decision level, decided by lifting
-                from mod p (criteria.full_cycle_by_lifting)
+                from mod p (dynamics.full_cycle_by_lifting)
     full-cycle  brute-force orbit walk of 0 at n_max, through a residue
                 table (below) or, past its size cap, dynamics.is_full_cycle
 
-closed calls the record-free core that criteria picks for the prime,
-the one it builds its records from; it builds no ConditionCheck.  The
-all-zero tail is built as the constant map a0, which every route reports
-as not minimal.  The index range (or the sorted sample) is cut into
-contiguous chunks, one per worker process; the workers are capped at the
-CPU count and at the number of tuples.  A sweep imports what only some
-sweeps use where it is used: random in the sampled branch of run_sweep,
-and the process pool in _pool, so multiprocessing loads at the first
-sweep on two or more workers.  Neither loads with padicdyn.  Tests
-replace _pool with an in-process stand-in.
+closed calls the record-free core that criteria._CLOSED_FORMS holds
+for the prime, the one it builds its records from; it builds no
+ConditionCheck.  The all-zero tail is built as the constant map a0,
+which every route reports as not minimal.  The index range (or the
+sorted sample) is cut into contiguous chunks, one per worker process;
+the workers are capped at the CPU count and at the number of tuples.
+A sweep imports what only some sweeps use where it is used: random in
+the sampled branch of run_sweep, and the process pool in _pool, so
+multiprocessing loads at the first sweep on two or more workers.
+Neither loads with padicdyn.  Tests replace _pool with an in-process
+stand-in.
 
 A chunk enumerates consecutive indices as an odometer (see _tables) and
 keeps one residue table, table[x] = f(x) mod p^n_max, that each step
@@ -41,8 +42,8 @@ import sys
 from collections import namedtuple
 from operator import mul
 
-from .criteria import _closed_forms, decision_level, full_cycle_by_lifting
-from .dynamics import IntPolynomial, is_full_cycle
+from .criteria import _CLOSED_FORMS
+from .dynamics import IntPolynomial, decision_level, full_cycle_by_lifting, is_full_cycle
 from .padic import PadicError, _check_prime
 
 # ten million full-cycle checks; larger boxes must opt into sampling
@@ -147,7 +148,7 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     p = cfg.prime
     level = decision_level(p)
     n_max = cfg.resolved_n_max()
-    _, closed_core = _closed_forms(p)
+    _, closed_core = _CLOSED_FORMS.get(p, (None, None))
     agree_min = agree_non = disagree = 0
     first = None
     for idx, coeffs, table in _tables(cfg, indices):
@@ -251,11 +252,5 @@ def _pool(workers: int):
 def _split(indices: range | list[int], parts: int) -> list:
     """Cut a range or a list into `parts` contiguous slices whose
     lengths differ by at most one; a slice of a range is a range."""
-    step, extra = divmod(len(indices), parts)
-    out = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        out.append(indices[lo:hi])
-        lo = hi
-    return out
+    n = len(indices)
+    return [indices[i * n // parts:(i + 1) * n // parts] for i in range(parts)]

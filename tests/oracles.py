@@ -20,19 +20,16 @@ errors directly; they evaluate only through eval_pow_mod.
 
 from dataclasses import dataclass
 
-from padicdyn.criteria import (
-    LiftStep,
-    MinimalityVerdict,
-    OrbitShape,
-    _order,
-    decide,
-    decision_level,
-)
+from padicdyn.criteria import MinimalityVerdict, decide
 from padicdyn.dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
+    LiftStep,
     NotFullCycleError,
+    OrbitShape,
     TableBoundError,
+    _order,
+    decision_level,
 )
 from padicdyn.odometer import TowerReport
 from padicdyn.padic import PadicError
@@ -191,7 +188,7 @@ def derivative(f):
 
 
 def orbit_shape_by_rewalking(f, level, *, stop=False):
-    """criteria._orbit_shape as it was before the walk was fused: Brent's
+    """dynamics._orbit_shape as it was before the walk was fused: Brent's
     cycle finding mod p (stopping at the first return to 0 as well), then
     one k-step walk per level from the cycle's first point, carrying f'
     mod p from a separate evaluation of the derivative."""

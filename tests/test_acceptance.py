@@ -11,14 +11,10 @@ import time
 from collections import Counter
 from itertools import product
 
-from padicdyn.criteria import (
-    _orbit_shape,
-    minimal_general,
-    minimal_z2,
-    minimal_z3,
-)
+from padicdyn.criteria import minimal_general, minimal_z2, minimal_z3
 from padicdyn.dynamics import (
     IntPolynomial,
+    _orbit_shape,
     cycle_decomposition,
     is_full_cycle,
     reduced_map_table,
@@ -190,8 +186,8 @@ def test_c07_displacement_recurrence():
         for n in (1, 2):
             mod = 3**n
             at_zero = taylor_data(f, n, 0, n)
-            at_image = taylor_data(f, n, f.coefficient(0), n)
-            fprime_at_zero = f.coefficient(1) % mod
+            at_image = taylor_data(f, n, f.coefficients[0], n)
+            fprime_at_zero = f.coefficients[1] % mod
             want = (at_zero.displacement * fprime_at_zero) % mod
             assert at_image.displacement == want, (f.coefficients, n)
     print("C7 PASS: displacement(f(0)) = displacement(0) * f'(0) mod 3^n "

@@ -13,13 +13,19 @@ from padicdyn.criteria import (
     METHOD_P3,
     closed_form,
     decide,
-    decision_level,
-    full_cycle_by_lifting,
     minimal_general,
     minimal_z2,
     minimal_z3,
 )
-from padicdyn.dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, TableBoundError, is_full_cycle
+from padicdyn.dynamics import (
+    DEFAULT_TABLE_BOUND,
+    IntPolynomial,
+    TableBoundError,
+    _orbit_shape,
+    decision_level,
+    full_cycle_by_lifting,
+    is_full_cycle,
+)
 from padicdyn.odometer import verify_conjugacy_tower
 from padicdyn.padic import PadicError
 
@@ -280,8 +286,8 @@ class TestWitnessByLifting:
     ])
     def test_pinned_lift_class(self, p, coeffs, kind, level1, tail, witness):
         f = IntPolynomial(p, coeffs)
-        assert criteria._orbit_shape(f, 1)[:2] == level1
-        shape = criteria._orbit_shape(f, 2)
+        assert _orbit_shape(f, 1)[:2] == level1
+        shape = _orbit_shape(f, 2)
         assert shape.steps[-1].kind == kind
         assert (shape.tail, shape.length) == (tail, len(witness))
         v = minimal_general(f)
@@ -308,7 +314,7 @@ class TestWitnessByLifting:
                     assert minimal_general(f).minimal, coeffs
                 else:
                     assert minimal_general(f).witness == tuple(order[start:]), coeffs
-                kinds.add(criteria._orbit_shape(f, level).steps[-1].kind)
+                kinds.add(_orbit_shape(f, level).steps[-1].kind)
                 for bound in (DEFAULT_TABLE_BOUND, p**2):
                     for n_max in range(1, level + 2):
                         got = _tower_outcome(verify_conjugacy_tower, f, n_max, bound)
@@ -354,7 +360,7 @@ class TestWitnessByLifting:
         calls = counting(monkeypatch)
         assert not full_cycle_by_lifting(f, 2)
         assert calls[0] < 2 * 571
-        assert criteria._orbit_shape(f, 2, stop=True) is None
+        assert _orbit_shape(f, 2, stop=True) is None
 
 
 def counting(monkeypatch):
@@ -406,7 +412,7 @@ class TestFusedWalk:
             level = decision_level(p)
             for n in range(1, level + 1 + (p < 101)):
                 for stop in (False, True):
-                    got = criteria._orbit_shape(f, n, stop=stop)
+                    got = _orbit_shape(f, n, stop=stop)
                     assert got == oracles.orbit_shape_by_rewalking(f, n, stop=stop), (
                         f.coefficients, p, n, stop)
                     if got:
@@ -508,7 +514,7 @@ class TestCores:
         (2, 1), (2, -1), (2, 5), (2, 6), (3, 1), (3, -1), (3, 4), (3, -6),
     ])
     def test_cores_agree_with_records(self, prime, a0):
-        record, core = criteria._closed_forms(prime)
+        record, core = criteria._CLOSED_FORMS[prime]
         seen = set()
         for degree in range(1, 13):
             for coeffs in _box(a0, degree, seed=degree):
@@ -522,9 +528,8 @@ class TestCores:
         assert seen == ({True, False} if a0 % prime else {False})
 
     def test_sweep_cores_follow_the_prime(self):
-        assert criteria._closed_forms(2) == (minimal_z2, criteria._z2_core)
-        assert criteria._closed_forms(3) == (minimal_z3, criteria._z3_core)
-        assert criteria._closed_forms(5) == (None, None)
+        assert criteria._CLOSED_FORMS == {2: (minimal_z2, criteria._z2_core),
+                                          3: (minimal_z3, criteria._z3_core)}
 
 
 def _class_member(rng, rep, degree):
@@ -567,7 +572,7 @@ class TestClassReductions:
     @pytest.mark.parametrize("spread", [60, 3])
     def test_random_maps(self, prime, spread):
         # degrees 1-40, constant terms and coefficients in [-spread, spread]
-        _, core = criteria._closed_forms(prime)
+        _, core = criteria._CLOSED_FORMS[prime]
         rng = random.Random(prime * 100 + spread)
         seen = set()
         for _ in range(1000):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from padicdyn.criteria import _orbit_shape
 from padicdyn.dynamics import (
     IntPolynomial,
     TableBoundError,
+    _orbit_shape,
     cycle_decomposition,
     is_full_cycle,
     reduced_map_table,
@@ -65,11 +65,6 @@ class TestConstruction:
             IntPolynomial(4, (1, 1))
         with pytest.raises(PadicError):
             IntPolynomial.from_text(2, "1,x")
-
-    def test_coefficient_accessor(self):
-        assert W2.coefficient(3) == 2
-        assert W2.coefficient(9) == 0
-        assert W2.coefficient(-1) == 0
 
 
 class TestEvaluate:
@@ -359,7 +354,7 @@ def lift_from(f, n):
 
 class TestLiftCheck:
     # the lift of a full cycle mod p^n to mod p^(n+1), as classified by
-    # criteria._orbit_shape: a = (f^(p^n))'(0) mod p and
+    # _orbit_shape: a = (f^(p^n))'(0) mod p and
     # b = f^(p^n)(0) / p^n mod p, and the cycle lifts ("grow") exactly
     # when a = 1 and b != 0
     def test_frozen(self):

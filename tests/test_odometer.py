@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padicdyn import odometer
-from padicdyn.criteria import _orbit_shape, decide, decision_level
+from padicdyn.criteria import decide
 from padicdyn.dynamics import (
     DEFAULT_TABLE_BOUND,
     IntPolynomial,
     NotFullCycleError,
     TableBoundError,
+    _orbit_shape,
+    decision_level,
     reduced_map_table,
 )
 from padicdyn.odometer import (

@@ -17,9 +17,9 @@ from math import prod
 import pytest
 
 from padicdyn.cli import main
-from padicdyn.criteria import full_cycle_by_lifting
 from padicdyn import dynamics
-from padicdyn.dynamics import IntPolynomial, TableBoundError, _orbit_blocks, cycle_decomposition
+from padicdyn.dynamics import (IntPolynomial, TableBoundError, _orbit_blocks, cycle_decomposition,
+                               full_cycle_by_lifting)
 from padicdyn.odometer import build_psi, full_cycle_stream
 
 import oracles

@@ -22,7 +22,7 @@ from padicdyn import (
     SweepReport,
     TowerReport,
 )
-from padicdyn.criteria import LiftStep, OrbitShape
+from padicdyn.dynamics import LiftStep, OrbitShape
 from padicdyn.sweep import DEFAULT_WORK_BUDGET
 
 SRC = Path(__file__).resolve().parent.parent / "src"

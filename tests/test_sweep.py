@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padicdyn import criteria, sweep
-from padicdyn.criteria import decision_level, full_cycle_by_lifting
-from padicdyn.dynamics import IntPolynomial, reduced_map_table
+from padicdyn.dynamics import IntPolynomial, decision_level, full_cycle_by_lifting, reduced_map_table
 from padicdyn.padic import PadicError
 from padicdyn.sweep import SweepConfig, _index_to_tail, _split, _tables, run_sweep
 
@@ -191,10 +190,10 @@ class TestTables:
 def _flip_on(monkeypatch, name, chosen, degree):
     """Patch the `name` route that the sweep calls to invert its verdict
     on the chosen coefficient tuples (trailing zeros included).  The
-    closed-form cores live in criteria and take the coefficient tuple;
-    full_cycle_by_lifting is bound in sweep and takes the polynomial."""
-    owner = criteria if name.startswith("_") else sweep
-    original = getattr(owner, name)
+    closed-form cores are read from criteria._CLOSED_FORMS and take the
+    coefficient tuple; full_cycle_by_lifting is bound in sweep and takes
+    the polynomial."""
+    original = getattr(criteria if name.startswith("_") else sweep, name)
 
     def flipped(arg, *args):
         result = original(arg, *args)
@@ -205,7 +204,12 @@ def _flip_on(monkeypatch, name, chosen, degree):
             return not result
         return (not result[0], *result[1:])
 
-    monkeypatch.setattr(owner, name, flipped)
+    if name.startswith("_"):
+        prime, record = next((p, record) for p, (record, core)
+                             in criteria._CLOSED_FORMS.items() if core is original)
+        monkeypatch.setitem(criteria._CLOSED_FORMS, prime, (record, flipped))
+    else:
+        monkeypatch.setattr(sweep, name, flipped)
 
 
 class TestDisagreements:
