@@ -8,11 +8,18 @@ Exit status: analyze exits 0 when the map is minimal, 1 when it is not,
 2 on errors; sweep exits 1 when decision routes disagree; everything
 else exits 0 on success, 2 on errors.  A reader that closes stdout
 early (`| head`) is an error too: exit 2, with nothing on stderr.
+
+Parsing: main builds the parser of the subcommand it is given at that
+subcommand's first call in the process and reuses it after, so a shell
+call builds one parser and an in-process caller of main(argv) one per
+subcommand.  The full tree of all five is built, uncached, only for the
+top-level help and errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -266,6 +273,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.threads is None:  # read per call: a cached parser holds no cpu count
+        args.threads = os.cpu_count() or 1
     sweep_cfg = SweepConfig(
         prime=args.prime,
         degree=args.degree,
@@ -350,10 +359,18 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
         p.add_argument("--samples", type=int, default=None,
                        help="sample size when the box exceeds the work budget")
         p.add_argument("--rng-seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=int, default=None,
                        help="worker processes for the sweep, at most one per "
                             "CPU (default: cpu count)")
     return p
+
+
+@functools.cache
+def _parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name`, named as the full tree names it,
+    built at its first call in this process and reused after: it holds
+    no value that can change between calls."""
+    return _add_options(argparse.ArgumentParser(prog=f"padicdyn {name}"), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,9 +401,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
-        # one parser, named as the full tree names it, instead of all of them
-        parser = argparse.ArgumentParser(prog=f"padicdyn {argv[0]}")
-        args = _add_options(parser, argv[0]).parse_args(argv[1:])
+        args = _parser(argv[0]).parse_args(argv[1:])
     else:
         args = build_parser().parse_args(argv)
     try:

@@ -13,6 +13,7 @@ import padicdyn
 from padicdyn import cli, criteria, dynamics, odometer, sweep
 from padicdyn.cli import build_parser, main
 from padicdyn.dynamics import IntPolynomial
+from test_sweep import _RecordingPool
 
 W2 = "1,3,0,2"
 W3 = "1,4,0,4,0,2"
@@ -613,6 +614,20 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "work budget" in err
 
+    def test_default_threads_read_per_call(self, capsys, monkeypatch):
+        # the parser of sweep is built once; the cpu count is not frozen in it
+        monkeypatch.setattr(_RecordingPool, "instances", [])
+        monkeypatch.setattr(sweep, "_pool", _RecordingPool)
+        workers = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, out, _ = run(capsys, "sweep", "--prime", "3", "--degree", "2",
+                               "--bound", "3", "--format", "structured")
+            assert code == 0
+            workers.append(json.loads(out)["workers"])
+        assert workers == [1, 2]
+        assert [pool.max_workers for pool in _RecordingPool.instances] == [2]
+
 
 class TestEnvironment:
     def test_table_bound_env_limits_tables(self, capsys, monkeypatch):
@@ -731,6 +746,16 @@ def exit_of(call):
     return exit_info.value.code
 
 
+def outcome(capsys, argv, parse=main):
+    """Exit status, stdout and stderr of parse(argv), which may exit."""
+    try:
+        code = parse(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestParsers:
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_subcommand_help_matches_the_full_tree(self, capsys, command):
@@ -761,6 +786,7 @@ class TestParsers:
         assert "argument --level: not allowed with argument --nmax" in captured.err
 
     def test_subcommand_builds_one_parser(self, capsys, monkeypatch):
+        # one parser per subcommand per process, built at its first call
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -769,8 +795,50 @@ class TestParsers:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
         assert run(capsys, "analyze", "--prime", "3", "--coeffs", Q3)[0] == 0
-        assert built == ["padicdyn analyze"]
+        assert run(capsys, "analyze", "--prime", "3", "--coeffs", W3)[0] == 1
+        assert run(capsys, "cycles", "--prime", "3", "--coeffs", Q3)[0] == 0
+        assert built == ["padicdyn analyze", "padicdyn cycles"]
+
+    def test_reused_parsers_answer_as_fresh_ones(self, capsys, clean_env):
+        # every golden case forward and back, each followed by a rejection
+        # or a help text, against the same call on a parser built for it
+        between = [
+            ["conjugacy", "--prime", "3", "--coeffs", Q3, "--level", "7", "--nmax", "2"],
+            ["analyze", "--prime", "3"],
+            ["analyze", "--prime", "3", "--coeffs", Q3, "--bogus"],
+            *([command, "--help"] for command in SUBCOMMANDS),
+        ]
+        calls = []
+        for i, case in enumerate(GOLDEN + GOLDEN[::-1]):
+            calls += [(case["argv"], case), (between[i % len(between)], None)]
+        fresh = {}
+        for argv, _ in calls:
+            cli._parser.cache_clear()
+            fresh.setdefault(tuple(argv), outcome(capsys, argv))
+        cli._parser.cache_clear()
+        for argv, case in calls:
+            got = outcome(capsys, argv)
+            assert got == fresh[tuple(argv)], argv
+            if case is not None:
+                assert got[:2] == (case["exit"], case["stdout"])
+            elif got[0] == 0:  # a help text
+                assert got[1].startswith("usage:") and got[2] == ""
+            else:
+                assert got[0] == 2 and got[1] == "" and got[2].startswith("usage:")
+        assert cli._parser.cache_info().currsize == len(SUBCOMMANDS)
+
+    def test_help_width_read_when_printed(self, capsys, monkeypatch):
+        texts = []
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            cached = outcome(capsys, ["analyze", "--help"])
+            fresh = argparse.ArgumentParser(prog="padicdyn analyze")
+            uncached = outcome(capsys, ["--help"], cli._add_options(fresh, "analyze").parse_args)
+            assert cached == uncached and cached[0] == 0
+            texts.append(cached[1])
+        assert texts[0] != texts[1]
 
 
 def fresh_env():
@@ -818,6 +886,20 @@ class TestFreshInterpreter:
         finally:
             os.close(write_end)
         assert (done.stderr, done.returncode) == ("", 2)
+
+    def test_import_builds_no_parser(self):
+        done = python("-c", "\n".join([
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting_init(*args, **kwargs):",
+            "    built.append(1)",
+            "    init(*args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting_init",
+            "import padicdyn.cli",
+            "print(len(built), padicdyn.cli._parser.cache_info().currsize)",
+        ]))
+        assert (done.returncode, done.stdout) == (0, "0 0\n")
 
     def test_import_loads_no_process_pool(self):
         done = python("-c", "import sys, padicdyn.cli; "
