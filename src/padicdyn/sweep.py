@@ -7,8 +7,8 @@ and counts agreement.  Routes per tuple:
     closed      closed-form decider (p = 2 or 3 only)
     delta       full cycle at the decision level, decided by lifting
                 from mod p (dynamics.full_cycle_by_lifting)
-    full-cycle  brute-force orbit walk of 0 at n_max, through a residue
-                table (below) or, past its size cap, dynamics.is_full_cycle
+    full-cycle  brute-force orbit walk of 0 at n_max, through head and top
+                (below) or, past their size cap, dynamics.is_full_cycle
 
 closed calls the record-free core that criteria._CLOSED_FORMS holds
 for the prime, the one it builds its records from; it builds no
@@ -22,11 +22,14 @@ multiprocessing loads at the first sweep on two or more workers.
 Neither loads with padicdyn.  Tests replace _pool with an in-process
 stand-in.
 
-A chunk enumerates consecutive indices as an odometer (see _tables) and
-keeps one residue table, table[x] = f(x) mod p^n_max, that each step
-updates in one pass instead of an eval_mod per orbit step.  Tables are
-used only while the table, the step changes and the powers x^i mod
-p^n_max, (2 * degree + 1) * p^n_max entries, stay within TABLE_ENTRIES.
+A chunk steps its tuples as an odometer (see _tables) and keeps two
+tables mod p^n_max: head[x] = a0 + a1 x + .. + a_(d-1) x^(d-1), changed
+in one pass when a digit before a_d steps (once every bound tuples), and
+top[x] = x^d.  The brute-force route walks x -> head[x] + a_d top[x]
+from 0 to its first repeated residue: f is one full cycle exactly when
+that took p^n_max steps and stopped on 0.  The powers x^i (i < d), the
+d - 1 step rows, top, head and the head replacing it fit in (2d + 1) *
+p^n_max entries; tables are used only while that is at most TABLE_ENTRIES.
 
 The work budget counts tuples, each weighed by its brute-force walk of
 up to p^n_max steps in units of 27, the p = 3 decision-level walk:
@@ -49,10 +52,9 @@ from .padic import PadicError, _check_prime
 # ten million full-cycle checks; larger boxes must opt into sampling
 DEFAULT_WORK_BUDGET = 10**7
 
-# largest (2 * degree + 1) * p^n_max entries that a chunk's residue table,
-# step changes and powers may hold (a few MB at most); past it the
-# full-cycle route walks the orbit through eval_mod, so memory does not
-# grow with n_max
+# largest (2 * degree + 1) * p^n_max entries a chunk's tables may hold (a
+# few MB at most); past it the full-cycle route walks the orbit through
+# eval_mod, so memory does not grow with n_max
 TABLE_ENTRIES = 1 << 16
 
 
@@ -88,29 +90,27 @@ def _index_to_tail(idx: int, bound: int, degree: int) -> list[int]:
 
 
 def _tables(cfg: SweepConfig, indices: range | list[int]):
-    """(index, coefficients, table) for each index in order: the tuple
-    (a0, a1..ad) and table[x] = f(x) mod p^n_max.  From one index to the
-    next the digits a1..ad step as an odometer: ad goes up by one, and a
-    digit that passes bound - 1 returns to 0 and carries into the one
-    before it.  Only the first index and one after a gap in a sample go
-    through _index_to_tail, and their table is built from the digits.
-    table is None when it, the step changes and the power rows would hold
-    more than TABLE_ENTRIES entries."""
+    """(index, coefficients, tables) for each index in order: the tuple
+    (a0, a1..ad) and tables = (head, top) (module docstring), or None
+    past TABLE_ENTRIES.  From one index to the next the digits a1..ad
+    step as an odometer: ad goes up by one, and a digit that passes
+    bound - 1 returns to 0 and carries into the one before it.  Only the
+    first index and one after a gap in a sample go through
+    _index_to_tail, and head is rebuilt from their digits."""
     bound, degree, a0 = cfg.bound, cfg.degree, cfg.a0
     n_max = cfg.resolved_n_max()
-    table = None
+    tables = top = None
     # p^n_max >= 2^n_max passes the cap once n_max reaches its bit length,
     # so a deep n_max gets no table before p^n_max is computed
     if (n_max < TABLE_ENTRIES.bit_length()
             and (2 * degree + 1) * (modulus := cfg.prime**n_max) <= TABLE_ENTRIES):
-        # rows[x] = (x, x^2, .., x^d); a step that carries into digit a_i
-        # raises it by one and wraps every later digit from bound - 1 to 0,
-        # which adds steps[i - 1] to the table
-        rows = [tuple(pow(x, i, modulus) for i in range(1, degree + 1))
-                for x in range(modulus)]
+        # rows[x] = (x, .., x^(d-1)), so map(mul, digits, row) leaves out ad;
+        # a carry into digit a_i, i < d, raises it by one and wraps every
+        # later digit from bound - 1 to 0, which adds steps[i - 1] to head
+        rows = [tuple(pow(x, i, modulus) for i in range(1, degree)) for x in range(modulus)]
         steps = [[(row[i] + (1 - bound) * sum(row[i + 1:])) % modulus for row in rows]
-                 for i in range(degree)]
-        table = []
+                 for i in range(degree - 1)]
+        top = [pow(x, degree, modulus) for x in range(modulus)]
     digits = [0] * degree
     last = -2  # no index follows it
     for idx in indices:
@@ -120,25 +120,26 @@ def _tables(cfg: SweepConfig, indices: range | list[int]):
                 digits[pos] = 0
                 pos -= 1
             digits[pos] += 1
-            if table is not None:
-                table = [(y + v) % modulus for y, v in zip(table, steps[pos])]
+            if top and pos < degree - 1:
+                tables = ([(y + v) % modulus for y, v in zip(tables[0], steps[pos])], top)
         else:
             digits = _index_to_tail(idx, bound, degree)
-            if table is not None:
-                table = [(a0 + sum(map(mul, digits, row))) % modulus for row in rows]
+            if top:
+                tables = ([(a0 + sum(map(mul, digits, row))) % modulus for row in rows], top)
         last = idx
-        yield idx, (a0, *digits), table
+        yield idx, (a0, *digits), tables
 
 
-def _full_cycle_in(table: list[int]) -> bool:
-    """Is x -> table[x] one cycle through every residue?  The orbit of 0
-    returns to 0 first at step len(table) exactly when it is."""
+def _full_cycle_in(head: list[int], top: list[int], ad: int) -> bool:
+    """Does x -> (head[x] + ad * top[x]) mod len(head) walk from 0 through
+    every residue and first repeat at 0?"""
+    m = len(head)
+    seen = set()
     x = 0
-    for _ in range(len(table) - 1):
-        x = table[x]
-        if x == 0:
-            return False
-    return table[x] == 0
+    while x not in seen:
+        seen.add(x)
+        x = (head[x] + ad * top[x]) % m
+    return x == 0 and len(seen) == m
 
 
 def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
@@ -151,16 +152,14 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     _, closed_core = _CLOSED_FORMS.get(p, (None, None))
     agree_min = agree_non = disagree = 0
     first = None
-    for idx, coeffs, table in _tables(cfg, indices):
+    for idx, coeffs, tables in _tables(cfg, indices):
         f = IntPolynomial(p, coeffs)
         closed = None if closed_core is None else closed_core(coeffs)[0]
         delta = full_cycle_by_lifting(f, level)
-        full = is_full_cycle(f, n_max) if table is None else _full_cycle_in(table)
+        full = _full_cycle_in(*tables, coeffs[-1]) if tables else is_full_cycle(f, n_max)
         if delta == full and closed in (None, delta):
-            if delta:
-                agree_min += 1
-            else:
-                agree_non += 1
+            agree_min += delta
+            agree_non += not delta
             continue
         disagree += 1
         if first is None:

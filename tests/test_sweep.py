@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from padicdyn import criteria, sweep
 from padicdyn.dynamics import IntPolynomial, decision_level, full_cycle_by_lifting, reduced_map_table
 from padicdyn.padic import PadicError
-from padicdyn.sweep import SweepConfig, _index_to_tail, _split, _tables, run_sweep
+from padicdyn.sweep import (SweepConfig, _full_cycle_in, _index_to_tail, _split, _tables,
+                            run_sweep)
 
 
 class TestConfig:
@@ -148,9 +149,9 @@ def _runs(box, seed):
 
 
 class TestTables:
-    """The coefficients and the residue table that each chunk steps as an
-    odometer must equal those built from scratch, wherever the chunk
-    starts and across the gaps of a sample."""
+    """The coefficients and the head and top tables that each chunk steps
+    as an odometer must give the map built from scratch, wherever the
+    chunk starts and across the gaps of a sample."""
 
     @pytest.mark.parametrize("cfg,indices", [
         (SweepConfig(3, 3, 9), range(9**3)),
@@ -169,14 +170,22 @@ class TestTables:
         (SweepConfig(2, 4, 3, n_max=4), _runs(3**4, 11)),
         # a chunk that ends at box - 1
         (SweepConfig(3, 4, 9, a0=-2), range(6000, 9**4)),
+        # degree 1: head is the constant a0
+        (SweepConfig(3, 1, 9), range(9)),
+        (SweepConfig(7, 1, 7), range(7)),
     ])
     def test_matches_direct_build(self, cfg, indices):
         n_max = cfg.resolved_n_max()
+        modulus = cfg.prime**n_max
         seen = []
-        for idx, coeffs, table in _tables(cfg, indices):
+        for idx, coeffs, (head, top) in _tables(cfg, indices):
             assert coeffs == (cfg.a0, *_index_to_tail(idx, cfg.bound, cfg.degree))
             f = IntPolynomial(cfg.prime, coeffs)
-            assert tuple(table) == tuple(reduced_map_table(f, n_max).entries)
+            assert tuple((y + coeffs[-1] * t) % modulus for y, t in zip(head, top)) == \
+                tuple(reduced_map_table(f, n_max).entries)
+            assert top == [pow(x, cfg.degree, modulus) for x in range(modulus)]
+            if cfg.degree == 1:
+                assert head == [cfg.a0 % modulus] * modulus
             seen.append(idx)
         assert seen == list(indices)
 
@@ -185,6 +194,47 @@ class TestTables:
         # 5 * 1009^2 entries: the full-cycle route walks through eval_mod
         rows = list(_tables(SweepConfig(1009, 2, 4, a0=3), indices))
         assert rows == [(i, (3, *_index_to_tail(i, 4, 2)), None) for i in indices]
+
+
+class TestFullCycleWalk:
+    """The brute-force route on hand-made maps: the walk from 0 stops at
+    its first repeated residue, and only a repeat at 0 after every
+    residue is one full cycle."""
+
+    @pytest.mark.parametrize("table,want", [
+        ([1, 2, 3, 4, 5, 0], True),         # one 6-cycle
+        ([3, 5, 4, 1, 0, 2], True),         # one 6-cycle, out of order
+        ([1, 0, 3, 4, 5, 2], False),        # a permutation, 0 on a 2-cycle
+        ([1, 2, 0, 4, 5, 3], False),        # two 3-cycles
+        ([0, 2, 3, 4, 5, 1], False),        # 0 fixed
+        ([1, 2, 3, 2, 5, 0], False),        # 0 in a tail into a 2-cycle
+        ([1, 2, 3, 4, 5, 3], False),        # all six residues, then back at 3
+        ([1, 2, 3, 4, 5, 1], False),        # all six residues, then back at 1
+    ])
+    def test_hand_made_maps(self, table, want):
+        m = len(table)
+        assert _full_cycle_in(table, [0] * m, 5) is want
+        # the same map as head + ad * top: ad = 2 and top[x] = x
+        head = [(y - 2 * x) % m for x, y in enumerate(table)]
+        assert _full_cycle_in(head, list(range(m)), 2) is want
+
+
+class TestTableBranches:
+    """The sweep with its head and top tables against the same sweep
+    through eval_mod, with TABLE_ENTRIES = 0: equal reports."""
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(2, 4, 8),                           # C3
+        SweepConfig(7, 3, 15),
+        SweepConfig(2, 3, 8, a0=3, n_max=4),            # n_max = L + 1
+        SweepConfig(3, 3, 9, a0=-1, n_max=4),
+        SweepConfig(3, 4, 9, work_budget=100, samples=3000, seed=5),  # runs and gaps
+    ])
+    def test_reports_equal(self, monkeypatch, cfg):
+        tabled = run_sweep(cfg)
+        monkeypatch.setattr(sweep, "TABLE_ENTRIES", 0)
+        assert run_sweep(cfg) == tabled
+        assert tabled.disagreements == 0 and tabled.agree_minimal > 0
 
 
 def _flip_on(monkeypatch, name, chosen, degree):
