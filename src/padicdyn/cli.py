@@ -112,14 +112,8 @@ def _print_verdict(v: MinimalityVerdict) -> None:
         _write_items("  witness cycle: ", v.witness, " ", "\n")
 
 
-def _parse_poly(args: argparse.Namespace) -> IntPolynomial:
-    if not args.coeffs:
-        raise PadicError("no coefficients given")
-    return IntPolynomial.from_text(args.prime, args.coeffs)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    f = _parse_poly(args)
+    f = IntPolynomial.from_text(args.prime, args.coeffs)
     delta_verdict = minimal_general(f, table_bound=args.table_bound)
     closed = closed_form(f)
     agree = None if closed is None else closed.minimal == delta_verdict.minimal
@@ -151,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_cycles(args: argparse.Namespace) -> int:
-    f = _parse_poly(args)
+    f = IntPolynomial.from_text(args.prime, args.coeffs)
     n = args.level if args.level is not None else decision_level(args.prime)
     dec = cycle_decomposition(f, n, table_bound=args.table_bound)
     if args.format == "structured":
@@ -181,7 +175,7 @@ def cmd_cycles(args: argparse.Namespace) -> int:
 
 
 def cmd_conjugacy(args: argparse.Namespace) -> int:
-    f = _parse_poly(args)
+    f = IntPolynomial.from_text(args.prime, args.coeffs)
     if args.nmax is not None:
         report = verify_conjugacy_tower(f, args.nmax, table_bound=args.table_bound)
         # a broken tower raises, so a report certifies every level
@@ -221,7 +215,7 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    f = _parse_poly(args)
+    f = IntPolynomial.from_text(args.prime, args.coeffs)
     n = args.level if args.level is not None else decision_level(args.prime)
     if n < 1:  # p^n would be a float, which may round to 0
         raise PadicError(f"level must be >= 1, got {n}")

@@ -341,6 +341,16 @@ def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
     return shape is not None and shape.length == f.prime**level
 
 
+def _no_full_cycle(f: IntPolynomial, n: int, size: int) -> NotFullCycleError:
+    """The refusal of level n, where f is no full cycle mod p^n = size: it
+    counts the residues the orbit of 0 visits there (its tail and cycle)."""
+    shape = _orbit_shape(f, n)
+    k = shape.tail + shape.length
+    return NotFullCycleError(
+        f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
+        else f"orbit of 0 does not return to 0 at level {n}")
+
+
 def _small_level(prime: int, n: int) -> bool:
     """Is 2 p^ceil(n/2) >= p^n (n = 1, or p = 2 and n <= 3)?  There
     _orbit_blocks would walk the whole orbit of a full cycle, and the map

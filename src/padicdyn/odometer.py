@@ -6,7 +6,8 @@ tables at successive levels are compatible with reduction mod p^n, so
 they assemble into a conjugacy with the adding machine on Z_p.  The
 index tables and the stream take the orbit from dynamics._orbit_blocks,
 p^ceil(n/2) kernel steps and then blocks of residues, with no map table
-past the levels where those steps would be the whole orbit.
+past the levels where those steps would be the whole orbit.  The tower
+builds no table: it sizes each level and decides it by lifting.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain
+from itertools import accumulate, chain, repeat
 
-from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, OrbitShape,
-                       TableBoundError, _check_table_size, _orbit_blocks, _orbit_shape,
-                       _small_level, _typecode, decision_level, full_cycle_by_lifting,
-                       reduced_map_table)
+from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size,
+                       _no_full_cycle, _orbit_blocks, _small_level, _typecode, decision_level,
+                       full_cycle_by_lifting, reduced_map_table)
 from .padic import PadicError
 
 
@@ -33,40 +33,27 @@ class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit
     __slots__ = ()
 
 
-def _no_full_cycle(shape: OrbitShape, n: int, size: int) -> NotFullCycleError:
-    """The refusal of level n, counting the residues the orbit of 0 visits
-    mod p^n (its tail and cycle), from its shape there."""
-    k = shape.tail + shape.length
-    return NotFullCycleError(
-        f"orbit of 0 closes after {k} of {size} residues at level {n}" if k < size
-        else f"orbit of 0 does not return to 0 at level {n}")
-
-
 def build_psi(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ConjugacyTable:
     """Index table of the full cycle at level n.  The full cycle is
     decided by lifting before any table is built; without one, the error
     counts the residues the orbit of 0 visits mod p^n.  orbit_point is the
-    orbit of 0 in blocks (_orbit_blocks), and orbit_index its inverse,
-    except at the small levels (_small_level), where the orbit is read
-    off the map table."""
+    orbit of 0 in blocks (_orbit_blocks), or at the small levels
+    (_small_level) read off the map table; orbit_index is its inverse."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
-        raise _no_full_cycle(_orbit_shape(f, n), n, size)
-    orbit_index = array(_typecode(size), [0]) * size
-    if not _small_level(f.prime, n):
-        orbit_point = array(orbit_index.typecode, chain.from_iterable(_orbit_blocks(f, n, 0, size)))
-        for k, x in enumerate(orbit_point):
-            orbit_index[x] = k
-    else:
+        raise _no_full_cycle(f, n, size)
+    if _small_level(f.prime, n):
         table = reduced_map_table(f, n, table_bound=table_bound).entries
-        orbit_point = array(orbit_index.typecode, [0]) * size
-        x = 0
-        for k in range(size):
-            orbit_index[x] = k
-            orbit_point[k] = x
-            x = table[x]
+        # 0, f(0), f(f(0)), ...: size residues
+        points = accumulate(repeat(None, size - 1), lambda x, _: table[x], initial=0)
+    else:
+        points = chain.from_iterable(_orbit_blocks(f, n, 0, size))
+    orbit_point = array(_typecode(size), points)
+    orbit_index = array(orbit_point.typecode, [0]) * size
+    for k, x in enumerate(orbit_point):
+        orbit_index[x] = k
     return ConjugacyTable(f.prime, n, orbit_index, orbit_point)
 
 
@@ -84,39 +71,21 @@ def verify_conjugacy_tower(
     Both identities hold wherever f is one full cycle.  psi_n indexes the
     orbit of 0, psi_n(f^k(0) mod p^n) = k mod p^n, so psi_n(f(x)) =
     psi_n(x) + 1 (conjugation); reduction mod p^n commutes with f, so
-    psi_(n+1)(x) = psi_n(x mod p^n) mod p^n (projection).  One walk of
-    the orbit of 0, which stops at the first broken level, decides whether
-    levels 1..n_max are full cycles.  The errors are those of an
-    exhaustive check indexing a table per level in turn: TableBoundError
-    at the first level above table_bound, or NotFullCycleError at the
-    first broken level b, counting the residues the orbit of 0 visits mod
-    p^b (its tail and cycle).
+    psi_(n+1)(x) = psi_n(x mod p^n) mod p^n (projection).  Each level is
+    sized against table_bound and then, up to the decision level, decided
+    by lifting; past it a full cycle holds at every level.  So the errors
+    are those of an exhaustive check indexing a table per level in turn:
+    TableBoundError at the first level above table_bound, or
+    NotFullCycleError at the first broken level, counting the residues
+    the orbit of 0 visits there (its tail and cycle).
     """
     if n_max < 1:
         raise PadicError(f"n_max must be >= 1, got {n_max}")
-    p = f.prime
-    # levels 1..m - 1 fit the bound; a break at level m or above comes no
-    # sooner than the bound's refusal at m, so the walk stops below m
-    over = None
-    for m in range(1, n_max + 1):
-        try:
-            _check_table_size(p, m, table_bound)
-        except TableBoundError as error:
-            over = error
-            break
-    else:
-        m = n_max + 1
-    top = min(m - 1, decision_level(p))
-    if top:
-        # a break at level 1 comes back as None, with no tail; the count
-        # its message reports takes a second walk mod p
-        shape = _orbit_shape(f, top, stop=True) or _orbit_shape(f, 1)
-        if shape.length != p**top:
-            broken = len(shape.steps) + 1
-            raise _no_full_cycle(shape, broken, p**broken)
-    if over:
-        raise over
-    return TowerReport(p, n_max)
+    for n in range(1, n_max + 1):
+        size = _check_table_size(f.prime, n, table_bound)
+        if n <= decision_level(f.prime) and not full_cycle_by_lifting(f, n):
+            raise _no_full_cycle(f, n, size)
+    return TowerReport(f.prime, n_max)
 
 
 def full_cycle_stream(

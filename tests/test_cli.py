@@ -127,6 +127,29 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["analyze", "cycles", "conjugacy", "stream"])
+    def test_empty_coefficient_list_exits_two(self, capsys, command):
+        # "--coeffs=" gets past argparse as the empty string
+        code, out, err = run(capsys, command, "--prime", "3", "--coeffs=")
+        assert (code, out, err) == (2, "", "error: bad coefficient list ''\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_disagreeing_routes_exit_two(self, capsys, monkeypatch, fmt):
+        # a closed form flipped by hand splits from the decision-level check
+        def flipped(f):
+            verdict = criteria.closed_form(f)
+            return verdict._replace(minimal=not verdict.minimal)
+
+        monkeypatch.setattr(cli, "closed_form", flipped)
+        code, out, err = run(capsys, "analyze", "--prime", "3", "--coeffs", Q3, "--format", fmt)
+        assert code == 2
+        assert err == "decision routes disagree; this is a bug\n"
+        if fmt == "structured":
+            rec = json.loads(out)
+            assert rec["agree"] is False and rec["closed_form"]["minimal"] is False
+        else:
+            assert "agreement: NO" in out
+
 
 class TestCycles:
     def test_frozen_text(self, capsys):
@@ -515,6 +538,23 @@ class TestSweep:
         assert code == 0
         assert "total: 16" in out
         assert "disagreements: 0" in out
+
+    def test_text_output_names_the_first_counterexample(self, capsys, monkeypatch):
+        # the closed form at p = 3 flipped on every tuple, so each one splits
+        record, core = criteria._CLOSED_FORMS[3]
+
+        def flipped(coeffs):
+            minimal, *rest = core(coeffs)
+            return (not minimal, *rest)
+
+        monkeypatch.setitem(criteria._CLOSED_FORMS, 3, (record, flipped))
+        code, out, _ = run(capsys, "sweep", "--prime", "3", "--degree", "2",
+                           "--bound", "9", "--threads", "1")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "total: 81", "agree-minimal: 0", "agree-nonminimal: 0", "disagreements: 81",
+            "first counterexample: 1,0,0",
+            "routes: {'closed': True, 'delta': False, 'full-cycle': False}"]
 
     def test_threads_agree_with_serial(self, capsys):
         _, serial, _ = run(capsys, "sweep", "--prime", "3", "--degree", "3",

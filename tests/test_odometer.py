@@ -13,8 +13,8 @@ from padicdyn.dynamics import (
     IntPolynomial,
     NotFullCycleError,
     TableBoundError,
-    _orbit_shape,
     decision_level,
+    full_cycle_by_lifting,
     reduced_map_table,
 )
 from padicdyn.odometer import (
@@ -211,27 +211,27 @@ class TestConjugacyTower:
             verify_conjugacy_tower(W2, 5, table_bound=1)
 
     @pytest.mark.parametrize("f,n_max,table_bound,walked,error", [
-        # x + 1 at p = 2: 2^3 > 4, so the walk stops at level 2
+        # x + 1 at p = 2: 2^3 > 4, so no level above 2 is lifted
         (X_PLUS_1[2], 5, 4, 2, ("TableBoundError", "table of 2^3 entries exceeds bound 4")),
         # W2 breaks at level 3, above the last level the bound allows
         (W2, 5, 4, 2, ("TableBoundError", "table of 2^3 entries exceeds bound 4")),
         (W2, 5, 8, 3, ("NotFullCycleError",
                        "orbit of 0 closes after 4 of 8 residues at level 3")),
-        # past the decision level the walk stops there
+        # no level past the decision level is lifted
         (X_PLUS_1[5], 4, 10**6, 2, None),
     ])
     def test_walks_only_below_the_first_level_over_the_bound(
             self, monkeypatch, f, n_max, table_bound, walked, error):
         levels = []
 
-        def shape(g, level, **kwargs):
+        def lift(g, level):
             levels.append(level)
-            return _orbit_shape(g, level, **kwargs)
+            return full_cycle_by_lifting(g, level)
 
-        monkeypatch.setattr(odometer, "_orbit_shape", shape)
+        monkeypatch.setattr(odometer, "full_cycle_by_lifting", lift)
         outcome = _outcome(verify_conjugacy_tower, f, n_max, table_bound)
         assert outcome == _outcome(oracles.tower_oracle, f, n_max, table_bound)
-        assert levels[0] == walked
+        assert max(levels) == walked
         assert outcome == (error or TowerReport(f.prime, n_max))
 
     @given(st.sampled_from(MINIMAL_SAMPLES))

@@ -22,7 +22,8 @@ from padicdyn import (
     SweepReport,
     TowerReport,
 )
-from padicdyn.dynamics import LiftStep, OrbitShape
+from padicdyn import dynamics, odometer
+from padicdyn.dynamics import IntPolynomial, LiftStep, OrbitShape
 from padicdyn.sweep import DEFAULT_WORK_BUDGET
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,6 +74,18 @@ class TestRecords:
     def test_replace_keeps_the_class(self, cls, fields, values):
         record = cls(*values)._replace(**{fields[-1]: None})
         assert type(record) is cls and record[-1] is None
+
+
+@pytest.mark.parametrize("module,name,field,value", [
+    (dynamics, "reduced_map_table", "entries", array("I", [1, 2, 3, 4, 5, 6, 7, 8, 0])),
+    (odometer, "verify_conjugacy_tower", "n_max", 2),
+])
+def test_what_the_benchmark_tracer_reads(module, name, field, value):
+    # the tracer wraps the public functions each module defines, finds
+    # these two by name and reads one field of each result
+    fn = vars(module)[name]
+    assert callable(fn) and not isinstance(fn, type) and fn.__module__ == module.__name__
+    assert getattr(fn(IntPolynomial(3, (1, 1)), 2), field) == value
 
 
 def test_sweep_config_defaults():
