@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from itertools import chain, groupby, islice
+from itertools import groupby, islice
 
 from .criteria import MinimalityVerdict, closed_form, minimal_general
 from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, cycle_decomposition, decision_level
@@ -203,14 +203,18 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
             "prime": args.prime,
             "coeffs": f.coefficients,
             "level": n,
-            "orbit_index": iter(table.orbit_index),
-            "orbit_point": iter(table.orbit_point),
+            "orbit_index": table.orbit_index,
+            "orbit_point": table.orbit_point,
         })
     else:
         # two columns: residue, its position along the orbit of 0
-        for x in range(0, len(table.orbit_index), WITNESS_BLOCK):
-            rows = tuple(chain.from_iterable(enumerate(table.orbit_index[x:x + WITNESS_BLOCK], x)))
-            sys.stdout.write("%d %d\n" * (len(rows) // 2) % rows)
+        x = 0
+        while block := list(islice(table.orbit_index, WITNESS_BLOCK)):
+            rows = [0] * (2 * len(block))
+            rows[0::2] = range(x, x + len(block))
+            rows[1::2] = block
+            sys.stdout.write("%d %d\n" * len(block) % tuple(rows))
+            x += len(block)
     return 0
 
 

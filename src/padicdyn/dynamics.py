@@ -184,11 +184,17 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     yield walk(seed % size)
     if not blocks:
         return
-    block = kept[k:]
-    step = list(map(mod, map(sub, block, kept), repeat(size)))
-    kept.clear()
-    for left in range(count - 2 * k, 0, -k):  # the last block holds left < K
-        block = list(map(mod, map(add, block, step), repeat(size, left)))
+    step = list(map(mod, map(sub, islice(kept, k, None), kept), repeat(size)))
+    later = _stepped_blocks(kept[k:], step, size, count - 2 * k)
+    kept.clear()  # later holds the one block it steps from
+    yield from later
+
+
+def _stepped_blocks(block: list, step: list, modulus: int, left: int) -> Iterator[list[int]]:
+    """The blocks after `block`, each the one before it plus `step` mod
+    modulus (two passes in C), `left` residues in all: the last may be short."""
+    for left in range(left, 0, -len(block)):
+        block = list(map(mod, map(add, block, step), repeat(modulus, left)))
         yield block
 
 

@@ -3,11 +3,11 @@
 When f induces a single p^n-cycle on Z/p^nZ, indexing each residue by
 the time the orbit of 0 reaches it turns f into x -> x + 1.  The index
 tables at successive levels are compatible with reduction mod p^n, so
-they assemble into a conjugacy with the adding machine on Z_p.  The
-index tables and the stream take the orbit from dynamics._orbit_blocks,
-p^ceil(n/2) kernel steps and then blocks of residues, with no map table
-past the levels where those steps would be the whole orbit.  The tower
-builds no table: it sizes each level and decides it by lifting.
+they assemble into a conjugacy with the adding machine on Z_p.  Both
+index tables and the stream come in blocks from 2 p^ceil(n/2) kernel
+steps, with no map table past the levels where those would be the
+whole orbit, and no table of p^n entries.  The tower builds no table:
+it sizes each level and decides it by lifting.
 """
 
 from __future__ import annotations
@@ -16,18 +16,19 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate, chain, repeat
+from operator import mod, sub
 
 from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size,
-                       _no_full_cycle, _orbit_blocks, _small_level, _typecode, decision_level,
-                       full_cycle_by_lifting, reduced_map_table)
+                       _no_full_cycle, _orbit_blocks, _small_level, _stepped_blocks, _typecode,
+                       decision_level, full_cycle_by_lifting, reduced_map_table)
 from .padic import PadicError
 
 
 class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit_point")):
-    """orbit_index[x] = k with f^k(0) = x; orbit_point is its inverse.
-
-    orbit_index[0] = 0 and orbit_index[f(x)] = orbit_index[x] + 1 mod p^n.
-    Both are arrays of 4 bytes a residue (8 above 2^32 residues).
+    """psi_n, the conjugacy of f with x -> x + 1 mod p^n, as two iterators
+    read once: orbit_index yields psi_n(x) = k, f^k(0) = x, for x = 0, 1,
+    ..., and orbit_point its inverse, f^k(0) for k = 0, 1, ...; psi_n(0) =
+    0 and psi_n(f(x)) = psi_n(x) + 1 mod p^n.
     """
 
     __slots__ = ()
@@ -36,25 +37,38 @@ class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit
 def build_psi(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> ConjugacyTable:
-    """Index table of the full cycle at level n.  The full cycle is
-    decided by lifting before any table is built; without one, the error
-    counts the residues the orbit of 0 visits mod p^n.  orbit_point is the
-    orbit of 0 in blocks (_orbit_blocks), or at the small levels
-    (_small_level) read off the map table; orbit_index is its inverse."""
+    """Index table of the full cycle at level n, decided by lifting before
+    any residue is walked; without one, the error counts the residues the
+    orbit of 0 visits mod p^n.  With K = p^ceil(n/2), q = p^n / K and x_i =
+    f^i(0), x_0..x_(K-1) hit every class mod K once and x_(i+jK) = x_i +
+    jK u_i mod p^n, u_i a unit mod q (_orbit_blocks): so the index of cK +
+    r, r = x_i mod K, is i + K ((c - x_i // K) u_i^-1 mod q), and the next
+    block's is K u_i^-1 on, mod p^n; one walk of 2K residues serves both
+    tables.  At the small levels (_small_level) the map table gives the
+    orbit, and one loop its inverse."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(f, n, size)
     if _small_level(f.prime, n):
         table = reduced_map_table(f, n, table_bound=table_bound).entries
         # 0, f(0), f(f(0)), ...: size residues
-        points = accumulate(repeat(None, size - 1), lambda x, _: table[x], initial=0)
-    else:
-        points = chain.from_iterable(_orbit_blocks(f, n, 0, size))
-    orbit_point = array(_typecode(size), points)
-    orbit_index = array(orbit_point.typecode, [0]) * size
-    for k, x in enumerate(orbit_point):
-        orbit_index[x] = k
-    return ConjugacyTable(f.prime, n, orbit_index, orbit_point)
+        points = array(_typecode(size), accumulate(
+            repeat(None, size - 1), lambda x, _: table[x], initial=0))
+        index = array(points.typecode, [0]) * size
+        for i, x in enumerate(points):
+            index[x] = i
+        return ConjugacyTable(f.prime, n, iter(index), iter(points))
+    k, q = f.prime ** ((n + 1) // 2), f.prime ** (n // 2)
+    head = list(accumulate(repeat(size, 2 * k - 1), f.eval_mod, initial=0))
+    first, step = [0] * k, [0] * k  # orbit_index at 0..K - 1, and K u^-1
+    for i, (x, y) in enumerate(zip(head, head[k:])):
+        h, r = divmod(x, k)
+        v = pow((y - x) // k, -1, q)
+        first[r], step[r] = i + k * (-h * v % q), k * v
+    point_step = list(map(mod, map(sub, head[k:], head), repeat(size)))
+    index = chain.from_iterable(_stepped_blocks(first, step, size, size - k))
+    points = chain.from_iterable(_stepped_blocks(head[k:], point_step, size, size - 2 * k))
+    return ConjugacyTable(f.prime, n, chain(first, index), chain(head, points))
 
 
 class TowerReport(namedtuple("TowerReport", "prime n_max")):

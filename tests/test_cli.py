@@ -186,13 +186,14 @@ class TestCycles:
         # not 1, which analyze gives a map that is not minimal.  Each
         # allocation in turn: cycles takes a full cycle (Q3) in orbit
         # blocks and tabulates any other map (W3, broken mod 27);
-        # conjugacy --level allocates its two index arrays
+        # conjugacy --level sets up its closed-form index from a walk of
+        # 2K residues, before any row is written
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         allocations = {
             "cycles": [(Q3, dynamics, "_orbit_blocks"), (W3, dynamics, "reduced_map_table")],
-            "conjugacy": [(Q3, odometer, "array")],
+            "conjugacy": [(Q3, odometer, "accumulate")],
         }
         for coeffs, module, name in allocations[command]:
             with monkeypatch.context() as patch:

@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import product
+from operator import eq
 
 import pytest
 from hypothesis import given
@@ -50,22 +51,23 @@ class TestBuildPsi:
         assert t.prime == 3 and t.level == 2
 
     def test_tables_are_mutually_inverse(self):
+        # each field is an iterator, read once
         for f in MINIMAL_SAMPLES:
             t = build_psi(f, 3)
             size = f.prime**3
-            assert sorted(t.orbit_index) == list(range(size))
-            assert all(t.orbit_point[t.orbit_index[x]] == x for x in range(size))
+            index, points = list(t.orbit_index), list(t.orbit_point)
+            assert sorted(index) == list(range(size))
+            assert all(points[index[x]] == x for x in range(size))
 
     def test_conjugation_identity(self):
         # indexing by hitting time turns f into the +1 map
         for f in MINIMAL_SAMPLES:
             for n in (1, 2, 3):
-                t = build_psi(f, n)
+                index = list(build_psi(f, n).orbit_index)
                 table = reduced_map_table(f, n).entries
                 size = f.prime**n
                 assert all(
-                    t.orbit_index[table[x]] == (t.orbit_index[x] + 1) % size
-                    for x in range(size)
+                    index[table[x]] == (index[x] + 1) % size for x in range(size)
                 )
 
     def test_odometer_is_its_own_conjugacy(self):
@@ -92,18 +94,20 @@ class TestBuildPsi:
         assert peak < 1 << 20
 
     def test_tables_take_bytes_per_residue(self):
-        # the two index arrays, 4 bytes a residue each, and no map table
-        # (a third array made it 12); a list and a tuple of ints per index
-        # table took 96
+        # both tables, read to their ends, hold a few blocks of K = 2^8
+        # residues and no map table: under a byte a residue, where two
+        # index arrays would take 8
         f = X_PLUS_1[2]
         tracemalloc.start()
         try:
             t = build_psi(f, 16)
+            plus_one = (all(map(eq, t.orbit_index, range(1 << 16)))
+                        and all(map(eq, t.orbit_point, range(1 << 16))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tuple(t.orbit_point) == tuple(range(1 << 16))
-        assert peak < 10 << 16
+        assert plus_one
+        assert peak < 1 << 16
 
     # every map a0 + a1 x + a2 x^2 with a0..a2 in [-2, 2], at levels 1 and
     # 2, and up to level 5 at p = 2 and 3, past their decision level

@@ -8,6 +8,7 @@ mod p^n of degree 1-12, with signed coefficients and a0 != 1; each claim
 is checked against a plain walk or an oracle that evaluates through pow().
 """
 
+import json
 import random
 import time
 import tracemalloc
@@ -76,6 +77,14 @@ def blocks(f, n, seed, count):
     return list(chain.from_iterable(_orbit_blocks(f, n, seed, count)))
 
 
+def inverse(order):
+    """index[x] = k where order[k] = x."""
+    index = [0] * len(order)
+    for k, x in enumerate(order):
+        index[x] = k
+    return index
+
+
 def test_maps_cover_every_degree_and_signed_constant():
     assert {f.degree for f, _ in MAPS} == set(range(1, 13))
     assert any(f.coefficients[0] < 0 for f, _ in MAPS)
@@ -119,13 +128,29 @@ def test_tables_and_stream_match_their_oracles(case, request):
     assert start == 0 and len(order) == size
     t = build_psi(f, n)
     assert list(t.orbit_point) == order
-    assert all(t.orbit_index[x] == k for k, x in enumerate(order))
+    assert list(t.orbit_index) == inverse(order)
     dec = cycle_decomposition(f, n)
     assert dec.cycles == (tuple(order),)
     assert dec.bijective and dec.non_periodic_count == 0
     seed = random.Random(size - f.degree).randrange(size)
     want = [order[(order.index(seed) + i) % size] for i in range(3 * size + 5)]
     assert list(full_cycle_stream(f, n, seed, 3 * size + 5)) == want
+
+
+@pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
+def test_conjugacy_rows_and_record_invert_the_orbit(case, capsys):
+    # the closed-form index in residue order, at odd and even n, against
+    # the inverse of the orbit walked through pow()
+    f, n = case
+    order, _ = oracles.orbit_from_zero(f.coefficients, f.prime, n)
+    index = inverse(order)
+    argv = ["conjugacy", "--prime", str(f.prime),
+            "--coeffs=" + ",".join(map(str, f.coefficients)), "--level", str(n)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(f"{x} {k}\n" for x, k in enumerate(index))
+    assert main([*argv, "--format", "structured"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["orbit_index"] == index and record["orbit_point"] == order
 
 
 def test_bound_refuses_before_any_walk(monkeypatch, no_tables):
@@ -169,7 +194,13 @@ def test_kernel_steps_beyond_the_lifting_decision(monkeypatch, p, coeffs, n):
     k = p ** ((n + 1) // 2)
     kernel = _Kernel(monkeypatch)
     _, lifting = kernel.cost(full_cycle_by_lifting, f, n)
-    for fn in (build_psi, cycle_decomposition):
+
+    def drained_psi(f, n):
+        # one walk of 2K residues serves both tables, read to their ends
+        t = build_psi(f, n)
+        return list(t.orbit_index), list(t.orbit_point)
+
+    for fn in (drained_psi, cycle_decomposition):
         _, calls = kernel.cost(fn, f, n)
         assert calls - lifting <= min(size, 2 * k), fn.__name__
     for count in (0, 3, 2 * k - 1, 2 * k + 1, 3 * size):
@@ -224,6 +255,20 @@ def test_stream_in_blocks_holds_a_bounded_number_of_residues():
     some = _peak_bytes(full_cycle_stream(f, 30, 0, 2**30), 4 * k)
     more = _peak_bytes(full_cycle_stream(f, 30, 0, 2**30), 12 * k)
     assert more < 160 * k and more < some + (64 << 10)
+
+
+def test_index_in_blocks_holds_a_bounded_number_of_residues():
+    # K = 2^12 at level 24: the 2K walked residues and a few blocks of K
+    # ints, K (8 + 28) bytes each, however many index residues are read
+    f = IntPolynomial(2, (1, 1))
+    k = 1 << 12
+
+    def index():
+        yield from build_psi(f, 24).orbit_index
+
+    some = _peak_bytes(index(), 2**16)
+    more = _peak_bytes(index(), 2**20)
+    assert more < 8 * 36 * k and more < some + (64 << 10)
 
 
 @pytest.mark.parametrize("p,coeffs,n", [(1009, (1, 1), 1), (2, (1, 1), 3), (2, (1, 3, 2), 2)])
