@@ -5,8 +5,10 @@ self-maps of Z/p^nZ, one per level n.  Everything here works on those
 finite reductions; iteration is always pointwise, never symbolic.  One
 walk of the orbit of 0 that lifts its cycle level by level (_orbit_shape)
 decides whether f is one full cycle mod p^n; a full cycle has its orbit
-produced in blocks (_orbit_blocks) from p^ceil(n/2) kernel steps, and the
-map table (reduced_map_table) serves the cycles of every other map.
+produced in blocks (_orbit_blocks) from p^ceil(n/2) kernel steps.  Any
+other map's cycles are walked only above the periodic residues of level
+ceil(n/2), found the same way, down to a level small enough for the map
+table (reduced_map_table).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, mod, sub
 
 from .padic import PadicError, _check_prime
@@ -380,35 +382,52 @@ class CycleDecomposition(namedtuple(
 def cycle_decomposition(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> CycleDecomposition:
-    """The cycles of f mod p^n.  A full cycle, decided by lifting, is the
-    orbit of 0 in blocks (_orbit_blocks), with no table; any other map's
-    cycles, and every map's at the levels where the engine would walk the
-    whole orbit, come from one path-marking walk of its map table."""
+    """The cycles of f mod p^n, by one path-marking walk of the residues
+    that can be periodic; a full cycle, decided by lifting, is the orbit of
+    0 in blocks (_orbit_blocks) instead.  At the small levels the walk
+    takes every residue, through the map table.  Above them a periodic
+    residue lies above a cycle of level m = ceil(n/2), and K = p^m has K^2
+    = 0 mod p^n, so f(x + Kt) = f(x) + t (f(x + K) - f(x)): the column
+    above a periodic x mod K costs two kernel calls and one progression in
+    C, and f maps these columns into themselves."""
     size = _check_table_size(f.prime, n, table_bound)
-    if not _small_level(f.prime, n) and full_cycle_by_lifting(f, n):
+    if _small_level(f.prime, n):
+        table = reduced_map_table(f, n, table_bound=table_bound).entries
+        todo = bytearray(b"\1") * size  # the residues still to walk
+    elif full_cycle_by_lifting(f, n):
         # one cycle, from its least residue 0
         cycle = tuple(chain.from_iterable(_orbit_blocks(f, n, 0, size)))
         return CycleDecomposition(f.prime, n, True, (cycle,), 0)
-    table = reduced_map_table(f, n, table_bound=table_bound).entries
-    seen = bytearray(size)
+    else:
+        m = (n + 1) // 2
+        k, q = f.prime**m, f.prime ** (n - m)
+        table = array(_typecode(size), [0]) * size
+        todo = bytearray(size)
+        for x in chain.from_iterable(cycle_decomposition(f, m, table_bound=table_bound).cycles):
+            y = f.eval_mod(x, size)
+            # a range needs a nonzero step, and size steps as 0 does mod size
+            step = (f.eval_mod(x + k, size) - y) % size or size
+            table[x::k] = array(table.typecode,
+                                map(mod, range(y, y + q * step, step), repeat(size)))
+            todo[x::k] = b"\1" * q
     cycles = []
-    for start in range(size):
-        if seen[start]:
-            continue
+    # compress reads todo as the walk clears it: each start is the least
+    # residue not walked yet
+    for start in compress(range(size), todo):
         path = []
         x = start
-        while not seen[x]:
-            seen[x] = 1
+        while todo[x]:
+            todo[x] = 0
             path.append(x)
             x = table[x]
-        if x == start:  # every residue below start is seen: start is least
+        if x == start:  # none below start is left to walk: start is least
             cycles.append(tuple(path))
         elif x in path:
             # the path from x on is a new cycle: one copy, from its least residue
             i = path.index(x)
-            k = path.index(min(islice(path, i, None)), i)
-            cycles.append(tuple(chain(islice(path, k, None), islice(path, i, k))))
-    del table, seen  # freed before tuple(cycles) copies the list
+            j = path.index(min(islice(path, i, None)), i)
+            cycles.append(tuple(chain(islice(path, j, None), islice(path, i, j))))
+    del table, todo  # freed before tuple(cycles) copies the list
     cycles.sort()  # by first element: the cycles are disjoint
     periodic = sum(map(len, cycles))
     return CycleDecomposition(

@@ -110,35 +110,29 @@ def tower_by_walk(f, n_max, table_bound=DEFAULT_TABLE_BOUND):
 
 
 def cycles_oracle(table):
-    """Cycle sets via brute iteration: x is periodic iff iterating the
-    table size times from x comes back to x."""
+    """Cycle sets via brute iteration: f^N with N >= len(table) carries
+    every residue onto its eventual cycle and is onto each cycle, so the
+    periodic residues are the image of f^N, here f^(2^k) from k
+    squarings of the table.  Each cycle is then iterated from its least
+    residue."""
     m = len(table)
-    periodic = set()
-    for x in range(m):
-        y = x
-        for _ in range(m):
-            y = table[y]
-        # y is now on the eventual cycle of x; x is periodic iff reachable back
-        z = y
-        on_cycle = {z}
-        z = table[z]
-        while z != y:
-            on_cycle.add(z)
-            z = table[z]
-        if x in on_cycle:
-            periodic.add(x)
+    power = list(table)
+    for _ in range(m.bit_length()):
+        power = [power[y] for y in power]
+    periodic = set(power)
     cycles = []
-    unassigned = set(periodic)
-    while unassigned:
-        x = min(unassigned)
+    seen = set()
+    for x in sorted(periodic):
+        if x in seen:
+            continue
         cyc = [x]
         y = table[x]
         while y != x:
             cyc.append(y)
             y = table[y]
         cycles.append(tuple(cyc))
-        unassigned -= set(cyc)
-    return sorted(cycles, key=lambda c: c[0]), m - len(periodic)
+        seen.update(cyc)
+    return cycles, m - len(periodic)
 
 
 def iterate_oracle(coeffs, x, k, m):

@@ -185,20 +185,22 @@ class TestCycles:
     def test_out_of_memory_exits_two(self, capsys, monkeypatch, command):
         # not 1, which analyze gives a map that is not minimal.  Each
         # allocation in turn: cycles takes a full cycle (Q3) in orbit
-        # blocks and tabulates any other map (W3, broken mod 27);
-        # conjugacy --level sets up its closed-form index from a walk of
-        # 2K residues, before any row is written
+        # blocks, fills the table of any other map (W3, broken mod 27)
+        # column by column above its cycles mod 9, and tabulates every map
+        # at level 1; conjugacy --level sets up its closed-form index from
+        # a walk of 2K residues, before any row is written
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         allocations = {
-            "cycles": [(Q3, dynamics, "_orbit_blocks"), (W3, dynamics, "reduced_map_table")],
-            "conjugacy": [(Q3, odometer, "accumulate")],
+            "cycles": [(Q3, (), dynamics, "_orbit_blocks"), (W3, (), dynamics, "array"),
+                       (W3, ("--level", "1"), dynamics, "reduced_map_table")],
+            "conjugacy": [(Q3, (), odometer, "accumulate")],
         }
-        for coeffs, module, name in allocations[command]:
+        for coeffs, level, module, name in allocations[command]:
             with monkeypatch.context() as patch:
                 patch.setattr(module, name, exhausted)
-                code, out, err = run(capsys, command, "--prime", "3", "--coeffs", coeffs)
+                code, out, err = run(capsys, command, "--prime", "3", "--coeffs", coeffs, *level)
             assert code == 2 and out == "", name
             assert err == "error: out of memory\n"
 

@@ -1,15 +1,19 @@
+import random
 import time
 import tracemalloc
+from itertools import repeat, zip_longest
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from padicdyn import dynamics
 from padicdyn.dynamics import (
     IntPolynomial,
     TableBoundError,
     _orbit_shape,
     cycle_decomposition,
+    decision_level,
     is_full_cycle,
     reduced_map_table,
 )
@@ -212,6 +216,7 @@ class TestCycles:
         (IntPolynomial(5, (1, 1, 1)), 2),  # not bijective
         (IntPolynomial(3, (0, 1)), 2),  # the identity: nine fixed points
         (IntPolynomial(2, (1, 1)), 10),  # one cycle of 1024
+        (IntPolynomial(3, (1, 1, 1)), 8),  # two fixed points, walked above level 4's
     ])
     def test_matches_oracle_in_bounded_memory(self, f, n):
         table = oracles.table_oracle(f.coefficients, f.prime, n)
@@ -252,6 +257,86 @@ class TestCycles:
             assert not (set(cyc) & seen)
             seen |= set(cyc)
         assert len(seen) + dec.non_periodic_count == f.prime**n
+
+
+# the deepest level tested at each prime: above the small levels the
+# cycles mod p^n are walked above those of level ceil(n/2), so each of
+# these recurses at least twice before a level walks its map table
+DEEP_LEVELS = {2: 12, 3: 8, 5: 5, 7: 4}
+
+
+def _shifted_identity(p, rng):
+    """a0 + x + (x^p - x) g(x) + p h(x), seeded: x + a0 on Z/p, a0 a unit,
+    with f' = 1 - g mod p varying from residue to residue."""
+    a0 = rng.choice([a for a in range(-2 * p, 2 * p) if a % p])
+    h = [p * rng.randint(-9, 9) for _ in range(rng.randint(2, 6))]
+    spread = oracles.poly_mul([0, -1] + [0] * (p - 2) + [1],
+                              [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))])
+    return tuple(map(sum, zip_longest([a0, 1], spread, h, fillvalue=0)))
+
+
+def maps_without_full_cycle(p, n, rng):
+    """Seeded maps that are no full cycle mod p^n, by test id: the
+    bijections x, -x and x + p; f = c mod p, whose one periodic residue
+    mod p is c; where one exists (1 < n, ceil(n/2) below the decision
+    level) a full cycle mod p^ceil(n/2) that breaks by level n; and three
+    of degree 1-8 with signed coefficients and a0 != 1."""
+    m = (n + 1) // 2
+    full = oracles.full_cycle_oracle
+    maps = {"x": (0, 1), "-x": (0, -1), "x+p": (p, 1)}
+    maps["one-periodic-mod-p"] = (
+        rng.choice([c for c in range(-3 * p, 3 * p) if c != 1]),
+        *(p * rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 6))))
+    if m < min(n, decision_level(p)):
+        maps["full-mod-p^m"] = next(c for c in map(_shifted_identity, repeat(p, 5000), repeat(rng))
+                                    if c[0] != 1 and full(c, p, m) and not full(c, p, n))
+    signed = ([rng.randint(-30, 30) for _ in range(rng.randint(2, 9))] for _ in range(1000))
+    signed = (c for c in signed if c[0] != 1 and c[-1] and not full(c, p, n))
+    for i in range(3):
+        maps[f"signed{i}"] = tuple(next(signed))
+    return maps
+
+
+_rng = random.Random(25)
+NO_FULL_CYCLE = [(IntPolynomial(p, coeffs), n, f"p{p}-n{n}-{name}")
+                 for p, top in DEEP_LEVELS.items() for n in range(1, top + 1)
+                 for name, coeffs in maps_without_full_cycle(p, n, _rng).items()]
+
+
+def test_maps_without_full_cycle_cover_every_kind():
+    names = {case[2].split("-", 2)[2] for case in NO_FULL_CYCLE}
+    assert {"x", "-x", "x+p", "one-periodic-mod-p", "full-mod-p^m"} <= names
+    assert any(min(f.coefficients) < 0 for f, _, _ in NO_FULL_CYCLE)
+    assert all(f.coefficients[0] != 1 for f, _, _ in NO_FULL_CYCLE)
+    for p, top in DEEP_LEVELS.items():
+        fulls = [n for f, n, name in NO_FULL_CYCLE
+                 if f.prime == p and name.endswith("full-mod-p^m")]
+        assert fulls == [n for n in range(2, top + 1) if (n + 1) // 2 < decision_level(p)]
+
+
+def test_deep_levels_recurse_twice(monkeypatch):
+    levels = []
+    inner = dynamics.cycle_decomposition
+
+    def recorded(f, n, **kwargs):
+        levels.append(n)
+        return inner(f, n, **kwargs)
+
+    monkeypatch.setattr(dynamics, "cycle_decomposition", recorded)
+    for p, top in DEEP_LEVELS.items():
+        levels.clear()
+        recorded(IntPolynomial(p, (0, 1)), top)
+        assert len(levels) >= 3 and dynamics._small_level(p, levels[-1]), levels
+
+
+@pytest.mark.parametrize("f,n,name", NO_FULL_CYCLE, ids=[case[2] for case in NO_FULL_CYCLE])
+def test_no_full_cycle_matches_cycles_oracle(f, n, name):
+    table = oracles.table_oracle(f.coefficients, f.prime, n)
+    want_cycles, want_free = oracles.cycles_oracle(table)
+    dec = cycle_decomposition(f, n)
+    assert list(dec.cycles) == want_cycles
+    assert dec.non_periodic_count == want_free
+    assert dec.bijective == oracles.is_permutation(table)
 
 
 class TestFullCycle:

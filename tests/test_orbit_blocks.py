@@ -287,3 +287,35 @@ def test_small_levels_read_the_map_table(monkeypatch, p, coeffs, n):
     monkeypatch.setattr(IntPolynomial, "eval_slope_mod", None)
     dec, calls = kernel.cost(cycle_decomposition, f, n)
     assert dec.cycles == (tuple(order),) and calls <= f.degree + 1
+
+
+@pytest.mark.parametrize("p,coeffs,n", [
+    (2, (0, 1), 12), (2, (1, 3, 0, 2), 9), (3, (1, 1, 1), 8), (3, (1, 4, 0, 4, 0, 2), 7),
+    (5, (1, 1, 1), 5), (7, (-2, -1, 3), 4),
+])
+def test_no_full_cycle_fills_the_columns_above_the_cycles_below(monkeypatch, p, coeffs, n):
+    # above the small levels a map with no full cycle builds no map table
+    # at level n: two kernel calls for each periodic residue mod K =
+    # p^ceil(n/2) fill the column above it, beyond the lifting walk and
+    # the decomposition of level ceil(n/2)
+    f = IntPolynomial(p, coeffs)
+    m = (n + 1) // 2
+    assert not dynamics._small_level(p, n)
+    levels = []
+    tabulate = dynamics.reduced_map_table
+
+    def recorded(f, n, **kwargs):
+        levels.append(n)
+        return tabulate(f, n, **kwargs)
+
+    monkeypatch.setattr(dynamics, "reduced_map_table", recorded)
+    kernel = _Kernel(monkeypatch)
+    full, lifting = kernel.cost(full_cycle_by_lifting, f, n)
+    below, sublevel = kernel.cost(cycle_decomposition, f, m)
+    levels.clear()
+    dec, calls = kernel.cost(cycle_decomposition, f, n)
+    assert not full and n not in levels
+    periodic = sum(map(len, below.cycles))
+    assert calls - lifting - sublevel == 2 * periodic <= 2 * p**m
+    table = oracles.table_oracle(f.coefficients, p, n)
+    assert (list(dec.cycles), dec.non_periodic_count) == oracles.cycles_oracle(table)
