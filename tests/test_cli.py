@@ -522,6 +522,60 @@ def test_stream_pulls_one_block_before_it_writes(monkeypatch, fmt):
     assert code == 2 and 0 < pulled <= 4
 
 
+class TestTemplates:
+    """The %d templates against str and json.dumps: conjugacy rows across
+    the decimal runs of the residue column, residues of 600 digits and
+    empty streams.  TestBlocks covers cycles longer than a block between
+    short ones."""
+
+    @pytest.mark.parametrize("p,coeffs,n,row_run", [
+        # rows 999/1000, 9999/10000, 99999/100000 and a short last run
+        (2, (1, 1), 17, None), (3, (1, 1, 6), 9, None), (5, (1, 1, 5), 7, None),
+        # runs of ten: one-digit suffixes, and 243 rows end mid-run
+        (3, (1, 1, 6), 5, 10),
+    ])
+    def test_conjugacy_rows_across_runs(self, capsys, monkeypatch, p, coeffs, n, row_run):
+        if row_run is not None:
+            monkeypatch.setattr(cli, "ROW_RUN", row_run)
+        order, _ = oracles.orbit_from_zero(coeffs, p, n)
+        index = [0] * len(order)
+        for k, x in enumerate(order):
+            index[x] = k
+        code, out, _ = run(capsys, "conjugacy", "--prime", str(p), "--coeffs",
+                           coeff_text(coeffs), "--level", str(n))
+        assert code == 0 and len(index) == p**n
+        # lists of lines: a failure names the first wrong row at once, where
+        # a diff of the whole text would take minutes
+        want = [f"{x} {k}\n" for x, k in enumerate(index)]
+        assert out.splitlines(keepends=True) == want
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "packed"])
+    @pytest.mark.parametrize("count", [0, 7])
+    def test_stream_of_600_digit_residues(self, capsys, monkeypatch, fmt, count):
+        # x + c with c odd, about 0.382 * 2^1993: a full cycle mod 2^1993
+        # whose first residues have 599 or 600 digits, in blocks of 3 (one
+        # value a block packed, its 167 digit chunks split by divmod)
+        size = 2**1993
+        c = size * 381966 // 10**6 | 1
+        values = [(c * i - 1) % size for i in range(count)]
+        assert all(len(str(v)) >= 599 for v in values)
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", 3)
+        code, out, _ = run(capsys, "stream", "--prime", "2", "--coeffs", f"{c},1", "--level",
+                           "1993", "--seed", "-1", "--count", str(count), "--format", fmt)
+        assert code == 0
+        if fmt == "text":
+            want = "".join(f"{v}\n" for v in values)
+        elif fmt == "packed":
+            # little-endian binary digits
+            want = "".join(f"{line}\n" for line in [f"2 1993 {count} {size - 1}",
+                                                   *(f"{v:01993b}"[::-1] for v in values)])
+        else:
+            want = json.dumps({"command": "stream", "prime": 2, "coeffs": [c, 1],
+                               "level": 1993, "seed": size - 1, "count": count,
+                               "values": values}, sort_keys=True, separators=(",", ":")) + "\n"
+        assert out == want
+
+
 class TestSweep:
     def test_exhaustive_box_structured(self, capsys):
         code, out, _ = run(capsys, "sweep", "--prime", "3", "--degree", "2",
