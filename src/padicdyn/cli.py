@@ -26,7 +26,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice, repeat
-from operator import floordiv, itemgetter, mod, sub
+from operator import floordiv, mod, sub
 
 from .criteria import MinimalityVerdict, closed_form, minimal_general
 from .dynamics import DEFAULT_TABLE_BOUND, IntPolynomial, cycle_decomposition, decision_level
@@ -101,6 +101,20 @@ def _write_cycles(cycles: Iterable[tuple], start: str, sep: str, end: str,
         template = lead + start + "%d" + rest + end
         sys.stdout.write(template % tuple(chain.from_iterable(block)))
         lead = between
+
+
+def _digit_columns(block: tuple, m: int, base: int) -> list:
+    """The digits base^0 .. base^(m-1) of each value in block, a column a
+    digit, then the rest of each value above them.  Each value is cut in
+    two at base^ceil(m/2) and the halves are split in turn: peeling one
+    digit at a time would divide the whole value m times, which for
+    residues of hundreds of digits costs more than twice as much."""
+    if not m:
+        return [block]
+    h = (m + 1) // 2
+    cut = base**h
+    return (_digit_columns(tuple(map(mod, block, repeat(cut))), h - 1, base)
+            + _digit_columns(tuple(map(floordiv, block, repeat(cut))), m - h, base))
 
 
 @functools.cache
@@ -283,21 +297,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
         full, top = divmod(n - 1, k)  # chunks of k digits, then one of top + 1
         base = p**k
         chunk, last = (names[-1].__getitem__, names[top].__getitem__) if names else (str, str)
-        # past about 768 bits one divmod costs less than a mod and a floordiv
-        wide = size.bit_length() > 768
         # a block holds WITNESS_BLOCK names, a column of them per chunk
         for block in _blocks(values, max(1, WITNESS_BLOCK // (full + 1))):
-            chunks = []
-            for _ in range(full):
-                if wide:
-                    pairs = list(map(divmod, block, repeat(base)))
-                    low, block = map(itemgetter(1), pairs), list(map(itemgetter(0), pairs))
-                else:
-                    low = map(mod, block, repeat(base))  # keeps this block
-                    block = tuple(map(floordiv, block, repeat(base)))
-                chunks.append(list(map(chunk, low)))
-            chunks.append(map(last, block))
-            sys.stdout.write("\n".join(chain(map(sep.join, zip(*chunks)), [""])))
+            *low, high = _digit_columns(block, full, base)
+            rows = zip(*(map(chunk, c) for c in low), map(last, high))
+            sys.stdout.write("\n".join(chain(map(sep.join, rows), [""])))
         return 0
     for block in _blocks(values, WITNESS_BLOCK):
         sys.stdout.write("%d\n" * len(block) % block)

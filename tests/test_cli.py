@@ -554,7 +554,7 @@ class TestTemplates:
     def test_stream_of_600_digit_residues(self, capsys, monkeypatch, fmt, count):
         # x + c with c odd, about 0.382 * 2^1993: a full cycle mod 2^1993
         # whose first residues have 599 or 600 digits, in blocks of 3 (one
-        # value a block packed, its 167 digit chunks split by divmod)
+        # value a block packed, split into its 167 digit chunks)
         size = 2**1993
         c = size * 381966 // 10**6 | 1
         values = [(c * i - 1) % size for i in range(count)]
@@ -574,6 +574,19 @@ class TestTemplates:
                                "level": 1993, "seed": size - 1, "count": count,
                                "values": values}, sort_keys=True, separators=(",", ":")) + "\n"
         assert out == want
+
+    @pytest.mark.parametrize("base", [2, 10, 2187, 4099, 10**6 + 3])
+    def test_digit_columns_match_peeling_one_digit_at_a_time(self, base):
+        # every count of digits up to 40 halves unevenly somewhere, and
+        # the values reach below, at and far above base^m
+        values = (0, 1, base - 1, base, base**7 - 1, base**7, 3**500 + 17, 2**1993 - 1)
+        for m in range(41):
+            want = []
+            rest = values
+            for _ in range(m):
+                want.append(tuple(v % base for v in rest))
+                rest = tuple(v // base for v in rest)
+            assert cli._digit_columns(values, m, base) == [*want, rest], m
 
 
 class TestSweep:
