@@ -24,8 +24,9 @@ import json
 import os
 import re
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import floordiv, mod, sub
 
 from .criteria import MinimalityVerdict, closed_form, minimal_general
@@ -83,11 +84,11 @@ def _write_items(head: str, values: Iterable[int], sep: str, tail: str) -> None:
 def _write_cycles(cycles: Iterable[tuple], start: str, sep: str, end: str,
                   between: str) -> None:
     """Write each cycle as start, its residues joined by sep, then end,
-    with between before every cycle but the first.  WITNESS_BLOCK cycles
-    at a time are formatted by one template, built by maps in C over
-    their lengths; in a block that holds a cycle longer than
-    WITNESS_BLOCK, each cycle is written alone, a block of residues at a
-    time."""
+    with between before every cycle but the first.  Of WITNESS_BLOCK
+    cycles pulled at a time, as many in turn as hold at most WITNESS_BLOCK
+    residues are formatted by one template, built by maps in C over their
+    lengths; in a block that holds a cycle longer than WITNESS_BLOCK, each
+    cycle is written alone, a block of residues at a time."""
     lead = ""
     item = sep + "%d"
     joint = end + between + start + "%d"  # each cycle's first residue
@@ -97,10 +98,14 @@ def _write_cycles(cycles: Iterable[tuple], start: str, sep: str, end: str,
                 _write_items(lead + start, c, sep, end)
                 lead = between
             continue
-        rest = joint.join(map(item.__mul__, map(sub, map(len, block), repeat(1))))
-        template = lead + start + "%d" + rest + end
-        sys.stdout.write(template % tuple(chain.from_iterable(block)))
-        lead = between
+        ends = list(accumulate(map(len, block), initial=0))  # residues before each cycle
+        i = 0
+        while i < len(block):
+            j = bisect_right(ends, ends[i] + WITNESS_BLOCK) - 1
+            part = block[i:j]
+            rest = joint.join(map(item.__mul__, map(sub, map(len, part), repeat(1))))
+            sys.stdout.write((lead + start + "%d" + rest + end) % tuple(chain.from_iterable(part)))
+            lead, i = between, j
 
 
 def _digit_columns(block: tuple, m: int, base: int) -> list:

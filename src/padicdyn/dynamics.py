@@ -16,8 +16,8 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, mod, sub
+from itertools import accumulate, chain, compress, islice, repeat, tee
+from operator import add, itemgetter, mod, sub
 
 from .padic import PadicError, _check_prime
 
@@ -166,26 +166,22 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     = 0 mod p^n, so f^K(y + Kt) = f^K(y) + Kt (f^K)'(y), and (f^K)'(y) is
     the product of f' over K orbit points, one in every class mod
     p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
-    first block walks min(count, 2K) residues through eval_mod, lazily,
-    and each later one is a list of K: the block before it plus the step
-    vector of the first two, reduced mod p^n, in two passes in C.  Where
-    K exceeds _BLOCK_BOUND the first block walks all count residues, and
-    keeps none, so a stream of any length holds a bounded number."""
+    first block is min(count, 2K) residues of one walk through eval_mod
+    in C, handed on lazily and kept until they give the step vector, and
+    each later one is a list of K: the block before it plus that step
+    vector mod p^n, in two passes in C.  Where K exceeds _BLOCK_BOUND the
+    walk gives all count residues and keeps none, so a stream of any
+    length holds a bounded number."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
-    blocks = count > 2 * k and k <= _BLOCK_BOUND  # do lists follow the walk?
-    kept = []
-
-    def walk(x: int) -> Iterator[int]:
-        for _ in range(2 * k if blocks else count):
-            yield x
-            if blocks:
-                kept.append(x)
-            x = f.eval_mod(x, size)
-
-    yield walk(seed % size)
-    if not blocks:
+    walk = accumulate(repeat(size), f.eval_mod, initial=seed % size)
+    if count <= 2 * k or k > _BLOCK_BOUND:
+        # count may pass sys.maxsize, which islice refuses
+        yield map(itemgetter(1), zip(range(count), walk))
         return
+    first, kept = tee(islice(walk, 2 * k))
+    yield first
+    kept = list(kept)
     step = list(map(mod, map(sub, islice(kept, k, None), kept), repeat(size)))
     later = _stepped_blocks(kept[k:], step, size, count - 2 * k)
     kept.clear()  # later holds the one block it steps from

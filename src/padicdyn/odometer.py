@@ -4,10 +4,10 @@ When f induces a single p^n-cycle on Z/p^nZ, indexing each residue by
 the time the orbit of 0 reaches it turns f into x -> x + 1.  The index
 tables at successive levels are compatible with reduction mod p^n, so
 they assemble into a conjugacy with the adding machine on Z_p.  Both
-index tables and the stream come in blocks from 2 p^ceil(n/2) kernel
-steps, with no map table past the levels where those would be the
-whole orbit, and no table of p^n entries.  The tower builds no table:
-it sizes each level and decides it by lifting.
+tables and the stream come from the orbit engine (_orbit_blocks), its
+first 2 p^ceil(n/2) residues setting up the index: no map table past
+the levels where those are the whole orbit, no table of p^n entries.
+The tower builds no table: it sizes each level and decides it by lifting.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, chain, repeat
-from operator import mod, sub
+from itertools import accumulate, chain, islice, repeat
 
 from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size,
                        _no_full_cycle, _orbit_blocks, _small_level, _stepped_blocks, _typecode,
@@ -43,9 +42,9 @@ def build_psi(
     f^i(0), x_0..x_(K-1) hit every class mod K once and x_(i+jK) = x_i +
     jK u_i mod p^n, u_i a unit mod q (_orbit_blocks): so the index of cK +
     r, r = x_i mod K, is i + K ((c - x_i // K) u_i^-1 mod q), and the next
-    block's is K u_i^-1 on, mod p^n; one walk of 2K residues serves both
-    tables.  At the small levels (_small_level) the map table gives the
-    orbit, and one loop its inverse."""
+    block's is K u_i^-1 on, mod p^n: the engine's first 2K residues set up
+    orbit_index, and it yields orbit_point.  At the small levels
+    (_small_level) the map table gives the orbit, one loop its inverse."""
     size = _check_table_size(f.prime, n, table_bound)
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(f, n, size)
@@ -59,15 +58,14 @@ def build_psi(
             index[x] = i
         return ConjugacyTable(f.prime, n, iter(index), iter(points))
     k, q = f.prime ** ((n + 1) // 2), f.prime ** (n // 2)
-    head = list(accumulate(repeat(size, 2 * k - 1), f.eval_mod, initial=0))
+    points = chain.from_iterable(_orbit_blocks(f, n, 0, size))
+    head = list(islice(points, 2 * k))
     first, step = [0] * k, [0] * k  # orbit_index at 0..K - 1, and K u^-1
     for i, (x, y) in enumerate(zip(head, head[k:])):
         h, r = divmod(x, k)
         v = pow((y - x) // k, -1, q)
         first[r], step[r] = i + k * (-h * v % q), k * v
-    point_step = list(map(mod, map(sub, head[k:], head), repeat(size)))
     index = chain.from_iterable(_stepped_blocks(first, step, size, size - k))
-    points = chain.from_iterable(_stepped_blocks(head[k:], point_step, size, size - 2 * k))
     return ConjugacyTable(f.prime, n, chain(first, index), chain(head, points))
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -188,14 +189,14 @@ class TestCycles:
         # blocks, fills the table of any other map (W3, broken mod 27)
         # column by column above its cycles mod 9, and tabulates every map
         # at level 1; conjugacy --level sets up its closed-form index from
-        # a walk of 2K residues, before any row is written
+        # the first 2K residues of the orbit blocks, before any row is written
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         allocations = {
             "cycles": [(Q3, (), dynamics, "_orbit_blocks"), (W3, (), dynamics, "array"),
                        (W3, ("--level", "1"), dynamics, "reduced_map_table")],
-            "conjugacy": [(Q3, (), odometer, "accumulate")],
+            "conjugacy": [(Q3, (), odometer, "_orbit_blocks")],
         }
         for coeffs, level, module, name in allocations[command]:
             with monkeypatch.context() as patch:
@@ -574,6 +575,31 @@ class TestTemplates:
                                "level": 1993, "seed": size - 1, "count": count,
                                "values": values}, sort_keys=True, separators=(",", ":")) + "\n"
         assert out == want
+
+    @pytest.mark.parametrize("block", [4, 6, 10])
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    # 16 cycles of 4 mod 2^6, and two fixed points among 31 cycles of 2
+    @pytest.mark.parametrize("coeffs", ["16,1", "0,-1"])
+    def test_cycles_template_holds_a_block_of_residues(self, capsys, monkeypatch, block, fmt,
+                                                       coeffs):
+        # a block pulls WITNESS_BLOCK cycles, but no write may carry more
+        # than WITNESS_BLOCK residues: no line around the cycles holds more
+        # than three numbers
+        argv = ("cycles", "--prime", "2", "--coeffs", coeffs, "--level", "6", "--format", fmt)
+        _, whole, _ = run(capsys, *argv)
+        writes = []
+        write = sys.stdout.write
+
+        def kept(text):
+            writes.append(text)
+            return write(text)
+
+        monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+        monkeypatch.setattr(sys.stdout, "write", kept)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == whole
+        assert max(len(re.findall(r"\d+", text)) for text in writes) <= block
+        assert "".join(writes) == whole
 
     @pytest.mark.parametrize("base", [2, 10, 2187, 4099, 10**6 + 3])
     def test_digit_columns_match_peeling_one_digit_at_a_time(self, base):

@@ -13,7 +13,6 @@ SCRIPTS = ROOT / "scripts"
 
 # script -> (argv, expected exit status)
 RUNS = {
-    "delta_sharpness.py": (["--limit", "1", "--samples", "3", "--depth", "3"], 0),
     "stream_equidistribution.py": (["--prime", "3", "--coeffs", "1,1,6", "--level", "3"], 0),
 }
 
