@@ -13,11 +13,12 @@ table (reduced_map_table).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, compress, islice, repeat, tee
-from operator import add, itemgetter, mod, sub
+from operator import itemgetter, mod, sub
 
 from .padic import PadicError, _check_prime
 
@@ -35,11 +36,16 @@ class NotFullCycleError(PadicError):
 # verdict.  Full-cycle verdicts, towers and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
 
-# Longest block (p^ceil(n/2) residues) that _orbit_blocks holds: about
-# 4 blocks of Python ints, 10 MB, at most.  Every level within the
-# default table bound has shorter blocks (the longest, 251^2, is at
-# 251^3); a deeper stream is a plain walk that holds no residue.
+# Longest block (K = p^ceil(n/2) residues) that _orbit_blocks steps: it
+# holds the 2K walked residues until they are packed, 5.4 MB traced at
+# this bound (2.7 MB at K = 2^15), then a few packed ints of 4 or 8 bytes
+# a residue.  Every level within the default table bound has shorter
+# blocks (the longest, 251^2, is at 251^3); a deeper stream is a plain
+# walk that holds no residue.
 _BLOCK_BOUND = 1 << 16
+
+# Largest modulus _stepped_blocks steps: its widest fields hold 64 bits.
+_STEP_BOUND = 1 << 63
 
 
 class IntPolynomial:
@@ -167,11 +173,12 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     the product of f' over K orbit points, one in every class mod
     p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
     first block is min(count, 2K) residues of one walk through eval_mod
-    in C, handed on lazily and kept until they give the step vector, and
-    each later one is a list of K: the block before it plus that step
-    vector mod p^n, in two passes in C.  Where K exceeds _BLOCK_BOUND the
-    walk gives all count residues and keeps none, so a stream of any
-    length holds a bounded number."""
+    in C, handed on lazily and kept, 4 bytes a residue, until they give
+    the step vector, and each later one is an array of K: the block before
+    it plus that step vector mod p^n, a few int operations on the packed
+    block (_stepped_blocks).  Where K exceeds _BLOCK_BOUND the walk gives
+    all count residues and keeps none, so a stream of any length holds a
+    bounded number."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
     walk = accumulate(repeat(size), f.eval_mod, initial=seed % size)
@@ -181,19 +188,39 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
         return
     first, kept = tee(islice(walk, 2 * k))
     yield first
-    kept = list(kept)
-    step = list(map(mod, map(sub, islice(kept, k, None), kept), repeat(size)))
-    later = _stepped_blocks(kept[k:], step, size, count - 2 * k)
-    kept.clear()  # later holds the one block it steps from
-    yield from later
+    kept = array(_typecode(size), kept)
+    step = map(mod, map(sub, islice(kept, k, None), kept), repeat(size))
+    yield from _stepped_blocks(kept[k:], step, size, count - 2 * k)
 
 
-def _stepped_blocks(block: list, step: list, modulus: int, left: int) -> Iterator[list[int]]:
+def _stepped_blocks(block: Sequence[int], step: Iterable[int], modulus: int,
+                    left: int) -> Iterator[array]:
     """The blocks after `block`, each the one before it plus `step` mod
-    modulus (two passes in C), `left` residues in all: the last may be short."""
-    for left in range(left, 0, -len(block)):
-        block = list(map(mod, map(add, block, step), repeat(modulus, left)))
-        yield block
+    modulus, `left` residues in all: the last may be short.
+
+    Each vector is packed into one int, a w-bit field a residue (w = 32
+    while modulus <= 2^31, else 64; modulus <= _STEP_BOUND), so a block
+    costs a few int operations in C.  They are exact for fields x, s <
+    modulus <= 2^(w-1): a field of t = x + s is below 2 modulus <= 2^w;
+    with off = 2^(w-1) - modulus >= 0 in every field, a field of t + off
+    lies in [2^(w-1) - modulus, 2^(w-1) + modulus - 2], inside [0, 2^w),
+    so no field carries into the next, and its top bit is set exactly
+    where t >= modulus.  Those bits, shifted to the bottom of their
+    fields, masked and times modulus, take modulus off just the fields
+    that hold at least modulus: none borrows, and each is x + s mod
+    modulus."""
+    tc, w = ("I", 32) if modulus <= 1 << 31 else ("Q", 64)
+    k = len(block)
+    x, s = (int.from_bytes(array(tc, v), sys.byteorder) for v in (block, step))
+    del block, step  # held packed from here on, 4 or 8 bytes a residue
+    ones = int.from_bytes(array(tc, [1]) * k, sys.byteorder)
+    off = ones * ((1 << (w - 1)) - modulus)
+    for left in range(left, 0, -k):
+        t = x + s
+        x = t - ((t + off) >> (w - 1) & ones) * modulus
+        out = array(tc, x.to_bytes(k * w // 8, sys.byteorder))
+        del out[left:]
+        yield out
 
 
 def decision_level(prime: int) -> int:

@@ -17,9 +17,10 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import accumulate, chain, islice, repeat
 
-from .dynamics import (DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError, _check_table_size,
-                       _no_full_cycle, _orbit_blocks, _small_level, _stepped_blocks, _typecode,
-                       decision_level, full_cycle_by_lifting, reduced_map_table)
+from .dynamics import (_STEP_BOUND, DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
+                       _check_table_size, _no_full_cycle, _orbit_blocks, _small_level,
+                       _stepped_blocks, _typecode, decision_level, full_cycle_by_lifting,
+                       reduced_map_table)
 from .padic import PadicError
 
 
@@ -44,8 +45,10 @@ def build_psi(
     r, r = x_i mod K, is i + K ((c - x_i // K) u_i^-1 mod q), and the next
     block's is K u_i^-1 on, mod p^n: the engine's first 2K residues set up
     orbit_index, and it yields orbit_point.  At the small levels
-    (_small_level) the map table gives the orbit, one loop its inverse."""
-    size = _check_table_size(f.prime, n, table_bound)
+    (_small_level) the map table gives the orbit, one loop its inverse.
+    A level above _STEP_BOUND, the largest modulus the index is stepped
+    at, is refused as one above table_bound is."""
+    size = _check_table_size(f.prime, n, min(table_bound, _STEP_BOUND))
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(f, n, size)
     if _small_level(f.prime, n):
@@ -110,7 +113,8 @@ def full_cycle_stream(
     at level n is checked here by lifting, before the first residue, at
     a cost that does not grow with n past the decision level.  The
     residues come from _orbit_blocks: at most min(count, 2 p^ceil(n/2))
-    kernel steps, each yielded as it is walked, then blocks of sums.
+    kernel steps, each yielded as it is walked, then blocks stepped a
+    few int operations at a time (_stepped_blocks).
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")

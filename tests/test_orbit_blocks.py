@@ -116,6 +116,56 @@ def test_blocks_match_the_plain_walk(case):
         assert blocks(f, n, seed, count) == walk(f, n, seed, count), count
 
 
+# on both sides of each field width of the packed kernel (32 bits up to
+# 2^31, 64 above), and at the top of its range
+KERNEL_MODULI = [7**5, 2**30, 2**30 + 3, 2**31, 2**31 + 1, 3**20, 65521**2, 2**32, 2**63]
+
+
+@pytest.mark.parametrize("modulus", KERNEL_MODULI)
+def test_stepped_blocks_match_stepping_each_residue(modulus):
+    # 0 and modulus - 1 against each other in both vectors, sums of
+    # modulus - 1, modulus and modulus + 1, then random residues
+    k = 40
+    rng = random.Random(modulus)
+    top = modulus - 1
+    block = [0, 0, top, top, 1, 2] + [rng.randrange(modulus) for _ in range(k - 6)]
+    step = [0, top, 0, top, top, top] + [rng.randrange(modulus) for _ in range(k - 6)]
+    for left in (0, 1, k - 1, k, k + 1, 5 * k + 3):
+        want, x = [], block
+        while len(want) < left:
+            x = [(a + s) % modulus for a, s in zip(x, step)]
+            want += x
+        got = list(dynamics._stepped_blocks(block, step, modulus, left))
+        assert [len(b) for b in got] == [k] * (left // k) + [left % k] * (left % k > 0)
+        assert list(chain.from_iterable(got)) == want[:left], left
+
+
+@pytest.mark.parametrize("p,n", [(2, 32), (3, 20), (65521, 2)])
+def test_blocks_match_the_plain_walk_across_the_wrap(p, n):
+    # x + 1 from 3K below p^n, so that the stepped blocks pass p^n - 1
+    f = IntPolynomial(p, (1, 1))
+    size, k = p**n, p ** ((n + 1) // 2)
+    assert k <= dynamics._BLOCK_BOUND
+    seed = size - 3 * k
+    want = walk(f, n, seed, 6 * k)
+    assert want[3 * k - 1:3 * k + 1] == [size - 1, 0]
+    assert blocks(f, n, seed, 6 * k) == want
+    assert list(full_cycle_stream(f, n, seed, 6 * k)) == want
+
+
+def test_seeded_map_matches_the_plain_walk_in_64_bit_fields():
+    # a full cycle mod 27 is one mod every 3^n; 3^20 > 2^31, so the
+    # packed fields are 64 bits wide
+    f = full_cycle_map(3, 3, 5, random.Random(28))
+    n = 20
+    size, k = 3**n, 3**10
+    assert full_cycle_by_lifting(f, n)
+    seed = size - 3 * k
+    want = walk(f, n, seed, 6 * k)
+    assert blocks(f, n, seed, 6 * k) == want
+    assert list(full_cycle_stream(f, n, seed, 6 * k)) == want
+
+
 @pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
 def test_tables_and_stream_match_their_oracles(case, request):
     f, n = case
@@ -163,6 +213,19 @@ def test_bound_refuses_before_any_walk(monkeypatch, no_tables):
     for fn in (build_psi, cycle_decomposition):
         with pytest.raises(TableBoundError, match=r"^table of 2\^11 entries exceeds bound 1024$"):
             fn(f, 11, table_bound=1024)
+
+
+def test_index_above_the_kernel_range_is_refused_before_any_walk(monkeypatch):
+    # 2^64 residues would overflow the packed kernel's 64-bit fields
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(IntPolynomial, "eval_mod", refuse)
+    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", refuse)
+    assert dynamics._STEP_BOUND == 2**63
+    refused = r"^table of 2\^64 entries exceeds bound 9223372036854775808$"
+    with pytest.raises(TableBoundError, match=refused):
+        build_psi(IntPolynomial(2, (1, 1)), 64, table_bound=1 << 70)
 
 
 class _Kernel:
