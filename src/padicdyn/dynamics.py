@@ -173,12 +173,12 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     the product of f' over K orbit points, one in every class mod
     p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
     first block is min(count, 2K) residues of one walk through eval_mod
-    in C, handed on lazily and kept, 4 bytes a residue, until they give
-    the step vector, and each later one is an array of K: the block before
-    it plus that step vector mod p^n, a few int operations on the packed
-    block (_stepped_blocks).  Where K exceeds _BLOCK_BOUND the walk gives
-    all count residues and keeps none, so a stream of any length holds a
-    bounded number."""
+    in C, handed on lazily and kept in an array, 4 bytes a residue, to
+    give the step vector, and each later one is an array of K: the block
+    before it plus that step vector mod p^n, a few int operations on the
+    packed block (_stepped_blocks).  Where K exceeds _BLOCK_BOUND the walk
+    gives all count residues and keeps none, so a stream of any length
+    holds a bounded number."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
     walk = accumulate(repeat(size), f.eval_mod, initial=seed % size)

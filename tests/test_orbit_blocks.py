@@ -140,26 +140,17 @@ def test_stepped_blocks_match_stepping_each_residue(modulus):
         assert list(chain.from_iterable(got)) == want[:left], left
 
 
-@pytest.mark.parametrize("p,n", [(2, 32), (3, 20), (65521, 2)])
-def test_blocks_match_the_plain_walk_across_the_wrap(p, n):
-    # x + 1 from 3K below p^n, so that the stepped blocks pass p^n - 1
-    f = IntPolynomial(p, (1, 1))
-    size, k = p**n, p ** ((n + 1) // 2)
+# x + 1, whose stepped blocks pass p^n - 1 from a seed 3K below p^n, and
+# a seeded full cycle mod 27, so one mod 3^20, where the fields are 64 bits
+WRAPS = [(IntPolynomial(p, (1, 1)), n) for p, n in ((2, 32), (3, 20), (65521, 2))]
+WRAPS.append((full_cycle_map(3, 3, 5, random.Random(28)), 20))
+
+
+@pytest.mark.parametrize("case", WRAPS, ids=map(_ids, WRAPS))
+def test_blocks_match_the_plain_walk_across_the_wrap(case):
+    f, n = case
+    size, k = f.prime**n, f.prime ** ((n + 1) // 2)
     assert k <= dynamics._BLOCK_BOUND
-    seed = size - 3 * k
-    want = walk(f, n, seed, 6 * k)
-    assert want[3 * k - 1:3 * k + 1] == [size - 1, 0]
-    assert blocks(f, n, seed, 6 * k) == want
-    assert list(full_cycle_stream(f, n, seed, 6 * k)) == want
-
-
-def test_seeded_map_matches_the_plain_walk_in_64_bit_fields():
-    # a full cycle mod 27 is one mod every 3^n; 3^20 > 2^31, so the
-    # packed fields are 64 bits wide
-    f = full_cycle_map(3, 3, 5, random.Random(28))
-    n = 20
-    size, k = 3**n, 3**10
-    assert full_cycle_by_lifting(f, n)
     seed = size - 3 * k
     want = walk(f, n, seed, 6 * k)
     assert blocks(f, n, seed, 6 * k) == want
@@ -222,7 +213,6 @@ def test_index_above_the_kernel_range_is_refused_before_any_walk(monkeypatch):
 
     monkeypatch.setattr(IntPolynomial, "eval_mod", refuse)
     monkeypatch.setattr(IntPolynomial, "eval_slope_mod", refuse)
-    assert dynamics._STEP_BOUND == 2**63
     refused = r"^table of 2\^64 entries exceeds bound 9223372036854775808$"
     with pytest.raises(TableBoundError, match=refused):
         build_psi(IntPolynomial(2, (1, 1)), 64, table_bound=1 << 70)
