@@ -6,9 +6,10 @@ finite reductions; iteration is always pointwise, never symbolic.  One
 walk of the orbit of 0 that lifts its cycle level by level (_orbit_shape)
 decides whether f is one full cycle mod p^n; a full cycle has its orbit
 produced in blocks (_orbit_blocks) from p^ceil(n/2) kernel steps.  Any
-other map's cycles are walked only above the periodic residues of level
-ceil(n/2), found the same way, down to a level small enough for the map
-table (reduced_map_table).
+other map's cycles are lifted from those of level ceil(n/2), found the
+same way, through the affine map f induces above each of them
+(_cycles_above), down to a level small enough to walk the map table
+(reduced_map_table).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, compress, islice, repeat, tee
+from itertools import accumulate, chain, compress, islice, repeat
+from math import gcd
 from operator import itemgetter, mod, sub
 
 from .padic import PadicError, _check_prime
@@ -37,15 +39,20 @@ class NotFullCycleError(PadicError):
 DEFAULT_TABLE_BOUND = 1 << 24
 
 # Longest block (K = p^ceil(n/2) residues) that _orbit_blocks steps: it
-# holds the 2K walked residues until they are packed, 5.4 MB traced at
-# this bound (2.7 MB at K = 2^15), then a few packed ints of 4 or 8 bytes
-# a residue.  Every level within the default table bound has shorter
-# blocks (the longest, 251^2, is at 251^3); a deeper stream is a plain
-# walk that holds no residue.
+# walks 2K residues into an array, then steps a few packed ints of 4 or 8
+# bytes a residue.  Reading 2^18 residues of x + 1 peaks at 1.4 MB traced
+# at K = 2^15, and at 5.0 MB at this bound, where the transient ints of
+# 64-bit fields dominate.  Every level within the default table bound has
+# shorter blocks (the longest, 251^2, is at 251^3); a deeper stream is a
+# plain walk that holds no residue.
 _BLOCK_BOUND = 1 << 16
 
 # Largest modulus _stepped_blocks steps: its widest fields hold 64 bits.
 _STEP_BOUND = 1 << 63
+
+# Shortest block of a cycle that _cycles_above steps: stepping costs
+# about 1 us a block and 40 ns a residue, a multiply-add 100-150 ns.
+_SHORT_BLOCK = 64
 
 
 class IntPolynomial:
@@ -172,12 +179,12 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     = 0 mod p^n, so f^K(y + Kt) = f^K(y) + Kt (f^K)'(y), and (f^K)'(y) is
     the product of f' over K orbit points, one in every class mod
     p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
-    first block is min(count, 2K) residues of one walk through eval_mod
-    in C, handed on lazily and kept in an array, 4 bytes a residue, to
-    give the step vector, and each later one is an array of K: the block
-    before it plus that step vector mod p^n, a few int operations on the
-    packed block (_stepped_blocks).  Where K exceeds _BLOCK_BOUND the walk
-    gives all count residues and keeps none, so a stream of any length
+    first block is 2K residues of one walk through eval_mod in C, filled
+    into an array, 4 bytes a residue, that gives the step vector, and each
+    later one is an array of K: the block before it plus that step vector
+    mod p^n, a few int operations on the packed block (_stepped_blocks).
+    Where count is at most 2K, or K exceeds _BLOCK_BOUND, the walk gives
+    all count residues lazily and keeps none, so a stream of any length
     holds a bounded number."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
@@ -186,9 +193,8 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
         # count may pass sys.maxsize, which islice refuses
         yield map(itemgetter(1), zip(range(count), walk))
         return
-    first, kept = tee(islice(walk, 2 * k))
-    yield first
-    kept = array(_typecode(size), kept)
+    kept = array(_typecode(size), islice(walk, 2 * k))
+    yield kept
     step = map(mod, map(sub, islice(kept, k, None), kept), repeat(size))
     yield from _stepped_blocks(kept[k:], step, size, count - 2 * k)
 
@@ -405,54 +411,40 @@ class CycleDecomposition(namedtuple(
 def cycle_decomposition(
     f: IntPolynomial, n: int, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> CycleDecomposition:
-    """The cycles of f mod p^n, by one path-marking walk of the residues
-    that can be periodic; a full cycle, decided by lifting, is the orbit of
-    0 in blocks (_orbit_blocks) instead.  At the small levels the walk
-    takes every residue, through the map table.  Above them a periodic
-    residue lies above a cycle of level m = ceil(n/2), and K = p^m has K^2
-    = 0 mod p^n, so f(x + Kt) = f(x) + t (f(x + K) - f(x)): the column
-    above a periodic x mod K costs two kernel calls and one progression in
-    C, and f maps these columns into themselves."""
+    """The cycles of f mod p^n.  At the small levels, one path-marking walk
+    of the map table; above them a full cycle, decided by lifting, is the
+    orbit of 0 in blocks (_orbit_blocks), and any other map's cycles are
+    lifted from those of level ceil(n/2) (_cycles_above), with no table
+    and no walk of p^n residues."""
     size = _check_table_size(f.prime, n, table_bound)
     if _small_level(f.prime, n):
         table = reduced_map_table(f, n, table_bound=table_bound).entries
         todo = bytearray(b"\1") * size  # the residues still to walk
+        cycles = []
+        # compress reads todo as the walk clears it: each start is the
+        # least residue not walked yet
+        for start in compress(range(size), todo):
+            path = []
+            x = start
+            while todo[x]:
+                todo[x] = 0
+                path.append(x)
+                x = table[x]
+            if x == start:  # none below start is left to walk: start is least
+                cycles.append(tuple(path))
+            elif x in path:  # the path from x on is a new cycle
+                cycles.append(_least_first(path[path.index(x):]))
+        del table, todo  # freed before tuple(cycles) copies the list
+        periodic = sum(map(len, cycles))
     elif full_cycle_by_lifting(f, n):
         # one cycle, from its least residue 0
         cycle = tuple(chain.from_iterable(_orbit_blocks(f, n, 0, size)))
         return CycleDecomposition(f.prime, n, True, (cycle,), 0)
     else:
-        m = (n + 1) // 2
-        k, q = f.prime**m, f.prime ** (n - m)
-        table = array(_typecode(size), [0]) * size
-        todo = bytearray(size)
-        for x in chain.from_iterable(cycle_decomposition(f, m, table_bound=table_bound).cycles):
-            y = f.eval_mod(x, size)
-            # a range needs a nonzero step, and size steps as 0 does mod size
-            step = (f.eval_mod(x + k, size) - y) % size or size
-            table[x::k] = array(table.typecode,
-                                map(mod, range(y, y + q * step, step), repeat(size)))
-            todo[x::k] = b"\1" * q
-    cycles = []
-    # compress reads todo as the walk clears it: each start is the least
-    # residue not walked yet
-    for start in compress(range(size), todo):
-        path = []
-        x = start
-        while todo[x]:
-            todo[x] = 0
-            path.append(x)
-            x = table[x]
-        if x == start:  # none below start is left to walk: start is least
-            cycles.append(tuple(path))
-        elif x in path:
-            # the path from x on is a new cycle: one copy, from its least residue
-            i = path.index(x)
-            j = path.index(min(islice(path, i, None)), i)
-            cycles.append(tuple(chain(islice(path, j, None), islice(path, i, j))))
-    del table, todo  # freed before tuple(cycles) copies the list
-    cycles.sort()  # by first element: the cycles are disjoint
-    periodic = sum(map(len, cycles))
+        below = cycle_decomposition(f, (n + 1) // 2, table_bound=table_bound).cycles
+        cycles, periodic = _cycles_above(f, n, below)
+        del below
+    cycles.sort(key=itemgetter(0))  # the cycles are disjoint
     return CycleDecomposition(
         prime=f.prime,
         level=n,
@@ -460,6 +452,127 @@ def cycle_decomposition(
         cycles=tuple(cycles),
         non_periodic_count=size - periodic,
     )
+
+
+def _least_first(cycle: Sequence[int]) -> tuple[int, ...]:
+    """cycle as a tuple turned to start at its least residue: a tuple by
+    slices, a list read through with no copy."""
+    i = cycle.index(min(cycle))
+    if type(cycle) is tuple:
+        return cycle[i:] + cycle[:i]
+    return tuple(chain(islice(cycle, i, None), islice(cycle, i)))
+
+
+def _cycles_above(f: IntPolynomial, n: int,
+                  below: Iterable[tuple[int, ...]]) -> tuple[list, int]:
+    """The cycles of f mod p^n, each from its least residue, and the count
+    of their residues, given the cycles of level m = ceil(n/2), for n above
+    the small levels.
+
+    Let K = p^m and q = p^(n - m).  K^2 = 0 mod p^n, so f(x + Kt) = f(x)
+    + Kt f'(x).  For a cycle (x_0, ..., x_(k-1)) mod K, two kernel calls
+    a residue give y_i = f(x_i) mod p^n and u_i = (f(x_i + K) - y_i)/K,
+    and with c_i = (y_i - x_(i+1))/K, f maps x_i + Kt to x_(i+1) + K (c_i
+    + u_i t), t mod q.  Composed, f^i maps x_0 + Kt to x_i + K (a_i t +
+    b_i), and f^k acts on the column above x_0 as g(t) = At + B mod q.  A
+    periodic residue reduces to a periodic one mod K, and its cycle meets
+    the column above x_0 in a cycle of g; a g-cycle (g^j(t)) of length L
+    is the f-cycle of kL residues f^(i + kj)(x_0 + Kt) = x_i + K (a_i
+    g^j(t) + b_i).
+    - If p divides A, g contracts, and its one periodic point is its fixed
+      point B (1 - A)^-1: one cycle of k residues.
+    - If A = 1 and B = 0, g is the identity: q cycles of k residues, each
+      position a progression in t.  Where k = 1 they are x_0 + Kt, kept
+      until the end to come in residue order.
+    - Otherwise g is a bijection whose cycles come in blocks
+      (_stepped_cycles)."""
+    p = f.prime
+    m = (n + 1) // 2
+    k, q = p**m, p ** (n - m)
+    size = k * q
+    cycles, fixed, periodic = [], [], 0
+    for c in below:
+        bases, slopes, a, b = [], [], 1, 0  # f^i(x_0 + Kt) = bases[i] + slopes[i] t
+        for x, z in zip(c, chain(islice(c, 1, None), c)):
+            y = f.eval_mod(x, size)
+            u = (f.eval_mod(x + k, size) - y) // k
+            bases.append(x + k * b)
+            slopes.append(k * a)
+            a, b = a * u % q, (b * u + (y - z) // k) % q
+        if not a % p:
+            t = b * pow(1 - a, -1, q) % q
+            cycles.append(_least_first([(x + s * t) % size for x, s in zip(bases, slopes)]))
+            periodic += len(c)
+            continue
+        periodic += len(c) * q
+        if a != 1 or b:
+            cycles += _stepped_cycles(bases, slopes, a, b, k, q)
+        elif len(c) == 1:
+            fixed.append(c[0])
+        else:
+            cols = [list(map(mod, range(x, x + q * s, s), repeat(size)))
+                    for x, s in zip(bases, slopes)]
+            # a cycle of two starts at its least residue when sorted
+            cycles.extend(zip(map(min, *cols), map(max, *cols)) if len(c) == 2
+                          else map(_least_first, zip(*cols)))
+    if fixed:  # x_0 + Kt for every t, in residue order
+        ordered = array(_typecode(size), [0]) * (len(fixed) * q)
+        for i, x in enumerate(fixed):
+            ordered[i::len(fixed)] = array(ordered.typecode, range(x, size, k))
+        cycles.extend(zip(ordered))
+    return cycles, periodic
+
+
+def _stepped_cycles(bases: list, slopes: list, a: int, b: int, k: int, q: int) -> list:
+    """The cycles of f mod p^n = Kq, K = k, above a cycle of k' residues
+    mod K, each from its least residue (_cycles_above): f^i(x_0 + Kt) =
+    bases[i] + slopes[i] t mod p^n, and g(t) = at + b mod q is a bijection
+    other than the identity.
+
+    With d the order of a mod q, g^d(t) = t + D, and g commutes with g^d,
+    so aD = D: with h = gcd(D, q), a = 1 mod q/h, so g carries the class t
+    + hZ onto g(t) + hZ and g(t + w) = g(t) + w for w in hZ.  From the
+    least class t_0 of a cycle of g on Z/h, g^d'(t_0) = t_0 + e after its
+    d' steps (d' divides d), and e generates hZ/q, as D = (d/d') e does.
+    So the g-cycle of t_0 is its d' classes whole, and its f-cycle is q/h
+    blocks of k' d' residues, each the block before it plus the step
+    vector K a_i e mod p^n, slopes[i] = K a_i.  As a_i e lies in hZ, each
+    position keeps its residue mod Kh from block to block: the least
+    residue of the cycle is the least of the first block's mod Kh, in the
+    block j where j K a_i e closes the gap at that position.  The cycle is
+    produced from there, least residue first: by multiply-adds, whole
+    blocks up to _SHORT_BLOCK residues, then stepped (_stepped_blocks).
+    Only the h classes are walked."""
+    size = k * q
+    cycles = []
+    power, shift = a, b  # a^j and g^j(0), up to j = d
+    while power != 1:
+        power, shift = power * a % q, (a * shift + b) % q
+    h = gcd(shift, q)
+    todo = bytearray(b"\1") * h
+    for t0 in compress(range(h), todo):  # read as the walk clears it
+        ts, t = [t0], (a * t0 + b) % q
+        while (r := t % h) != t0:
+            todo[r] = 0
+            ts.append(t)
+            t = (a * t + b) % q
+        blocks, width, kh, e = q // h, len(bases) * len(ts), k * h, t - t0
+        first = [(x + s * t) % size for t in ts for x, s in zip(bases, slopes)]
+        steps = [s * e % size for s in slopes] * len(ts)
+        # the least residue: at position i, in block j
+        low = [r % kh for r in first]
+        i = low.index(min(low))
+        j = (low[i] - first[i]) % size // kh * pow(steps[i] // kh, -1, blocks) % blocks
+        # blocks in the first; above _STEP_BOUND all of them
+        rows = blocks if size > _STEP_BOUND else min(blocks, -(-_SHORT_BLOCK // width))
+        head = range(i + j * width, i + (j + rows) * width)
+        cycle = [(first[u % width] + u // width * steps[u % width]) % size for u in head]
+        if rows < blocks:
+            cycle = chain(cycle, chain.from_iterable(_stepped_blocks(
+                cycle, [steps[u % width] * rows % size for u in head], size,
+                (blocks - rows) * width)))
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def is_full_cycle(f: IntPolynomial, n: int) -> bool:

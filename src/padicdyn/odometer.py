@@ -113,8 +113,11 @@ def full_cycle_stream(
     at level n is checked here by lifting, before the first residue, at
     a cost that does not grow with n past the decision level.  The
     residues come from _orbit_blocks: at most min(count, 2 p^ceil(n/2))
-    kernel steps, each yielded as it is walked, then blocks stepped a
-    few int operations at a time (_stepped_blocks).
+    kernel steps, then blocks stepped a few int operations at a time
+    (_stepped_blocks).  Residues are yielded as they are walked where
+    count is at most 2 p^ceil(n/2) or the blocks would pass _BLOCK_BOUND;
+    otherwise the first 2 p^ceil(n/2) are walked into an array before
+    the first is yielded.
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")

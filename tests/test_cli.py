@@ -186,10 +186,11 @@ class TestCycles:
     def test_out_of_memory_exits_two(self, capsys, monkeypatch, command):
         # not 1, which analyze gives a map that is not minimal.  Each
         # allocation in turn: cycles takes a full cycle (Q3) in orbit
-        # blocks, fills the table of any other map (W3, broken mod 27)
-        # column by column above its cycles mod 9, and tabulates every map
-        # at level 1; conjugacy --level sets up its closed-form index from
-        # the first 2K residues of the orbit blocks, before any row is written
+        # blocks, lifts any other map's cycles (W3, broken mod 27) from
+        # those mod 9, W3's full cycle there walked into the blocks' first
+        # array, and tabulates every map at level 1; conjugacy --level sets
+        # up its closed-form index from the first 2K residues of the orbit
+        # blocks, before any row is written
         def exhausted(*args, **kwargs):
             raise MemoryError
 

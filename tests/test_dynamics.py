@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import repeat, zip_longest
+from math import prod
 
 import pytest
 from hypothesis import example, given
@@ -14,6 +15,7 @@ from padicdyn.dynamics import (
     _orbit_shape,
     cycle_decomposition,
     decision_level,
+    full_cycle_by_lifting,
     is_full_cycle,
     reduced_map_table,
 )
@@ -260,7 +262,7 @@ class TestCycles:
 
 
 # the deepest level tested at each prime: above the small levels the
-# cycles mod p^n are walked above those of level ceil(n/2), so each of
+# cycles mod p^n are lifted from those of level ceil(n/2), so each of
 # these recurses at least twice before a level walks its map table
 DEEP_LEVELS = {2: 12, 3: 8, 5: 5, 7: 4}
 
@@ -337,6 +339,115 @@ def test_no_full_cycle_matches_cycles_oracle(f, n, name):
     assert list(dec.cycles) == want_cycles
     assert dec.non_periodic_count == want_free
     assert dec.bijective == oracles.is_permutation(table)
+
+
+def column_lifts(f, n):
+    """(k, A, B) for each cycle (x_0, ..., x_(k-1)) of level m = ceil(n/2),
+    x_0 its least residue, through pow(): with K = p^m and q = p^(n - m),
+    f^k maps x_0 + Kt to x_0 + K (At + B) mod p^n, A the product of f'
+    over the cycle mod q."""
+    p = f.prime
+    m = (n + 1) // 2
+    k, q = p**m, p ** (n - m)
+    cycles, _ = oracles.cycles_oracle(oracles.table_oracle(f.coefficients, p, m))
+    df = oracles.poly_derivative(list(f.coefficients))
+    return [(len(c), prod(oracles.eval_pow_mod(df, x, q) for x in c) % q,
+             (oracles.iterate_oracle(f.coefficients, c[0], len(c), p**n) - c[0]) // k % q)
+            for c in cycles]
+
+
+def unit_order(a, q):
+    r, y = 1, a % q
+    while y != 1:
+        r, y = r + 1, y * a % q
+    return r
+
+
+# 2 mod 7 lifted to a cube root of 1 mod 7^4: 2^(7^3) = 2 mod 7 and its cube
+# is 2^(3 * 7^3) = 1 mod 7^4, as 2^3 = 1 mod 7
+ZETA7 = pow(2, 7**3, 7**4)
+
+# each map has a cycle of level ceil(n/2) whose lift g(t) = At + B is of
+# the named kind
+AFFINE_LIFTS = {
+    "contracting": (3, (1, 1, 1), 6, lambda p, q, k, a, b: a % p == 0),
+    "A=1": (2, (2, 1), 9, lambda p, q, k, a, b: a == 1 and b != 0),
+    "A=1-mod-p": (3, (3, 4), 6, lambda p, q, k, a, b: a % p == 1 and a != 1),
+    "order-above-p": (3, (3, 2), 7, lambda p, q, k, a, b: a % p and unit_order(a, q) > p),
+    "identity": (5, (0, -1), 4, lambda p, q, k, a, b: (a, b) == (1, 0) and k == 2),
+    "identity-of-three": (7, (0, ZETA7), 4, lambda p, q, k, a, b: (a, b) == (1, 0) and k == 3),
+    "p2-A=3-mod-4": (2, (0, 3), 10, lambda p, q, k, a, b: a % 4 == 3),
+    # two maps on which a block length read off the cycle length alone,
+    # k p^ceil(e/2) for a cycle of k p^e residues (p not dividing k),
+    # fails: nine 9-cycles above the identity at 3^4, and two 4-cycles
+    # (B = 2) at 2^12
+    "regression-p3": (3, (10, 20, 2, 1, 30, -24, -14, 19), 4,
+                      lambda p, q, k, a, b: (k, a, b) == (9, 1, 0)),
+    "regression-p2": (2, (-25, -29, -28, -22, 10), 12,
+                      lambda p, q, k, a, b: a % 4 == 3),
+}
+
+
+@pytest.mark.parametrize("stepped", [True, False], ids=["stepped", "multiply-adds"])
+@pytest.mark.parametrize("name", AFFINE_LIFTS)
+def test_affine_lifts_match_cycles_oracle(name, stepped, monkeypatch):
+    # above _STEP_BOUND, whose modulus no packed field holds, every cycle
+    # comes from multiply-adds
+    if not stepped:
+        monkeypatch.setattr(dynamics, "_STEP_BOUND", 1)
+    p, coeffs, n, kind = AFFINE_LIFTS[name]
+    f = IntPolynomial(p, coeffs)
+    q = p ** (n // 2)
+    assert not dynamics._small_level(p, n) and not full_cycle_by_lifting(f, n)
+    assert any(kind(p, q, *lift) for lift in column_lifts(f, n))
+    table = oracles.table_oracle(f.coefficients, p, n)
+    dec = cycle_decomposition(f, n)
+    assert (list(dec.cycles), dec.non_periodic_count) == oracles.cycles_oracle(table)
+    assert dec.bijective == oracles.is_permutation(table)
+
+
+def test_regression_cycle_lengths():
+    p, coeffs, n, _ = AFFINE_LIFTS["regression-p3"]
+    assert sorted(map(len, cycle_decomposition(IntPolynomial(p, coeffs), n).cycles)) == [9] * 9
+    p, coeffs, n, _ = AFFINE_LIFTS["regression-p2"]
+    lengths = sorted(map(len, cycle_decomposition(IntPolynomial(p, coeffs), n).cycles))
+    assert lengths.count(4) >= 2
+
+
+@pytest.mark.parametrize("name", AFFINE_LIFTS)
+def test_long_cycles_step_by_blocks_of_k_times_the_order_of_a(name):
+    # above a cycle of k residues mod K with a unit A of order d mod q,
+    # f^(kd) moves each periodic residue r by K a_i D mod p^n, which
+    # depends on r mod K alone
+    p, coeffs, n, _ = AFFINE_LIFTS[name]
+    f = IntPolynomial(p, coeffs)
+    m = (n + 1) // 2
+    k, size = p**m, p**n
+    lifts = dict(zip((c[0] for c in oracles.cycles_oracle(
+        oracles.table_oracle(f.coefficients, p, m))[0]), column_lifts(f, n)))
+    below = cycle_decomposition(f, m).cycles
+    least = {x: c[0] for c in below for x in c}
+    for c in cycle_decomposition(f, n).cycles:
+        length, a, _ = lifts[least[c[0] % k]]
+        if not a % p:
+            continue
+        block = length * unit_order(a, size // k)
+        moves = {(r % k, (c[(j + block) % len(c)] - r) % size) for j, r in enumerate(c)}
+        assert len(moves) == len({r % k for r in c})
+
+
+def test_no_full_cycle_is_sized_by_its_cycles():
+    # one 2-cycle of 3^15 = 14,348,907 residues, lifted from the cycles of
+    # 3^8, 3^4, 3^2 and 3: no table or marker of p^n entries
+    f = IntPolynomial(3, (1, 1, 1))
+    tracemalloc.start()
+    try:
+        dec = cycle_decomposition(f, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.cycles) == 1 and dec.non_periodic_count == 3**15 - 2
+    assert peak < 1 << 20
 
 
 class TestFullCycle:
