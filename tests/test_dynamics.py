@@ -406,14 +406,6 @@ def test_affine_lifts_match_cycles_oracle(name, stepped, monkeypatch):
     assert dec.bijective == oracles.is_permutation(table)
 
 
-def test_regression_cycle_lengths():
-    p, coeffs, n, _ = AFFINE_LIFTS["regression-p3"]
-    assert sorted(map(len, cycle_decomposition(IntPolynomial(p, coeffs), n).cycles)) == [9] * 9
-    p, coeffs, n, _ = AFFINE_LIFTS["regression-p2"]
-    lengths = sorted(map(len, cycle_decomposition(IntPolynomial(p, coeffs), n).cycles))
-    assert lengths.count(4) >= 2
-
-
 @pytest.mark.parametrize("name", AFFINE_LIFTS)
 def test_long_cycles_step_by_blocks_of_k_times_the_order_of_a(name):
     # above a cycle of k residues mod K with a unit A of order d mod q,
