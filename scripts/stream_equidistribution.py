@@ -10,6 +10,7 @@ times per period; any deviation is printed loudly.
 import argparse
 import sys
 from collections import Counter
+from itertools import chain
 
 from padicdyn.criteria import decide
 from padicdyn.dynamics import IntPolynomial
@@ -34,7 +35,7 @@ def main(argv=None):
 
     p, n = args.prime, args.level
     period = p**n
-    values = list(full_cycle_stream(f, n, args.seed, period))
+    values = list(chain.from_iterable(full_cycle_stream(f, n, args.seed, period)))
     print(f"f = {f}, level {n}, period {period}, seed {args.seed % period}")
     deviations = 0
     for m in range(1, n + 1):

@@ -24,8 +24,9 @@ import json
 import os
 import re
 import sys
+from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
 from operator import floordiv, mod, sub
 
@@ -60,28 +61,52 @@ def _env_int(name: str, fallback: int) -> int:
         raise PadicError(f"{name} must be an integer, got {raw!r}") from e
 
 
-def _blocks(values: Iterable, size: int) -> Iterator[tuple]:
-    """values pulled size at a time, as tuples; the last may be short."""
-    values = iter(values)
-    return iter(lambda: tuple(islice(values, size)), ())
+def _slices(blocks: Iterable[Iterable[int]], size: int) -> Iterator[tuple]:
+    """The values of the blocks in turn, size at a time as tuples, the
+    last maybe short.  Arrays, of one typecode, are cut by slices across
+    their ends: those that end a slice are joined as bytes first.  Any
+    other block (a tuple, or the orbit engine's lazy walk) starts a slice
+    and is pulled by islice."""
+    parts, held = [], 0  # arrays not yet cut, fewer than size values
+    for block in blocks:
+        if type(block) is not array:
+            if held:
+                yield tuple(chain.from_iterable(parts))
+                parts, held = [], 0
+            block = iter(block)
+            yield from iter(lambda: tuple(islice(block, size)), ())
+            continue
+        held += len(block)
+        if held < size:
+            parts.append(block)
+            continue
+        if parts:
+            block = array(block.typecode, b"".join([*parts, block]))
+        cut = held - held % size
+        for i in range(0, cut, size):
+            yield tuple(block[i:i + size])
+        parts, held = [block[cut:]] if held > cut else [], held - cut
+    if held:
+        yield tuple(chain.from_iterable(parts))
 
 
-def _write_items(head: str, values: Iterable[int], sep: str, tail: str) -> None:
-    """Write head, the values joined by sep, then tail.  The values are
-    pulled WITNESS_BLOCK at a time, never all at once (a witness, a table
-    or a stream may hold millions of them), and each block is formatted
-    by one %d template: 51-60 ns an int, against 65-76 for json.dumps and
-    105-121 for join and str (blocks of 2^14 ints below 10^13)."""
+def _write_items(head: str, blocks: Iterable[Iterable[int]], sep: str, tail: str) -> None:
+    """Write head, the values of the blocks joined by sep, then tail.
+    They are cut WITNESS_BLOCK at a time (_slices), never gathered whole
+    (a witness, a table or a stream may hold millions of them), and each
+    slice is formatted by one %d template: 51-60 ns an int, against 65-76
+    for json.dumps and 105-121 for join and str (slices of 2^14 ints
+    below 10^13)."""
     sys.stdout.write(head)
     item = sep + "%d"
     skip = len(sep)  # no separator before the first value
-    for block in _blocks(values, WITNESS_BLOCK):
-        sys.stdout.write((item * len(block))[skip:] % block)
+    for values in _slices(blocks, WITNESS_BLOCK):
+        sys.stdout.write((item * len(values))[skip:] % values)
         skip = 0
     sys.stdout.write(tail)
 
 
-def _write_cycles(cycles: Iterable[tuple], start: str, sep: str, end: str,
+def _write_cycles(cycles: tuple, start: str, sep: str, end: str,
                   between: str) -> None:
     """Write each cycle as start, its residues joined by sep, then end,
     with between before every cycle but the first.  Of WITNESS_BLOCK
@@ -92,10 +117,10 @@ def _write_cycles(cycles: Iterable[tuple], start: str, sep: str, end: str,
     lead = ""
     item = sep + "%d"
     joint = end + between + start + "%d"  # each cycle's first residue
-    for block in _blocks(cycles, WITNESS_BLOCK):
+    for block in _slices((cycles,), WITNESS_BLOCK):
         if max(map(len, block)) > WITNESS_BLOCK:
             for c in block:
-                _write_items(lead + start, c, sep, end)
+                _write_items(lead + start, (c,), sep, end)
                 lead = between
             continue
         ends = list(accumulate(map(len, block), initial=0))  # residues before each cycle
@@ -132,15 +157,94 @@ def _row_templates(run: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
             ("", *(f"{r:0{digits}} %d\n" for r in range(run))))
 
 
+def _digit_names(tables: dict, j: int, sep: str) -> list:
+    """tables[j], built at first use from those of ceil(j/2) and
+    floor(j/2) digits: the j base-p digits of each v < p^j, least
+    significant first, joined by sep; tables[1] holds the p digits.  Not
+    a closure that calls itself, whose reference cycle would keep the
+    tables until the collector ran."""
+    if j not in tables:
+        low = [a + sep for a in _digit_names(tables, j - j // 2, sep)]
+        tables[j] = [a + b for b in _digit_names(tables, j // 2, sep) for a in low]
+    return tables[j]
+
+
+def _write_packed(blocks: Iterable[Iterable[int]], p: int, n: int) -> None:
+    """Write each residue of the orbit engine's blocks (_orbit_blocks) as
+    a row of its n base-p digits, least significant first: concatenated
+    for p <= 10, dotted above.
+
+    A row is cut into chunks of k digits, the last maybe shorter, each
+    named by a table of the p^j strings of j digits, p^k <= PACKED_NAMES,
+    built at first use from two tables of half as many digits; a larger
+    prime names each digit by str.  A row of one chunk is one name.  In
+    longer rows the low ceil(n/2) digits are x mod K, K = p^ceil(n/2),
+    which every position of a block after the engine's first keeps
+    (_orbit_blocks): so they are named once, from the first block's
+    residues K + i, into a row template, and a later block names only
+    the high halves, x // K."""
+    sep = "" if p <= 10 else "."
+    k = 1
+    while k < n and p ** (k + 1) <= PACKED_NAMES:
+        k += 1
+    base = p**k
+    tables = {1: [str(d) for d in range(p)]} if p <= PACKED_NAMES else None
+
+    def names(j: int) -> Callable[[int], str]:
+        """The name of j <= k digits, by value."""
+        return str if tables is None else _digit_names(tables, j, sep).__getitem__
+
+    def spell(values: tuple, m: int) -> Iterator[str]:
+        """The names of the m >= 1 low digits of each value."""
+        full, top = divmod(m - 1, k)
+        *low, high = _digit_columns(values, full, base)
+        high = map(names(top + 1), high)
+        if not low:
+            return high
+        chunk = names(k)
+        return map(sep.join, zip(*(map(chunk, c) for c in low), high))
+
+    def width(m: int) -> int:
+        """Values a slice of m-digit values holds: WITNESS_BLOCK names, a
+        column of them per chunk."""
+        return max(1, WITNESS_BLOCK // ((m - 1) // k + 1))
+
+    blocks = iter(blocks)
+    first = next(blocks, ())
+    for part in _slices(chain([first], blocks if n <= k else ()), width(n)):
+        sys.stdout.write("\n".join(chain(spell(part, n), [""])))
+    if n <= k:
+        return
+    h = (n + 1) // 2
+    cut, step, tail = p**h, width(n - h), sep + "%s\n"
+
+    def rows(i: int, j: int) -> str:
+        """The template of the rows at positions i..j - 1 of a later
+        block: the low digits each position keeps, named from the first
+        block's residues K + i.., then %s for its high half."""
+        lows = tuple(map(mod, first[cut + i:cut + j], repeat(cut)))
+        return tail.join(spell(lows, h)) + tail
+
+    templates = {}  # by the positions they cover
+    for block in blocks:
+        for i in range(0, len(block), step):
+            part = tuple(map(floordiv, block[i:i + step], repeat(cut)))
+            key = i, i + len(part)
+            if key not in templates:
+                templates[key] = rows(*key)
+            sys.stdout.write(templates[key] % tuple(spell(part, n - h)))
+
+
 def _emit(record: dict) -> None:
-    """Print record as one JSON line.  A value that is an iterator is a
-    large field of ints, written a block at a time where it stands; a
-    callable value writes the inside of its large field itself."""
+    """Print record as one JSON line.  A value that is an iterator of
+    blocks of ints is a large field, written a slice at a time where it
+    stands; a callable value writes the inside of its large field
+    itself."""
     large = []
 
-    def defer(values: Iterable) -> str:
-        large.append(values if callable(values)
-                     else functools.partial(_write_items, "", values, ",", ""))
+    def defer(blocks: Iterable) -> str:
+        large.append(blocks if callable(blocks)
+                     else functools.partial(_write_items, "", blocks, ",", ""))
         return "\0"
 
     text = json.dumps(record, sort_keys=True, separators=(",", ":"), default=defer)
@@ -164,7 +268,7 @@ def _print_verdict(v: MinimalityVerdict) -> None:
         lines.append(f"  {mark} {c.name}: residue {c.residue} mod {c.modulus}")
     print("\n".join(lines))
     if v.witness is not None:
-        _write_items("  witness cycle: ", v.witness, " ", "\n")
+        _write_items("  witness cycle: ", (v.witness,), " ", "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -176,7 +280,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "structured":
         delta_record = delta_verdict._replace(witness=None).to_record()
         if delta_verdict.witness is not None:
-            delta_record["witness"] = iter(delta_verdict.witness)
+            delta_record["witness"] = iter((delta_verdict.witness,))
         _emit({
             "command": "analyze",
             "prime": args.prime,
@@ -260,9 +364,9 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
         # padded: so its template is str(c) joined with the padded rows,
         # and only the index column is formatted
         plain, padded = _row_templates(ROW_RUN)
-        for c, block in enumerate(_blocks(table.orbit_index, ROW_RUN)):
+        for c, run in enumerate(_slices(table.orbit_index, ROW_RUN)):
             rows = padded if c else plain
-            sys.stdout.write((str(c) if c else "").join(rows[:len(block) + 1]) % block)
+            sys.stdout.write((str(c) if c else "").join(rows[:len(run) + 1]) % run)
     return 0
 
 
@@ -292,23 +396,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.format == "packed":
         p = args.prime
         print(f"{p} {n} {count} {seed}")
-        sep = "" if p <= 10 else "."
-        # names[j][v]: the j + 1 base-p digits of v, least significant first,
-        # up to PACKED_NAMES strings; a larger prime names each digit by str
-        names = [[str(d) for d in range(p)]] if p <= PACKED_NAMES else []
-        while 0 < len(names) < n and p * len(names[-1]) <= PACKED_NAMES:
-            names.append([a + sep + b for b in names[-1] for a in names[0]])
-        k = len(names) or 1
-        full, top = divmod(n - 1, k)  # chunks of k digits, then one of top + 1
-        base = p**k
-        chunk, last = (names[-1].__getitem__, names[top].__getitem__) if names else (str, str)
-        # a block holds WITNESS_BLOCK names, a column of them per chunk
-        for block in _blocks(values, max(1, WITNESS_BLOCK // (full + 1))):
-            *low, high = _digit_columns(block, full, base)
-            rows = zip(*(map(chunk, c) for c in low), map(last, high))
-            sys.stdout.write("\n".join(chain(map(sep.join, rows), [""])))
+        _write_packed(values, p, n)
         return 0
-    for block in _blocks(values, WITNESS_BLOCK):
+    for block in _slices(values, WITNESS_BLOCK):
         sys.stdout.write("%d\n" * len(block) % block)
     return 0
 

@@ -166,14 +166,16 @@ def reduced_map_table(
 
 
 def _typecode(size: int) -> str:
-    """The array typecode of residues mod size: 4 bytes a residue when
-    they fit."""
-    return "I" if size <= 1 << 32 else "Q"
+    """The array typecode of residues mod size: 4 bytes a residue up to
+    2^31, the widest modulus _stepped_blocks steps in 32-bit fields, so
+    every block of one orbit shares it."""
+    return "I" if size <= 1 << 31 else "Q"
 
 
 def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[Iterable[int]]:
     """The first count residues of the orbit of seed mod p^n, in blocks to
-    be read in turn, for f one full cycle mod p^n.
+    be read in turn, for f one full cycle mod p^n: arrays of one typecode
+    (_typecode), or one lazy walk.
 
     With K = p^ceil(n/2), x_(i+jK) = x_i + j (x_(i+K) - x_i) mod p^n: K^2
     = 0 mod p^n, so f^K(y + Kt) = f^K(y) + Kt (f^K)'(y), and (f^K)'(y) is
@@ -185,7 +187,12 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     mod p^n, a few int operations on the packed block (_stepped_blocks).
     Where count is at most 2K, or K exceeds _BLOCK_BOUND, the walk gives
     all count residues lazily and keeps none, so a stream of any length
-    holds a bounded number."""
+    holds a bounded number.
+
+    Readers rely on the shape: after the first block (2K walked
+    residues), every block holds K positions, the last maybe fewer, and
+    position i keeps its residue mod K, that of the first block's
+    residues i and K + i, since each step is a multiple of K."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
     walk = accumulate(repeat(size), f.eval_mod, initial=seed % size)
@@ -215,7 +222,8 @@ def _stepped_blocks(block: Sequence[int], step: Iterable[int], modulus: int,
     fields, masked and times modulus, take modulus off just the fields
     that hold at least modulus: none borrows, and each is x + s mod
     modulus."""
-    tc, w = ("I", 32) if modulus <= 1 << 31 else ("Q", 64)
+    tc = _typecode(modulus)
+    w = 32 if tc == "I" else 64
     k = len(block)
     x, s = (int.from_bytes(array(tc, v), sys.byteorder) for v in (block, step))
     del block, step  # held packed from here on, 4 or 8 bytes a residue
@@ -398,7 +406,9 @@ def _small_level(prime: int, n: int) -> bool:
 class CycleDecomposition(namedtuple(
         "CycleDecomposition", "prime level bijective cycles non_periodic_count")):
     """Cycle structure of the induced map at one level: a tuple of cycles,
-    each a tuple of residues.
+    each a sequence of residues: an array where the orbit engine's blocks
+    fill it (a full cycle, and the stepped cycles of _stepped_cycles),
+    else a tuple.
 
     Each cycle is rotated so its minimal element comes first and the
     cycles are sorted by that element.  Residues that are not periodic
@@ -413,7 +423,8 @@ def cycle_decomposition(
 ) -> CycleDecomposition:
     """The cycles of f mod p^n.  At the small levels, one path-marking walk
     of the map table; above them a full cycle, decided by lifting, is the
-    orbit of 0 in blocks (_orbit_blocks), and any other map's cycles are
+    orbit of 0 in blocks (_orbit_blocks), copied into one array, 4 bytes
+    a residue up to 2^31, and any other map's cycles are
     lifted from those of level ceil(n/2) (_cycles_above), with no table
     and no walk of p^n residues."""
     size = _check_table_size(f.prime, n, table_bound)
@@ -437,8 +448,10 @@ def cycle_decomposition(
         del table, todo  # freed before tuple(cycles) copies the list
         periodic = sum(map(len, cycles))
     elif full_cycle_by_lifting(f, n):
-        # one cycle, from its least residue 0
-        cycle = tuple(chain.from_iterable(_orbit_blocks(f, n, 0, size)))
+        # one cycle, from its least residue 0, filled block by block
+        cycle = array(_typecode(size))
+        for block in _orbit_blocks(f, n, 0, size):
+            cycle.extend(block)
         return CycleDecomposition(f.prime, n, True, (cycle,), 0)
     else:
         below = cycle_decomposition(f, (n + 1) // 2, table_bound=table_bound).cycles
@@ -541,8 +554,8 @@ def _stepped_cycles(bases: list, slopes: list, a: int, b: int, k: int, q: int) -
     residue of the cycle is the least of the first block's mod Kh, in the
     block j where j K a_i e closes the gap at that position.  The cycle is
     produced from there, least residue first: by multiply-adds, whole
-    blocks up to _SHORT_BLOCK residues, then stepped (_stepped_blocks).
-    Only the h classes are walked."""
+    blocks up to _SHORT_BLOCK residues, as a tuple, or past them stepped
+    (_stepped_blocks) into one array.  Only the h classes are walked."""
     size = k * q
     cycles = []
     power, shift = a, b  # a^j and g^j(0), up to j = d
@@ -568,10 +581,12 @@ def _stepped_cycles(bases: list, slopes: list, a: int, b: int, k: int, q: int) -
         head = range(i + j * width, i + (j + rows) * width)
         cycle = [(first[u % width] + u // width * steps[u % width]) % size for u in head]
         if rows < blocks:
-            cycle = chain(cycle, chain.from_iterable(_stepped_blocks(
-                cycle, [steps[u % width] * rows % size for u in head], size,
-                (blocks - rows) * width)))
-        cycles.append(tuple(cycle))
+            step = [steps[u % width] * rows % size for u in head]
+            cycle = array(_typecode(size), cycle)
+            # packed from the first rows before the first block is yielded
+            for block in _stepped_blocks(cycle, step, size, (blocks - rows) * width):
+                cycle.extend(block)
+        cycles.append(cycle if rows < blocks else tuple(cycle))
     return cycles
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
 
 from .dynamics import (_STEP_BOUND, DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
@@ -26,9 +26,10 @@ from .padic import PadicError
 
 class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit_point")):
     """psi_n, the conjugacy of f with x -> x + 1 mod p^n, as two iterators
-    read once: orbit_index yields psi_n(x) = k, f^k(0) = x, for x = 0, 1,
-    ..., and orbit_point its inverse, f^k(0) for k = 0, 1, ...; psi_n(0) =
-    0 and psi_n(f(x)) = psi_n(x) + 1 mod p^n.
+    of blocks read once, each block an array or a lazy walk of ints (the
+    orbit engine's, _orbit_blocks): orbit_index gives psi_n(x) = k, f^k(0)
+    = x, for x = 0, 1, ..., and orbit_point its inverse, f^k(0) for k = 0,
+    1, ...; psi_n(0) = 0 and psi_n(f(x)) = psi_n(x) + 1 mod p^n.
     """
 
     __slots__ = ()
@@ -59,17 +60,21 @@ def build_psi(
         index = array(points.typecode, [0]) * size
         for i, x in enumerate(points):
             index[x] = i
-        return ConjugacyTable(f.prime, n, iter(index), iter(points))
+        return ConjugacyTable(f.prime, n, iter((index,)), iter((points,)))
     k, q = f.prime ** ((n + 1) // 2), f.prime ** (n // 2)
-    points = chain.from_iterable(_orbit_blocks(f, n, 0, size))
-    head = list(islice(points, 2 * k))
+    points = _orbit_blocks(f, n, 0, size)
+    head = next(points)
+    if type(head) is not array:  # K above _BLOCK_BOUND: one lazy walk
+        points = iter((head,))
+        head = array(_typecode(size), islice(head, 2 * k))
     first, step = [0] * k, [0] * k  # orbit_index at 0..K - 1, and K u^-1
-    for i, (x, y) in enumerate(zip(head, head[k:])):
+    for i, (x, y) in enumerate(zip(head, islice(head, k, None))):
         h, r = divmod(x, k)
         v = pow((y - x) // k, -1, q)
         first[r], step[r] = i + k * (-h * v % q), k * v
-    index = chain.from_iterable(_stepped_blocks(first, step, size, size - k))
-    return ConjugacyTable(f.prime, n, chain(first, index), chain(head, points))
+    first = array(head.typecode, first)
+    index = _stepped_blocks(first, step, size, size - k)
+    return ConjugacyTable(f.prime, n, chain((first,), index), chain((head,), points))
 
 
 class TowerReport(namedtuple("TowerReport", "prime n_max")):
@@ -105,8 +110,9 @@ def verify_conjugacy_tower(
 
 def full_cycle_stream(
     f: IntPolynomial, n: int, seed: int, count: int
-) -> Iterator[int]:
-    """Lazily yield `count` residues of the orbit of `seed` mod p^n.
+) -> Iterator[Iterable[int]]:
+    """Lazily yield `count` residues of the orbit of `seed` mod p^n, in
+    the orbit engine's blocks (_orbit_blocks): arrays, or one lazy walk.
 
     For a minimal map this is a maximal-period sequence: period exactly
     p^n, every residue class mod p^m hit equally often.  The full cycle
@@ -114,13 +120,13 @@ def full_cycle_stream(
     a cost that does not grow with n past the decision level.  The
     residues come from _orbit_blocks: at most min(count, 2 p^ceil(n/2))
     kernel steps, then blocks stepped a few int operations at a time
-    (_stepped_blocks).  Residues are yielded as they are walked where
-    count is at most 2 p^ceil(n/2) or the blocks would pass _BLOCK_BOUND;
-    otherwise the first 2 p^ceil(n/2) are walked into an array before
-    the first is yielded.
+    (_stepped_blocks).  Where count is at most 2 p^ceil(n/2) or the
+    blocks would pass _BLOCK_BOUND, the one block is the walk itself,
+    which yields residues as they are walked; otherwise the first 2
+    p^ceil(n/2) are walked into an array, the first block.
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")
     if not full_cycle_by_lifting(f, n):
         raise NotFullCycleError(f"no full cycle at level {n}")
-    return chain.from_iterable(_orbit_blocks(f, n, seed, count))
+    return _orbit_blocks(f, n, seed, count)

@@ -1,10 +1,12 @@
 import argparse
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -404,13 +406,18 @@ class TestBlocks:
         assert out == "".join(f"{v}\n" for v in orbit((1, 1, 6), 3, 3, 5, count))
 
     # digit strings of one chunk per value, two chunks of which the last is
-    # shorter (2^12 and 11^3 strings tabulated), and one str per digit
-    # above the table's size
+    # shorter (2^12 and 11^3 strings tabulated), one str per digit above
+    # the table's size, and level 1, where the engine's step is 0 and rows
+    # have no high half
     @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 3), (13, (1, 1), 2),
                                             (2, (1, 1), 13), (11, (1, 1), 5),
-                                            (5003, (1, 1), 2)])
-    @pytest.mark.parametrize("count", [0, 1, 10, 12])
+                                            (5003, (1, 1), 2), (3, (1, 1), 1)])
+    # "3K+5" reaches the stepped blocks past the engine's 2K walked
+    # residues (K = p^ceil(n/2)), the last of them short
+    @pytest.mark.parametrize("count", [0, 1, 10, 12, "3K+5"])
     def test_stream_packed(self, capsys, monkeypatch, block, p, coeffs, n, count):
+        if count == "3K+5":
+            count = 3 * p ** ((n + 1) // 2) + 5
         # little-endian base-p digits, concatenated for p <= 10, dotted above
         sep = "" if p <= 10 else "."
         lines = [sep.join(str(v // p**i % p) for i in range(n))
@@ -420,7 +427,7 @@ class TestBlocks:
                            coeff_text(coeffs), "--level", str(n), "--seed", "7",
                            "--count", str(count), "--format", "packed")
         assert code == 0
-        assert out == "".join(f"{line}\n" for line in [f"{p} {n} {count} 7", *lines])
+        assert out == "".join(f"{line}\n" for line in [f"{p} {n} {count} {7 % p**n}", *lines])
 
     @pytest.mark.parametrize("count", [0, 1, 10, 12])
     def test_stream_structured(self, capsys, monkeypatch, block, count):
@@ -501,10 +508,15 @@ def test_stream_pulls_one_block_before_it_writes(monkeypatch, fmt):
     pulled = 0
 
     def counted(f, n, seed, count):
-        nonlocal pulled
-        for x in range(10**5):
-            pulled += 1
-            yield x
+        # at level 40 (K = 2^20 above the block bound) the engine's one
+        # block is its lazy walk
+        def walk():
+            nonlocal pulled
+            for x in range(10**5):
+                pulled += 1
+                yield x
+
+        yield walk()
 
     class ClosedAfterHeader:
         """Takes what is written before the first residue is pulled."""
@@ -517,11 +529,61 @@ def test_stream_pulls_one_block_before_it_writes(monkeypatch, fmt):
             pass
 
     monkeypatch.setattr(cli, "WITNESS_BLOCK", 4)
-    monkeypatch.setattr(cli, "full_cycle_stream", counted)
+    monkeypatch.setattr(odometer, "_orbit_blocks", counted)
     monkeypatch.setattr(sys, "stdout", ClosedAfterHeader())
     code = main(["stream", "--prime", "2", "--coeffs", "1,1", "--level", "40",
                  "--format", fmt])
     assert code == 2 and 0 < pulled <= 4
+
+
+@pytest.mark.parametrize("fmt", ["text", "packed", "structured"])
+def test_stream_of_arrays_pulls_one_slice_before_it_writes(monkeypatch, fmt):
+    # at level 12 a packed row is one name, and the engine's blocks are
+    # arrays (here endless ones of 4): each slice is written as soon as
+    # its blocks are pulled, never the blocks gathered first
+    pulled = 0
+
+    def counted(f, n, seed, count):
+        nonlocal pulled
+        for x in range(0, 10**5, 4):
+            pulled += 4
+            yield array("I", range(x, x + 4))
+
+    class ClosedAtFirstResidue:
+        def write(self, text):
+            if pulled:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "WITNESS_BLOCK", 4)
+    monkeypatch.setattr(odometer, "_orbit_blocks", counted)
+    monkeypatch.setattr(sys, "stdout", ClosedAtFirstResidue())
+    code = main(["stream", "--prime", "2", "--coeffs", "1,1", "--level", "12",
+                 "--format", fmt])
+    assert code == 2 and pulled == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("stream", "--prime", "7", "--coeffs", "1,1", "--level", "5", "--format", "packed"),
+    ("stream", "--prime", "11", "--coeffs", "1,1", "--level", "5", "--format", "packed"),
+    ("conjugacy", "--prime", "2", "--coeffs", "1,1", "--level", "12"),
+    ("cycles", "--prime", "2", "--coeffs", "1,1", "--level", "12", "--format", "structured"),
+])
+def test_writers_leave_nothing_for_the_cycle_collector(capsys, argv):
+    # a reference cycle among a writer's objects (a closure that calls
+    # itself) holds them until the collector runs: a process that runs
+    # many commands grew by about 1 MB a 7^5 packed stream
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(list(argv)) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestTemplates:

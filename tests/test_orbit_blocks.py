@@ -12,6 +12,7 @@ import json
 import random
 import time
 import tracemalloc
+from array import array
 from itertools import chain, islice
 from math import prod
 
@@ -73,8 +74,14 @@ def walk(f, n, seed, count):
     return values
 
 
+def flat(blocks):
+    """The ints of an iterator of blocks, as the engine, build_psi and
+    full_cycle_stream yield them."""
+    return list(chain.from_iterable(blocks))
+
+
 def blocks(f, n, seed, count):
-    return list(chain.from_iterable(_orbit_blocks(f, n, seed, count)))
+    return flat(_orbit_blocks(f, n, seed, count))
 
 
 def inverse(order):
@@ -116,6 +123,29 @@ def test_blocks_match_the_plain_walk(case):
         assert blocks(f, n, seed, count) == walk(f, n, seed, count), count
 
 
+@pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
+def test_later_blocks_keep_each_position_mod_k(case):
+    # the shape the packed stream writer reads: after the first block of
+    # 2K walked residues, every block holds K positions, the last maybe
+    # fewer, each keeping the residue mod K that it has in the first
+    # stepped block and at K + i in the first block; all are arrays of
+    # one typecode
+    f, n = case
+    size = f.prime**n
+    k = f.prime ** ((n + 1) // 2)
+    seed = random.Random(size + 2 * f.degree).randrange(size)
+    count = 3 * size + 5
+    first, *rest = _orbit_blocks(f, n, seed, count)
+    left = count - 2 * k
+    assert len(first) == 2 * k
+    assert [len(b) for b in rest] == [k] * (left // k) + [left % k] * (left % k > 0)
+    assert {(type(b), b.typecode) for b in (first, *rest)} == {(array, first.typecode)}
+    low = [x % k for x in rest[0]]
+    assert low == [x % k for x in first[k:]]
+    for block in rest:
+        assert [x % k for x in block] == low[:len(block)]
+
+
 # on both sides of each field width of the packed kernel (32 bits up to
 # 2^31, 64 above), and at the top of its range
 KERNEL_MODULI = [7**5, 2**30, 2**30 + 3, 2**31, 2**31 + 1, 3**20, 65521**2, 2**32, 2**63]
@@ -154,7 +184,22 @@ def test_blocks_match_the_plain_walk_across_the_wrap(case):
     seed = size - 3 * k
     want = walk(f, n, seed, 6 * k)
     assert blocks(f, n, seed, 6 * k) == want
-    assert list(full_cycle_stream(f, n, seed, 6 * k)) == want
+    assert flat(full_cycle_stream(f, n, seed, 6 * k)) == want
+    # one typecode for the walked and the stepped blocks, on both sides
+    # of 2^31, so that writers may join them as bytes
+    assert len({b.typecode for b in _orbit_blocks(f, n, seed, 6 * k)}) == 1
+
+
+def test_index_past_the_block_bound_reads_its_head_from_the_walk():
+    # K = 2^17 exceeds the block bound, so the engine's one block is its
+    # lazy walk: build_psi reads the first 2K residues of it into an
+    # array, and orbit_point goes on along the same walk
+    f = IntPolynomial(2, (1, 1))
+    k = 1 << 17
+    assert k > dynamics._BLOCK_BOUND
+    t = build_psi(f, 33, table_bound=1 << 33)
+    assert list(islice(chain.from_iterable(t.orbit_point), 3 * k)) == list(range(3 * k))
+    assert list(islice(chain.from_iterable(t.orbit_index), 3 * k)) == list(range(3 * k))
 
 
 @pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
@@ -168,14 +213,14 @@ def test_tables_and_stream_match_their_oracles(case, request):
     order, start = oracles.orbit_from_zero(f.coefficients, p, n)
     assert start == 0 and len(order) == size
     t = build_psi(f, n)
-    assert list(t.orbit_point) == order
-    assert list(t.orbit_index) == inverse(order)
+    assert flat(t.orbit_point) == order
+    assert flat(t.orbit_index) == inverse(order)
     dec = cycle_decomposition(f, n)
-    assert dec.cycles == (tuple(order),)
+    assert [list(c) for c in dec.cycles] == [order]
     assert dec.bijective and dec.non_periodic_count == 0
     seed = random.Random(size - f.degree).randrange(size)
     want = [order[(order.index(seed) + i) % size] for i in range(3 * size + 5)]
-    assert list(full_cycle_stream(f, n, seed, 3 * size + 5)) == want
+    assert flat(full_cycle_stream(f, n, seed, 3 * size + 5)) == want
 
 
 @pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
@@ -251,7 +296,7 @@ def test_kernel_steps_beyond_the_lifting_decision(monkeypatch, p, coeffs, n):
     def drained_psi(f, n):
         # one walk of 2K residues serves both tables, read to their ends
         t = build_psi(f, n)
-        return list(t.orbit_index), list(t.orbit_point)
+        return flat(t.orbit_index), flat(t.orbit_point)
 
     for fn in (drained_psi, cycle_decomposition):
         _, calls = kernel.cost(fn, f, n)
@@ -259,7 +304,7 @@ def test_kernel_steps_beyond_the_lifting_decision(monkeypatch, p, coeffs, n):
     for count in (0, 3, 2 * k - 1, 2 * k + 1, 3 * size):
         stream, calls = kernel.cost(full_cycle_stream, f, n, 1, count)
         assert calls == lifting
-        values, calls = kernel.cost(list, stream)
+        values, calls = kernel.cost(flat, stream)
         assert len(values) == count and calls <= min(count, 2 * k)
 
 
@@ -294,8 +339,8 @@ def test_deep_stream_with_the_default_count_holds_no_residues(n):
     # residues is a plain walk, whatever it has read
     f = IntPolynomial(2, (1, 1))
     assert 2 ** ((n + 1) // 2) > dynamics._BLOCK_BOUND
-    few = _peak_bytes(full_cycle_stream(f, n, 0, 2**n), 10**4)
-    many = _peak_bytes(full_cycle_stream(f, n, 0, 2**n), 10**5)
+    few = _peak_bytes(chain.from_iterable(full_cycle_stream(f, n, 0, 2**n)), 10**4)
+    many = _peak_bytes(chain.from_iterable(full_cycle_stream(f, n, 0, 2**n)), 10**5)
     assert many < 64 << 10 and many < 2 * few + (4 << 10)
 
 
@@ -305,8 +350,8 @@ def test_stream_in_blocks_holds_a_bounded_number_of_residues():
     f = IntPolynomial(2, (1, 1))
     k = 1 << 15
     assert k <= dynamics._BLOCK_BOUND
-    some = _peak_bytes(full_cycle_stream(f, 30, 0, 2**30), 4 * k)
-    more = _peak_bytes(full_cycle_stream(f, 30, 0, 2**30), 12 * k)
+    some = _peak_bytes(chain.from_iterable(full_cycle_stream(f, 30, 0, 2**30)), 4 * k)
+    more = _peak_bytes(chain.from_iterable(full_cycle_stream(f, 30, 0, 2**30)), 12 * k)
     assert more < 160 * k and more < some + (64 << 10)
 
 
@@ -317,7 +362,7 @@ def test_index_in_blocks_holds_a_bounded_number_of_residues():
     k = 1 << 12
 
     def index():
-        yield from build_psi(f, 24).orbit_index
+        yield from chain.from_iterable(build_psi(f, 24).orbit_index)
 
     some = _peak_bytes(index(), 2**16)
     more = _peak_bytes(index(), 2**20)
@@ -336,7 +381,7 @@ def test_small_levels_read_the_map_table(monkeypatch, p, coeffs, n):
     kernel = _Kernel(monkeypatch)
     _, lifting = kernel.cost(full_cycle_by_lifting, f, n)
     t, calls = kernel.cost(build_psi, f, n)
-    assert list(t.orbit_point) == order and calls - lifting <= f.degree + 1
+    assert flat(t.orbit_point) == order and calls - lifting <= f.degree + 1
     monkeypatch.setattr(IntPolynomial, "eval_slope_mod", None)
     dec, calls = kernel.cost(cycle_decomposition, f, n)
     assert dec.cycles == (tuple(order),) and calls <= f.degree + 1
@@ -371,4 +416,4 @@ def test_no_full_cycle_fills_the_columns_above_the_cycles_below(monkeypatch, p, 
     periodic = sum(map(len, below.cycles))
     assert calls - lifting - sublevel == 2 * periodic <= 2 * p**m
     table = oracles.table_oracle(f.coefficients, p, n)
-    assert (list(dec.cycles), dec.non_periodic_count) == oracles.cycles_oracle(table)
+    assert (list(map(tuple, dec.cycles)), dec.non_periodic_count) == oracles.cycles_oracle(table)
