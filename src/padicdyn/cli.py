@@ -463,8 +463,8 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     # only the subcommands that hold a table or a witness walk take a bound
     if name in ("analyze", "cycles", "conjugacy"):
         p.add_argument("--table-bound", type=int, default=None,
-                       help="largest map table materialized (env "
-                            f"{TABLE_BOUND_ENV} overrides the default)")
+                       help="refuse a level of more residues (p^n), or a longer "
+                            f"witness cycle (env {TABLE_BOUND_ENV} overrides the default)")
     if name != "sweep":
         p.add_argument("--coeffs", type=str, required=True,
                        help="comma-separated coefficients, constant term first")

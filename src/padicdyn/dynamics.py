@@ -7,9 +7,10 @@ walk of the orbit of 0 that lifts its cycle level by level (_orbit_shape)
 decides whether f is one full cycle mod p^n; a full cycle has its orbit
 produced in blocks (_orbit_blocks) from p^ceil(n/2) kernel steps.  Any
 other map's cycles are lifted from those of level ceil(n/2), found the
-same way, through the affine map f induces above each of them
-(_cycles_above), down to a level small enough to walk the map table
-(reduced_map_table).
+same way, through the affine map f induces above each (_column_map),
+down to a level small enough to walk the map table (reduced_map_table).
+A non-minimal verdict's witness is that lift of one cycle: 2k kernel
+calls for its k residues at level L - 1, then a multiply-add a residue.
 """
 
 from __future__ import annotations
@@ -343,35 +344,21 @@ def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitSh
 
 def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tuple[int, ...]:
     """The cycle the orbit of 0 runs into mod p^level, from its first
-    residue on, given its shape there (level >= 2).  Its length is known
-    before it is built, and table_bound caps it.  One block of k residues
-    is walked with (f^i)' mod p, k the cycle length at level - 1; f^k
-    moves the block's start y by p^(level-1) z and each later block by the
-    next z of z -> a z + b, so its residues are f^i(y) + (f^i)'(y)
-    p^(level-1) z mod p^level: one multiply-add each."""
+    residue on, given its shape there.  table_bound caps its known length.
+    level - 1 = ceil(level/2) at level 2 and 3, so it is the g-orbit of t_0
+    = base // p^(level-1) above the cycle below (_column_map)."""
     if shape.length > table_bound:
         raise TableBoundError(
             f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
-    p = f.prime
-    modulus = p ** (len(shape.steps) + 1)
-    q = modulus // p
-    fused = f.eval_slope_mod
-    last = shape.steps[-1]
-    block = last.length
-    ys, shifts = [], []
-    x, slope = shape.base, 1
-    for _ in range(block):
-        ys.append(x)
-        shifts.append(slope * q)
-        x, d = fused(x, modulus)
-        slope = slope * d % p
-    zs = [0]
-    for _ in range(shape.length // block - 1):
-        zs.append((last.a * zs[-1] + last.b) % p)
-    # column i holds f^i(y) in every block
+    p, level, k = f.prime, len(shape.steps) + 1, shape.steps[-1].length
+    size = p**level
+    bases, slopes, a, b = _column_map(f, level, shape.base, k)
+    ts = [shape.base // slopes[0]]  # slopes[0] = p^(level-1)
+    for _ in range(shape.length // k - 1):
+        ts.append((a * ts[-1] + b) % p)
     cycle = [0] * shape.length
-    for i, (y, s) in enumerate(zip(ys, shifts)):
-        cycle[i::block] = [(y + s * z) % modulus for z in zs]
+    for i, (x, s) in enumerate(zip(bases, slopes)):  # position i of every block
+        cycle[i::k] = [(x + s * t) % size for t in ts]
     return tuple(cycle)
 
 
@@ -476,22 +463,41 @@ def _least_first(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain(islice(cycle, i, None), islice(cycle, i)))
 
 
+def _column_map(f: IntPolynomial, n: int, x: int, length: int) -> tuple[list, list, int, int]:
+    """(bases, slopes, A, B) for the cycle (x_0 = x mod K, ..., x_(k-1))
+    of k = length residues mod K = p^ceil(n/2), from two kernel calls a
+    residue, with q = p^floor(n/2).
+
+    K^2 = 0 mod p^n, so f(x + Kt) = f(x) + Kt f'(x).  With y_i = f(x_i)
+    mod p^n, u_i = (f(x_i + K) - y_i)/K and c_i = (y_i - x_(i+1))/K, f
+    maps x_i + Kt to x_(i+1) + K (c_i + u_i t), t mod q.  Composed, f^i
+    maps x_0 + Kt to bases[i] + slopes[i] t = x_i + K (a_i t + b_i), and
+    f^k acts on the column above x_0 as g(t) = At + B mod q, (A, B) =
+    (a_k, b_k).  A periodic residue reduces to a periodic one mod K, and
+    its cycle meets the column above x_0 in a cycle of g; a g-cycle
+    (g^j(t)) of length L is the f-cycle of kL residues f^(i + kj)(x_0 +
+    Kt) = bases[i] + slopes[i] g^j(t) mod p^n."""
+    k, q = f.prime ** ((n + 1) // 2), f.prime ** (n // 2)
+    size = k * q
+    bases, slopes, a, b = [], [], 1, 0
+    x %= k
+    for _ in range(length):
+        y = f.eval_mod(x, size)
+        u = (f.eval_mod(x + k, size) - y) // k
+        bases.append(x + k * b)
+        slopes.append(k * a)
+        x = y % k
+        a, b = a * u % q, (b * u + (y - x) // k) % q
+    return bases, slopes, a, b
+
+
 def _cycles_above(f: IntPolynomial, n: int,
                   below: Iterable[tuple[int, ...]]) -> tuple[list, int]:
     """The cycles of f mod p^n, each from its least residue, and the count
     of their residues, given the cycles of level m = ceil(n/2), for n above
-    the small levels.
-
-    Let K = p^m and q = p^(n - m).  K^2 = 0 mod p^n, so f(x + Kt) = f(x)
-    + Kt f'(x).  For a cycle (x_0, ..., x_(k-1)) mod K, two kernel calls
-    a residue give y_i = f(x_i) mod p^n and u_i = (f(x_i + K) - y_i)/K,
-    and with c_i = (y_i - x_(i+1))/K, f maps x_i + Kt to x_(i+1) + K (c_i
-    + u_i t), t mod q.  Composed, f^i maps x_0 + Kt to x_i + K (a_i t +
-    b_i), and f^k acts on the column above x_0 as g(t) = At + B mod q.  A
-    periodic residue reduces to a periodic one mod K, and its cycle meets
-    the column above x_0 in a cycle of g; a g-cycle (g^j(t)) of length L
-    is the f-cycle of kL residues f^(i + kj)(x_0 + Kt) = x_i + K (a_i
-    g^j(t) + b_i).
+    the small levels.  Above each cycle (x_0, ..., x_(k-1)) mod K = p^m,
+    f^k acts on the column above x_0 as g(t) = At + B mod q = p^(n - m),
+    and each cycle of f above it is that of a cycle of g (_column_map).
     - If p divides A, g contracts, and its one periodic point is its fixed
       point B (1 - A)^-1: one cycle of k residues.
     - If A = 1 and B = 0, g is the identity: q cycles of k residues, each
@@ -500,18 +506,11 @@ def _cycles_above(f: IntPolynomial, n: int,
     - Otherwise g is a bijection whose cycles come in blocks
       (_stepped_cycles)."""
     p = f.prime
-    m = (n + 1) // 2
-    k, q = p**m, p ** (n - m)
+    k, q = p ** ((n + 1) // 2), p ** (n // 2)
     size = k * q
     cycles, fixed, periodic = [], [], 0
     for c in below:
-        bases, slopes, a, b = [], [], 1, 0  # f^i(x_0 + Kt) = bases[i] + slopes[i] t
-        for x, z in zip(c, chain(islice(c, 1, None), c)):
-            y = f.eval_mod(x, size)
-            u = (f.eval_mod(x + k, size) - y) // k
-            bases.append(x + k * b)
-            slopes.append(k * a)
-            a, b = a * u % q, (b * u + (y - z) // k) % q
+        bases, slopes, a, b = _column_map(f, n, c[0], len(c))
         if not a % p:
             t = b * pow(1 - a, -1, q) % q
             cycles.append(_least_first([(x + s * t) % size for x, s in zip(bases, slopes)]))

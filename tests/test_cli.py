@@ -1060,13 +1060,13 @@ class TestFreshInterpreter:
     ])
     def test_closed_pipe_exits_two_quietly(self, argv, first):
         # `padicdyn ... | head -n 1`: the reader leaves after one line
-        proc = subprocess.Popen([sys.executable, "-m", "padicdyn.cli", *argv],
-                                env=fresh_env(), stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True)
-        line = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (line, err, proc.wait(timeout=60)) == (first, "", 2)
+        with subprocess.Popen([sys.executable, "-m", "padicdyn.cli", *argv],
+                              env=fresh_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            line = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (line, err, proc.wait(timeout=60)) == (first, "", 2)
 
     @pytest.mark.parametrize("argv", [
         ["stream", "--prime", "2", "--coeffs", "1,1", "--level", "3", "--count", "1"],

@@ -353,6 +353,23 @@ class TestWitnessByLifting:
         assert minimal_general(Q3).minimal
         assert calls == [9, 3]
 
+    @pytest.mark.parametrize("f,walk,total", [
+        (IntPolynomial(5, (1, 1, 1)), [10, 5], [12, 5]),
+        (W3, [9, 3], [27, 3]),
+    ], ids=["p5", "p3"])
+    def test_witness_costs_two_steps_a_residue_of_the_cycle_below(
+            self, monkeypatch, f, walk, total):
+        # past the verdict walk, the witness is the column map of the cycle
+        # of level L - 1 (two eval_mod calls a residue, no f') and then
+        # multiply-adds: 1 + x + x^2 enters a fixed point mod 5, W3 a
+        # 9-cycle mod 9
+        calls = counting(monkeypatch)
+        shape = _orbit_shape(f, decision_level(f.prime))
+        assert calls == walk
+        calls[:] = [0, 0]
+        assert minimal_general(f).witness is not None
+        assert calls == total == [walk[0] + 2 * shape.steps[-1].length, walk[1]]
+
     def test_verdict_alone_stops_at_the_break(self, monkeypatch):
         # 0 is not periodic mod 100003 under (x + 1)^2: the verdict is
         # Brent's first phase alone, with no tail phase and no lift

@@ -12,6 +12,7 @@ from padicdyn import dynamics
 from padicdyn.dynamics import (
     IntPolynomial,
     TableBoundError,
+    _column_map,
     _orbit_shape,
     cycle_decomposition,
     decision_level,
@@ -354,6 +355,34 @@ def column_lifts(f, n):
     return [(len(c), prod(oracles.eval_pow_mod(df, x, q) for x in c) % q,
              (oracles.iterate_oracle(f.coefficients, c[0], len(c), p**n) - c[0]) // k % q)
             for c in cycles]
+
+
+def test_column_map_matches_the_oracle():
+    # for every cycle of level ceil(n/2), the kernel's (A, B) is
+    # column_lifts', and its bases and slopes give f^i above the cycle for
+    # every t mod q, from n = 2 (q = p, the witness's split) to 8: signed
+    # coefficients, a0 != 1, degree 1-9.  Tables of p^n > 7^5 entries
+    # would be slow, so above that size only (A, B) is checked
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for _ in range(8):
+            tail = [rng.randint(-30, 30) for _ in range(rng.randint(1, 9))]
+            tail[-1] = tail[-1] or -p
+            f = IntPolynomial(p, (rng.choice([c for c in range(-30, 31) if c != 1]), *tail))
+            for n in range(2, 9):
+                m = (n + 1) // 2
+                k, q, size = p**m, p ** (n // 2), p**n
+                below, _ = oracles.cycles_oracle(oracles.table_oracle(f.coefficients, p, m))
+                table = oracles.table_oracle(f.coefficients, p, n) if size <= 7**5 else None
+                for c, lift in zip(below, column_lifts(f, n)):
+                    # any residue above the cycle's least one names it
+                    bases, slopes, a, b = _column_map(f, n, c[0] + k * rng.randrange(q), len(c))
+                    assert (len(c), a, b) == lift, (f.coefficients, n, c)
+                    for t in range(q if table else 0):
+                        x = c[0] + k * t
+                        for base, slope in zip(bases, slopes):
+                            assert x == (base + slope * t) % size, (f.coefficients, n, c, t)
+                            x = table[x]
 
 
 def unit_order(a, q):
