@@ -26,7 +26,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice, repeat
 from operator import floordiv, mod, sub
 
@@ -133,20 +133,6 @@ def _write_cycles(cycles: tuple, start: str, sep: str, end: str,
             lead, i = between, j
 
 
-def _digit_columns(block: tuple, m: int, base: int) -> list:
-    """The digits base^0 .. base^(m-1) of each value in block, a column a
-    digit, then the rest of each value above them.  Each value is cut in
-    two at base^ceil(m/2) and the halves are split in turn: peeling one
-    digit at a time would divide the whole value m times, which for
-    residues of hundreds of digits costs more than twice as much."""
-    if not m:
-        return [block]
-    h = (m + 1) // 2
-    cut = base**h
-    return (_digit_columns(tuple(map(mod, block, repeat(cut))), h - 1, base)
-            + _digit_columns(tuple(map(floordiv, block, repeat(cut))), m - h, base))
-
-
 @functools.cache
 def _row_templates(run: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The rows "r %d" of a conjugacy text table for r < run, after a
@@ -169,70 +155,66 @@ def _digit_names(tables: dict, j: int, sep: str) -> list:
     return tables[j]
 
 
+def _spell(values: tuple, m: int, base: int, k: int, tables: dict | None, sep: str,
+           join: bool = True) -> Iterable:
+    """The m >= 1 base-p digits of each value below p^m, least
+    significant first, joined by sep: in chunks of k digits, base = p^k,
+    the last maybe shorter, each named by the table of its length
+    (_digit_names), or by str where tables is None (then k = 1).  Longer
+    values are cut after half their chunks, rounded down, and each half
+    is spelled in turn: peeling one chunk at a time would divide the
+    whole value once a chunk, which for residues of hundreds of digits
+    costs more than twice as much, and rounding up cost about 5 % more on
+    1993-digit rows.  The halves give one column of names a chunk (join
+    false), joined once, by the outermost call."""
+    if m <= k:
+        column = map(str if tables is None else _digit_names(tables, m, sep).__getitem__, values)
+        return column if join else [column]
+    low = (m + k - 1) // k // 2 * k  # digits below the cut
+    cut = base ** (low // k)
+    columns = _spell(tuple(map(mod, values, repeat(cut))), low, base, k, tables, sep, False)
+    values = tuple(map(floordiv, values, repeat(cut)))
+    columns += _spell(values, m - low, base, k, tables, sep, False)
+    return map(sep.join, zip(*columns)) if join else columns
+
+
 def _write_packed(blocks: Iterable[Iterable[int]], p: int, n: int) -> None:
     """Write each residue of the orbit engine's blocks (_orbit_blocks) as
-    a row of its n base-p digits, least significant first: concatenated
-    for p <= 10, dotted above.
+    a row of its n base-p digits, least significant first (_spell):
+    concatenated for p <= 10, dotted above.  A chunk's table holds at
+    most PACKED_NAMES names; a larger prime names each digit by str.
 
-    A row is cut into chunks of k digits, the last maybe shorter, each
-    named by a table of the p^j strings of j digits, p^k <= PACKED_NAMES,
-    built at first use from two tables of half as many digits; a larger
-    prime names each digit by str.  A row of one chunk is one name.  In
-    longer rows the low ceil(n/2) digits are x mod K, K = p^ceil(n/2),
-    which every position of a block after the engine's first keeps
-    (_orbit_blocks): so they are named once, from the first block's
-    residues K + i, into a row template, and a later block names only
-    the high halves, x // K."""
+    A row of one chunk, and the engine's lazy walk, are named whole.
+    Otherwise the blocks are arrays, read as runs of K = p^ceil(n/2)
+    positions (the engine's first block is two runs), and position i
+    keeps its low ceil(n/2) digits, x mod K (_orbit_blocks): so they are
+    named once, from the first block's residue i, into a row template,
+    and each run names only its high halves, x // K."""
     sep = "" if p <= 10 else "."
     k = 1
     while k < n and p ** (k + 1) <= PACKED_NAMES:
         k += 1
     base = p**k
     tables = {1: [str(d) for d in range(p)]} if p <= PACKED_NAMES else None
-
-    def names(j: int) -> Callable[[int], str]:
-        """The name of j <= k digits, by value."""
-        return str if tables is None else _digit_names(tables, j, sep).__getitem__
-
-    def spell(values: tuple, m: int) -> Iterator[str]:
-        """The names of the m >= 1 low digits of each value."""
-        full, top = divmod(m - 1, k)
-        *low, high = _digit_columns(values, full, base)
-        high = map(names(top + 1), high)
-        if not low:
-            return high
-        chunk = names(k)
-        return map(sep.join, zip(*(map(chunk, c) for c in low), high))
-
-    def width(m: int) -> int:
-        """Values a slice of m-digit values holds: WITNESS_BLOCK names, a
-        column of them per chunk."""
-        return max(1, WITNESS_BLOCK // ((m - 1) // k + 1))
-
     blocks = iter(blocks)
     first = next(blocks, ())
-    for part in _slices(chain([first], blocks if n <= k else ()), width(n)):
-        sys.stdout.write("\n".join(chain(spell(part, n), [""])))
-    if n <= k:
+    if n <= k or type(first) is not array:
+        # WITNESS_BLOCK names a slice, a column of them a chunk
+        for part in _slices(chain([first], blocks), max(1, WITNESS_BLOCK // -(-n // k))):
+            sys.stdout.write("\n".join(chain(_spell(part, n, base, k, tables, sep), [""])))
         return
     h = (n + 1) // 2
-    cut, step, tail = p**h, width(n - h), sep + "%s\n"
-
-    def rows(i: int, j: int) -> str:
-        """The template of the rows at positions i..j - 1 of a later
-        block: the low digits each position keeps, named from the first
-        block's residues K + i.., then %s for its high half."""
-        lows = tuple(map(mod, first[cut + i:cut + j], repeat(cut)))
-        return tail.join(spell(lows, h)) + tail
-
+    cut, tail = p**h, sep + "%s\n"
+    step = max(1, WITNESS_BLOCK // -(-(n - h) // k))
     templates = {}  # by the positions they cover
-    for block in blocks:
+    for block in chain((first[:cut], first[cut:]), blocks):
         for i in range(0, len(block), step):
             part = tuple(map(floordiv, block[i:i + step], repeat(cut)))
-            key = i, i + len(part)
-            if key not in templates:
-                templates[key] = rows(*key)
-            sys.stdout.write(templates[key] % tuple(spell(part, n - h)))
+            j = i + len(part)
+            if (i, j) not in templates:
+                lows = tuple(map(mod, first[i:j], repeat(cut)))
+                templates[i, j] = tail.join(_spell(lows, h, base, k, tables, sep)) + tail
+            sys.stdout.write(templates[i, j] % tuple(_spell(part, n - h, base, k, tables, sep)))
 
 
 def _emit(record: dict) -> None:

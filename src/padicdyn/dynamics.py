@@ -19,7 +19,7 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import gcd
 from operator import itemgetter, mod, sub
 
@@ -455,12 +455,10 @@ def cycle_decomposition(
 
 
 def _least_first(cycle: Sequence[int]) -> tuple[int, ...]:
-    """cycle as a tuple turned to start at its least residue: a tuple by
-    slices, a list read through with no copy."""
+    """cycle as a tuple turned to start at its least residue: a tuple
+    that starts there is returned as it is."""
     i = cycle.index(min(cycle))
-    if type(cycle) is tuple:
-        return cycle[i:] + cycle[:i]
-    return tuple(chain(islice(cycle, i, None), islice(cycle, i)))
+    return tuple(cycle[i:] + cycle[:i])
 
 
 def _column_map(f: IntPolynomial, n: int, x: int, length: int) -> tuple[list, list, int, int]:

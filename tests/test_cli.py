@@ -283,6 +283,21 @@ class TestConjugacy:
         assert code == 2
         assert "orbit of 0 closes" in err
 
+    def test_array_head_before_a_lazy_walk(self, capsys, monkeypatch):
+        # K = 3^3 above the block bound: orbit_point is the engine's first
+        # 2K = 54 residues as an array, then the rest of its lazy walk, so
+        # the array, short of a slice, is written before the walk is pulled
+        monkeypatch.setattr(dynamics, "_BLOCK_BOUND", 16)
+        order, _ = oracles.orbit_from_zero((1, 1, 6), 3, 5)
+        index = [0] * len(order)
+        for k, x in enumerate(order):
+            index[x] = k
+        code, out, _ = run(capsys, "conjugacy", "--prime", "3", "--coeffs", Q3,
+                           "--level", "5", "--format", "structured")
+        assert code == 0 and len(order) == 3**5
+        assert json.loads(out) == {"command": "conjugacy", "prime": 3, "coeffs": [1, 1, 6],
+                                   "level": 5, "orbit_index": index, "orbit_point": order}
+
 
 class TestStream:
     def test_text_values(self, capsys):
@@ -407,11 +422,13 @@ class TestBlocks:
 
     # digit strings of one chunk per value, two chunks of which the last is
     # shorter (2^12 and 11^3 strings tabulated), one str per digit above
-    # the table's size, and level 1, where the engine's step is 0 and rows
-    # have no high half
+    # the table's size, level 1, where the engine's step is 0 and rows
+    # have no high half, and 3^16, whose 8-digit halves are two chunks
+    # each, of 7 digits and of 1
     @pytest.mark.parametrize("p,coeffs,n", [(3, (1, 1, 6), 3), (13, (1, 1), 2),
                                             (2, (1, 1), 13), (11, (1, 1), 5),
-                                            (5003, (1, 1), 2), (3, (1, 1), 1)])
+                                            (5003, (1, 1), 2), (3, (1, 1), 1),
+                                            (3, (1, 1), 16)])
     # "3K+5" reaches the stepped blocks past the engine's 2K walked
     # residues (K = p^ceil(n/2)), the last of them short
     @pytest.mark.parametrize("count", [0, 1, 10, 12, "3K+5"])
@@ -568,6 +585,12 @@ def test_stream_of_arrays_pulls_one_slice_before_it_writes(monkeypatch, fmt):
 @pytest.mark.parametrize("argv", [
     ("stream", "--prime", "7", "--coeffs", "1,1", "--level", "5", "--format", "packed"),
     ("stream", "--prime", "11", "--coeffs", "1,1", "--level", "5", "--format", "packed"),
+    # rows of 1993 digits named whole from the engine's lazy walk, and
+    # digits named by str above PACKED_NAMES, from row templates
+    ("stream", "--prime", "2", "--coeffs", "1,1", "--level", "1993", "--count", "50",
+     "--format", "packed"),
+    ("stream", "--prime", "4099", "--coeffs", "1,1", "--level", "2", "--count", "10000",
+     "--format", "packed"),
     ("conjugacy", "--prime", "2", "--coeffs", "1,1", "--level", "12"),
     ("cycles", "--prime", "2", "--coeffs", "1,1", "--level", "12", "--format", "structured"),
 ])
@@ -664,18 +687,27 @@ class TestTemplates:
         assert max(len(re.findall(r"\d+", text)) for text in writes) <= block
         assert "".join(writes) == whole
 
-    @pytest.mark.parametrize("base", [2, 10, 2187, 4099, 10**6 + 3])
-    def test_digit_columns_match_peeling_one_digit_at_a_time(self, base):
-        # every count of digits up to 40 halves unevenly somewhere, and
-        # the values reach below, at and far above base^m
-        values = (0, 1, base - 1, base, base**7 - 1, base**7, 3**500 + 17, 2**1993 - 1)
-        for m in range(41):
-            want = []
-            rest = values
-            for _ in range(m):
-                want.append(tuple(v % base for v in rest))
-                rest = tuple(v // base for v in rest)
-            assert cli._digit_columns(values, m, base) == [*want, rest], m
+    @pytest.mark.parametrize("p", [2, 3, 7, 11, 4099, 10**6 + 3])
+    def test_digit_columns_match_peeling_one_digit_at_a_time(self, p):
+        # chunks of k digits named from tables (p^k <= PACKED_NAMES) and,
+        # above it, by str a digit.  Every count of digits up to 40 halves
+        # unevenly somewhere, and the values, taken mod p^m, reach below,
+        # at and far above base = p^k
+        k = 1
+        while p ** (k + 1) <= cli.PACKED_NAMES:
+            k += 1
+        sep = "" if p <= 10 else "."
+        tables = {1: [str(d) for d in range(p)]} if p <= cli.PACKED_NAMES else None
+        base = p**k
+        values = (0, 1, base - 1, base, base + 1, base**7 - 1, base**7, 3**500 + 17,
+                  2**1993 - 1)
+        for m in range(1, 41):
+            low = tuple(v % p**m for v in values)
+            digits = [[str(v // p**i % p) for i in range(m)] for v in low]
+            chunks = zip(*([sep.join(d[i:i + k]) for i in range(0, m, k)] for d in digits))
+            columns = cli._spell(low, m, base, k, tables, sep, join=False)
+            assert list(map(tuple, columns)) == list(chunks), m
+            assert list(cli._spell(low, m, base, k, tables, sep)) == list(map(sep.join, digits)), m
 
 
 class TestSweep:

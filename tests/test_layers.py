@@ -46,3 +46,22 @@ def test_imports_follow_the_layers():
     assert sorted(LAYERS) == sorted(p.stem for p in PACKAGE.glob("*.py"))
     assert upward == []
     assert local == LOCAL_IMPORTS
+
+
+def test_every_imported_name_is_read():
+    # the project runs no linter: a name a module imports but never
+    # reads is left over from code that is gone.  __init__ imports to
+    # re-export
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [(path.stem, name) for name in sorted(imported - read)]
+    assert unread == []
