@@ -66,13 +66,11 @@ def _slices(blocks: Iterable[Iterable[int]], size: int) -> Iterator[tuple]:
     last maybe short.  Arrays, of one typecode, are cut by slices across
     their ends: those that end a slice are joined as bytes first.  Any
     other block (a tuple, or the orbit engine's lazy walk) starts a slice
-    and is pulled by islice."""
+    and is pulled by islice.  Every producer yields arrays alone or one
+    other block, so an array short of a slice waits for the end."""
     parts, held = [], 0  # arrays not yet cut, fewer than size values
     for block in blocks:
         if type(block) is not array:
-            if held:
-                yield tuple(chain.from_iterable(parts))
-                parts, held = [], 0
             block = iter(block)
             yield from iter(lambda: tuple(islice(block, size)), ())
             continue
@@ -112,25 +110,24 @@ def _write_cycles(cycles: tuple, start: str, sep: str, end: str,
     with between before every cycle but the first.  Of WITNESS_BLOCK
     cycles pulled at a time, as many in turn as hold at most WITNESS_BLOCK
     residues are formatted by one template, built by maps in C over their
-    lengths; in a block that holds a cycle longer than WITNESS_BLOCK, each
-    cycle is written alone, a block of residues at a time."""
+    lengths; a cycle longer than WITNESS_BLOCK is written alone, a block
+    of residues at a time."""
     lead = ""
     item = sep + "%d"
     joint = end + between + start + "%d"  # each cycle's first residue
     for block in _slices((cycles,), WITNESS_BLOCK):
-        if max(map(len, block)) > WITNESS_BLOCK:
-            for c in block:
-                _write_items(lead + start, (c,), sep, end)
-                lead = between
-            continue
         ends = list(accumulate(map(len, block), initial=0))  # residues before each cycle
         i = 0
         while i < len(block):
             j = bisect_right(ends, ends[i] + WITNESS_BLOCK) - 1
-            part = block[i:j]
-            rest = joint.join(map(item.__mul__, map(sub, map(len, part), repeat(1))))
-            sys.stdout.write((lead + start + "%d" + rest + end) % tuple(chain.from_iterable(part)))
-            lead, i = between, j
+            if j == i:  # one cycle longer than WITNESS_BLOCK
+                _write_items(lead + start, block[i:i + 1], sep, end)
+            else:
+                part = block[i:j]
+                rest = joint.join(map(item.__mul__, map(sub, map(len, part), repeat(1))))
+                sys.stdout.write((lead + start + "%d" + rest + end)
+                                 % tuple(chain.from_iterable(part)))
+            lead, i = between, max(j, i + 1)
 
 
 @functools.cache
@@ -185,11 +182,10 @@ def _write_packed(blocks: Iterable[Iterable[int]], p: int, n: int) -> None:
     most PACKED_NAMES names; a larger prime names each digit by str.
 
     A row of one chunk, and the engine's lazy walk, are named whole.
-    Otherwise the blocks are arrays, read as runs of K = p^ceil(n/2)
-    positions (the engine's first block is two runs), and position i
-    keeps its low ceil(n/2) digits, x mod K (_orbit_blocks): so they are
-    named once, from the first block's residue i, into a row template,
-    and each run names only its high halves, x // K."""
+    Otherwise the blocks are arrays of K = p^ceil(n/2) positions, and
+    position i keeps its low ceil(n/2) digits, x mod K (_orbit_blocks):
+    so they are named once, from the first block's residue i, into a row
+    template, and each block names only its high halves, x // K."""
     sep = "" if p <= 10 else "."
     k = 1
     while k < n and p ** (k + 1) <= PACKED_NAMES:
@@ -207,7 +203,7 @@ def _write_packed(blocks: Iterable[Iterable[int]], p: int, n: int) -> None:
     cut, tail = p**h, sep + "%s\n"
     step = max(1, WITNESS_BLOCK // -(-(n - h) // k))
     templates = {}  # by the positions they cover
-    for block in chain((first[:cut], first[cut:]), blocks):
+    for block in chain((first,), blocks):
         for i in range(0, len(block), step):
             part = tuple(map(floordiv, block[i:i + step], repeat(cut)))
             j = i + len(part)

@@ -4,11 +4,11 @@ A polynomial with integer coefficients induces a compatible family of
 self-maps of Z/p^nZ, one per level n.  Everything here works on those
 finite reductions; iteration is always pointwise, never symbolic.  One
 walk of the orbit of 0 that lifts its cycle level by level (_orbit_shape)
-decides whether f is one full cycle mod p^n; a full cycle has its orbit
-produced in blocks (_orbit_blocks) from p^ceil(n/2) kernel steps.  Any
-other map's cycles are lifted from those of level ceil(n/2), found the
-same way, through the affine map f induces above each (_column_map),
-down to a level small enough to walk the map table (reduced_map_table).
+decides whether f is one full cycle mod p^n.  f is affine on each
+column x + p^ceil(n/2) t, so one column kernel (_column_map) gives a full
+cycle's first block and step vector (_orbit_blocks), and lifts any other
+map's cycles from those of level ceil(n/2), found the same way, down to
+a level small enough to walk the map table (reduced_map_table).
 A non-minimal verdict's witness is that lift of one cycle: 2k kernel
 calls for its k residues at level L - 1, then a multiply-add a residue.
 """
@@ -19,9 +19,9 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd
-from operator import itemgetter, mod, sub
+from operator import itemgetter, mod, mul
 
 from .padic import PadicError, _check_prime
 
@@ -39,13 +39,13 @@ class NotFullCycleError(PadicError):
 # verdict.  Full-cycle verdicts, towers and streams build no table.
 DEFAULT_TABLE_BOUND = 1 << 24
 
-# Longest block (K = p^ceil(n/2) residues) that _orbit_blocks steps: it
-# walks 2K residues into an array, then steps a few packed ints of 4 or 8
-# bytes a residue.  Reading 2^18 residues of x + 1 peaks at 1.4 MB traced
-# at K = 2^15, and at 5.0 MB at this bound, where the transient ints of
-# 64-bit fields dominate.  Every level within the default table bound has
-# shorter blocks (the longest, 251^2, is at 251^3); a deeper stream is a
-# plain walk that holds no residue.
+# Longest block (K = p^ceil(n/2) residues) that _orbit_blocks steps: the
+# column kernel's two K-entry lists, freed before the first block is
+# read, then a few packed ints of 4 or 8 bytes a residue.  Reading 2^18
+# residues of x + 1 peaks at 2.8 MB traced at K = 2^15, and at 5.8 MB at
+# this bound, where those lists dominate (CPython 3.11).  Every level
+# within the default table bound has shorter blocks (the longest, 251^2,
+# is at 251^3); a deeper stream is a plain walk that holds no residue.
 _BLOCK_BOUND = 1 << 16
 
 # Largest modulus _stepped_blocks steps: its widest fields hold 64 bits.
@@ -178,33 +178,31 @@ def _orbit_blocks(f: IntPolynomial, n: int, seed: int, count: int) -> Iterator[I
     be read in turn, for f one full cycle mod p^n: arrays of one typecode
     (_typecode), or one lazy walk.
 
-    With K = p^ceil(n/2), x_(i+jK) = x_i + j (x_(i+K) - x_i) mod p^n: K^2
-    = 0 mod p^n, so f^K(y + Kt) = f^K(y) + Kt (f^K)'(y), and (f^K)'(y) is
-    the product of f' over K orbit points, one in every class mod
-    p^ceil(n/2), which is 1 mod p^floor(n/2) for a full cycle.  So the
-    first block is 2K residues of one walk through eval_mod in C, filled
-    into an array, 4 bytes a residue, that gives the step vector, and each
-    later one is an array of K: the block before it plus that step vector
-    mod p^n, a few int operations on the packed block (_stepped_blocks).
+    With K = p^ceil(n/2), the orbit is blocks of K residues, each the one
+    before plus a step vector mod p^n (_column_map): the kernel's 2K calls
+    give the first block and that vector, and each later block costs a
+    few int operations on the packed block before it (_stepped_blocks).
     Where count is at most 2K, or K exceeds _BLOCK_BOUND, the walk gives
     all count residues lazily and keeps none, so a stream of any length
     holds a bounded number.
 
-    Readers rely on the shape: after the first block (2K walked
-    residues), every block holds K positions, the last maybe fewer, and
-    position i keeps its residue mod K, that of the first block's
-    residues i and K + i, since each step is a multiple of K."""
+    Readers rely on the shape: no array comes before a lazy walk, every
+    array holds K positions, the last maybe fewer, and position i keeps
+    its residue mod K, since each step is a multiple of K."""
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
-    walk = accumulate(repeat(size), f.eval_mod, initial=seed % size)
     if count <= 2 * k or k > _BLOCK_BOUND:
+        walk = accumulate(repeat(size), f.eval_mod, initial=seed % size)
         # count may pass sys.maxsize, which islice refuses
         yield map(itemgetter(1), zip(range(count), walk))
         return
-    kept = array(_typecode(size), islice(walk, 2 * k))
-    yield kept
-    step = map(mod, map(sub, islice(kept, k, None), kept), repeat(size))
-    yield from _stepped_blocks(kept[k:], step, size, count - 2 * k)
+    bases, slopes, _, b = _column_map(f, n, seed % size, k)
+    first = array(_typecode(size), bases)
+    del bases
+    step = array(first.typecode, map(mod, map(mul, slopes, repeat(b)), repeat(size)))
+    del slopes  # each kernel list freed once read, before the first block is read
+    yield first
+    yield from _stepped_blocks(first, step, size, count - k)
 
 
 def _stepped_blocks(block: Sequence[int], step: Iterable[int], modulus: int,
@@ -345,15 +343,15 @@ def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitSh
 def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tuple[int, ...]:
     """The cycle the orbit of 0 runs into mod p^level, from its first
     residue on, given its shape there.  table_bound caps its known length.
-    level - 1 = ceil(level/2) at level 2 and 3, so it is the g-orbit of t_0
-    = base // p^(level-1) above the cycle below (_column_map)."""
+    level - 1 = ceil(level/2) at level 2 and 3, so it is the g-orbit of 0
+    above base (_column_map)."""
     if shape.length > table_bound:
         raise TableBoundError(
             f"witness cycle of {shape.length} residues exceeds bound {table_bound}")
     p, level, k = f.prime, len(shape.steps) + 1, shape.steps[-1].length
     size = p**level
     bases, slopes, a, b = _column_map(f, level, shape.base, k)
-    ts = [shape.base // slopes[0]]  # slopes[0] = p^(level-1)
+    ts = [0]
     for _ in range(shape.length // k - 1):
         ts.append((a * ts[-1] + b) % p)
     cycle = [0] * shape.length
@@ -462,31 +460,30 @@ def _least_first(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 def _column_map(f: IntPolynomial, n: int, x: int, length: int) -> tuple[list, list, int, int]:
-    """(bases, slopes, A, B) for the cycle (x_0 = x mod K, ..., x_(k-1))
-    of k = length residues mod K = p^ceil(n/2), from two kernel calls a
-    residue, with q = p^floor(n/2).
+    """(bases, slopes, A, B) for the k = length residues from x mod p^n,
+    whose cycle mod K = p^ceil(n/2) has k residues, from two kernel calls
+    a residue, with q = p^floor(n/2).
 
-    K^2 = 0 mod p^n, so f(x + Kt) = f(x) + Kt f'(x).  With y_i = f(x_i)
-    mod p^n, u_i = (f(x_i + K) - y_i)/K and c_i = (y_i - x_(i+1))/K, f
-    maps x_i + Kt to x_(i+1) + K (c_i + u_i t), t mod q.  Composed, f^i
-    maps x_0 + Kt to bases[i] + slopes[i] t = x_i + K (a_i t + b_i), and
-    f^k acts on the column above x_0 as g(t) = At + B mod q, (A, B) =
-    (a_k, b_k).  A periodic residue reduces to a periodic one mod K, and
-    its cycle meets the column above x_0 in a cycle of g; a g-cycle
-    (g^j(t)) of length L is the f-cycle of kL residues f^(i + kj)(x_0 +
-    Kt) = bases[i] + slopes[i] g^j(t) mod p^n."""
+    K^2 = 0 mod p^n, so f(y + Kt) = f(y) + Kt f'(y), f'(y) = (f(y + K) -
+    f(y))/K mod q.  Composed along y_i = f^i(x), f^i maps x + Kt to
+    bases[i] + slopes[i] t mod p^n, bases[i] = y_i and slopes[i] = K a_i,
+    a_i the product of f' over y_0..y_(i-1); f^k maps it to x + K g(t),
+    g(t) = At + B mod q, A = a_k and B = (f^k(x) - x)/K.  A periodic
+    residue reduces to a periodic one mod K, and its cycle meets the
+    column above x in a cycle of g; a g-cycle (g^j(t)) of length L is the
+    f-cycle of kL residues f^(i + kj)(x + Kt) = bases[i] + slopes[i]
+    g^j(t) mod p^n.  Where f is one full cycle mod p^n, k = K and A = 1,
+    the product of f' over one residue of every class mod K: its orbit is
+    blocks of K residues, each the one before plus slopes[i] B."""
     k, q = f.prime ** ((n + 1) // 2), f.prime ** (n // 2)
     size = k * q
-    bases, slopes, a, b = [], [], 1, 0
-    x %= k
+    bases, slopes, a, y = [], [], 1, x
     for _ in range(length):
-        y = f.eval_mod(x, size)
-        u = (f.eval_mod(x + k, size) - y) // k
-        bases.append(x + k * b)
+        bases.append(y)
         slopes.append(k * a)
-        x = y % k
-        a, b = a * u % q, (b * u + (y - x) // k) % q
-    return bases, slopes, a, b
+        y, z = f.eval_mod(y, size), f.eval_mod(y + k, size)
+        a = a * ((z - y) // k) % q
+    return bases, slopes, a, (y - x) // k % q
 
 
 def _cycles_above(f: IntPolynomial, n: int,

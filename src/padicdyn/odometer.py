@@ -4,10 +4,11 @@ When f induces a single p^n-cycle on Z/p^nZ, indexing each residue by
 the time the orbit of 0 reaches it turns f into x -> x + 1.  The index
 tables at successive levels are compatible with reduction mod p^n, so
 they assemble into a conjugacy with the adding machine on Z_p.  Both
-tables and the stream come from the orbit engine (_orbit_blocks), its
-first 2 p^ceil(n/2) residues setting up the index: no map table past
-the levels where those are the whole orbit, no table of p^n entries.
-The tower builds no table: it sizes each level and decides it by lifting.
+tables come from one call of the column kernel (_column_map) on 2
+p^ceil(n/2) residues, the stream from the orbit engine (_orbit_blocks):
+no map table past the levels where those are the whole orbit, no table
+of p^n entries.  The tower builds no table: it sizes each level and
+decides it by lifting.
 """
 
 from __future__ import annotations
@@ -15,21 +16,21 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
+from operator import mod, mul
 
 from .dynamics import (_STEP_BOUND, DEFAULT_TABLE_BOUND, IntPolynomial, NotFullCycleError,
-                       _check_table_size, _no_full_cycle, _orbit_blocks, _small_level,
-                       _stepped_blocks, _typecode, decision_level, full_cycle_by_lifting,
-                       reduced_map_table)
+                       _check_table_size, _column_map, _no_full_cycle, _orbit_blocks,
+                       _small_level, _stepped_blocks, _typecode, decision_level,
+                       full_cycle_by_lifting, reduced_map_table)
 from .padic import PadicError
 
 
 class ConjugacyTable(namedtuple("ConjugacyTable", "prime level orbit_index orbit_point")):
     """psi_n, the conjugacy of f with x -> x + 1 mod p^n, as two iterators
-    of blocks read once, each block an array or a lazy walk of ints (the
-    orbit engine's, _orbit_blocks): orbit_index gives psi_n(x) = k, f^k(0)
-    = x, for x = 0, 1, ..., and orbit_point its inverse, f^k(0) for k = 0,
-    1, ...; psi_n(0) = 0 and psi_n(f(x)) = psi_n(x) + 1 mod p^n.
+    of arrays read once: orbit_index gives psi_n(x) = k, f^k(0) = x, for x
+    = 0, 1, ..., and orbit_point its inverse, f^k(0) for k = 0, 1, ...;
+    psi_n(0) = 0 and psi_n(f(x)) = psi_n(x) + 1 mod p^n.
     """
 
     __slots__ = ()
@@ -42,13 +43,12 @@ def build_psi(
     any residue is walked; without one, the error counts the residues the
     orbit of 0 visits mod p^n.  With K = p^ceil(n/2), q = p^n / K and x_i =
     f^i(0), x_0..x_(K-1) hit every class mod K once and x_(i+jK) = x_i +
-    jK u_i mod p^n, u_i a unit mod q (_orbit_blocks): so the index of cK +
-    r, r = x_i mod K, is i + K ((c - x_i // K) u_i^-1 mod q), and the next
-    block's is K u_i^-1 on, mod p^n: the engine's first 2K residues set up
-    orbit_index, and it yields orbit_point.  At the small levels
-    (_small_level) the map table gives the orbit, one loop its inverse.
-    A level above _STEP_BOUND, the largest modulus the index is stepped
-    at, is refused as one above table_bound is."""
+    jK u_i mod p^n, u_i = a_i B a unit mod q (_column_map): so the index
+    of cK + r, r = x_i mod K, is i + K ((c - x_i // K) u_i^-1 mod q), and
+    the next block's is K u_i^-1 on, mod p^n.  At the small levels
+    (_small_level) the map table gives the orbit, one loop its inverse.  A
+    level above _STEP_BOUND, the largest modulus the index is stepped at,
+    is refused as one above table_bound is."""
     size = _check_table_size(f.prime, n, min(table_bound, _STEP_BOUND))
     if not full_cycle_by_lifting(f, n):
         raise _no_full_cycle(f, n, size)
@@ -62,18 +62,18 @@ def build_psi(
             index[x] = i
         return ConjugacyTable(f.prime, n, iter((index,)), iter((points,)))
     k, q = f.prime ** ((n + 1) // 2), f.prime ** (n // 2)
-    points = _orbit_blocks(f, n, 0, size)
-    head = next(points)
-    if type(head) is not array:  # K above _BLOCK_BOUND: one lazy walk
-        points = iter((head,))
-        head = array(_typecode(size), islice(head, 2 * k))
-    first, step = [0] * k, [0] * k  # orbit_index at 0..K - 1, and K u^-1
-    for i, (x, y) in enumerate(zip(head, islice(head, k, None))):
+    bases, slopes, _, b = _column_map(f, n, 0, k)
+    head = array(_typecode(size), bases)
+    del bases
+    shift = array(head.typecode, map(mod, map(mul, slopes, repeat(b)), repeat(size)))
+    del slopes  # shift[i] = K u_i; the kernel's lists are freed once read
+    first, step = array(head.typecode, [0]) * k, array(head.typecode, [0]) * k
+    for i, (x, s) in enumerate(zip(head, shift)):  # orbit_index at 0..K - 1, and K u^-1
         h, r = divmod(x, k)
-        v = pow((y - x) // k, -1, q)
+        v = pow(s // k, -1, q)
         first[r], step[r] = i + k * (-h * v % q), k * v
-    first = array(head.typecode, first)
     index = _stepped_blocks(first, step, size, size - k)
+    points = _stepped_blocks(head, shift, size, size - k)
     return ConjugacyTable(f.prime, n, chain((first,), index), chain((head,), points))
 
 
@@ -118,12 +118,10 @@ def full_cycle_stream(
     p^n, every residue class mod p^m hit equally often.  The full cycle
     at level n is checked here by lifting, before the first residue, at
     a cost that does not grow with n past the decision level.  The
-    residues come from _orbit_blocks: at most min(count, 2 p^ceil(n/2))
-    kernel steps, then blocks stepped a few int operations at a time
-    (_stepped_blocks).  Where count is at most 2 p^ceil(n/2) or the
-    blocks would pass _BLOCK_BOUND, the one block is the walk itself,
-    which yields residues as they are walked; otherwise the first 2
-    p^ceil(n/2) are walked into an array, the first block.
+    residues cost at most min(count, 2 p^ceil(n/2)) kernel steps: where
+    count is at most that or the blocks would pass _BLOCK_BOUND, the one
+    block is the walk itself, else the column kernel gives the first
+    block of p^ceil(n/2) and blocks stepped from it follow.
     """
     if count < 0:
         raise PadicError(f"count must be nonnegative, got {count}")

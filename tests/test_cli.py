@@ -189,17 +189,17 @@ class TestCycles:
         # not 1, which analyze gives a map that is not minimal.  Each
         # allocation in turn: cycles takes a full cycle (Q3) in orbit
         # blocks, lifts any other map's cycles (W3, broken mod 27) from
-        # those mod 9, W3's full cycle there walked into the blocks' first
-        # array, and tabulates every map at level 1; conjugacy --level sets
-        # up its closed-form index from the first 2K residues of the orbit
-        # blocks, before any row is written
+        # those mod 9, W3's full cycle there stepped in arrays, and
+        # tabulates every map at level 1; conjugacy --level sets up its
+        # closed-form index and its orbit from the column kernel, before
+        # any row is written
         def exhausted(*args, **kwargs):
             raise MemoryError
 
         allocations = {
             "cycles": [(Q3, (), dynamics, "_orbit_blocks"), (W3, (), dynamics, "array"),
                        (W3, ("--level", "1"), dynamics, "reduced_map_table")],
-            "conjugacy": [(Q3, (), odometer, "_orbit_blocks")],
+            "conjugacy": [(Q3, (), odometer, "_column_map")],
         }
         for coeffs, level, module, name in allocations[command]:
             with monkeypatch.context() as patch:
@@ -283,20 +283,32 @@ class TestConjugacy:
         assert code == 2
         assert "orbit of 0 closes" in err
 
-    def test_array_head_before_a_lazy_walk(self, capsys, monkeypatch):
-        # K = 3^3 above the block bound: orbit_point is the engine's first
-        # 2K = 54 residues as an array, then the rest of its lazy walk, so
-        # the array, short of a slice, is written before the walk is pulled
-        monkeypatch.setattr(dynamics, "_BLOCK_BOUND", 16)
-        order, _ = oracles.orbit_from_zero((1, 1, 6), 3, 5)
+    def test_producers_yield_arrays_or_one_walk(self, capsys, monkeypatch):
+        # _slices writes an array held short of a slice only at the end, so
+        # no producer yields an array before another block: the orbit
+        # engine yields one lazy walk up to 2K residues or past the block
+        # bound and arrays otherwise, and build_psi arrays, with K = 3^3
+        # on both sides of the bound
+        f = IntPolynomial(3, (1, 1, 6))
+        k = 3**3
+        order, _ = oracles.orbit_from_zero(f.coefficients, 3, 5)
         index = [0] * len(order)
-        for k, x in enumerate(order):
-            index[x] = k
-        code, out, _ = run(capsys, "conjugacy", "--prime", "3", "--coeffs", Q3,
-                           "--level", "5", "--format", "structured")
-        assert code == 0 and len(order) == 3**5
-        assert json.loads(out) == {"command": "conjugacy", "prime": 3, "coeffs": [1, 1, 6],
-                                   "level": 5, "orbit_index": index, "orbit_point": order}
+        for i, x in enumerate(order):
+            index[x] = i
+        for bound in (dynamics._BLOCK_BOUND, 16):
+            monkeypatch.setattr(dynamics, "_BLOCK_BOUND", bound)
+            for count in (2 * k, 2 * k + 1, 3**5):
+                kinds = [type(b) is array for b in dynamics._orbit_blocks(f, 5, 0, count)]
+                walked = count <= 2 * k or k > bound
+                assert kinds == ([False] if walked else [True] * len(kinds)), count
+            table = odometer.build_psi(f, 5)
+            for blocks in (table.orbit_index, table.orbit_point):
+                assert all(type(b) is array for b in blocks)
+            code, out, _ = run(capsys, "conjugacy", "--prime", "3", "--coeffs", Q3,
+                               "--level", "5", "--format", "structured")
+            assert code == 0 and len(order) == 3**5
+            assert json.loads(out) == {"command": "conjugacy", "prime": 3, "coeffs": [1, 1, 6],
+                                       "level": 5, "orbit_index": index, "orbit_point": order}
 
 
 class TestStream:
@@ -429,8 +441,8 @@ class TestBlocks:
                                             (2, (1, 1), 13), (11, (1, 1), 5),
                                             (5003, (1, 1), 2), (3, (1, 1), 1),
                                             (3, (1, 1), 16)])
-    # "3K+5" reaches the stepped blocks past the engine's 2K walked
-    # residues (K = p^ceil(n/2)), the last of them short
+    # "3K+5" reaches the stepped blocks past the engine's first block of
+    # K = p^ceil(n/2) residues, the last of them short
     @pytest.mark.parametrize("count", [0, 1, 10, 12, "3K+5"])
     def test_stream_packed(self, capsys, monkeypatch, block, p, coeffs, n, count):
         if count == "3K+5":

@@ -358,11 +358,13 @@ def column_lifts(f, n):
 
 
 def test_column_map_matches_the_oracle():
-    # for every cycle of level ceil(n/2), the kernel's (A, B) is
-    # column_lifts', and its bases and slopes give f^i above the cycle for
-    # every t mod q, from n = 2 (q = p, the witness's split) to 8: signed
-    # coefficients, a0 != 1, degree 1-9.  Tables of p^n > 7^5 entries
-    # would be slow, so above that size only (A, B) is checked
+    # at any residue x above each cycle of level ceil(n/2), the kernel's
+    # bases and slopes give f^i(x + Kt) for every t mod q, and f^k(x + Kt)
+    # = x + K g(t), g(t) = At + B mod q: A is column_lifts', the same over
+    # the whole column, and B is read off f^k(x) through pow(); from n = 2
+    # (q = p, the witness's split) to 8, signed coefficients, a0 != 1,
+    # degree 1-9.  Tables of p^n > 7^5 entries would be slow, so above
+    # that size only (A, B) is checked
     rng = random.Random(31)
     for p in (2, 3, 5, 7):
         for _ in range(8):
@@ -374,15 +376,17 @@ def test_column_map_matches_the_oracle():
                 k, q, size = p**m, p ** (n // 2), p**n
                 below, _ = oracles.cycles_oracle(oracles.table_oracle(f.coefficients, p, m))
                 table = oracles.table_oracle(f.coefficients, p, n) if size <= 7**5 else None
-                for c, lift in zip(below, column_lifts(f, n)):
-                    # any residue above the cycle's least one names it
-                    bases, slopes, a, b = _column_map(f, n, c[0] + k * rng.randrange(q), len(c))
-                    assert (len(c), a, b) == lift, (f.coefficients, n, c)
+                for c, (_, a_lift, _) in zip(below, column_lifts(f, n)):
+                    x = c[0] + k * rng.randrange(q)
+                    bases, slopes, a, b = _column_map(f, n, x, len(c))
+                    at = oracles.iterate_oracle(f.coefficients, x, len(c), size)
+                    assert (a, b) == (a_lift, (at - x) // k % q), (f.coefficients, n, c)
                     for t in range(q if table else 0):
-                        x = c[0] + k * t
+                        y = (x + k * t) % size
                         for base, slope in zip(bases, slopes):
-                            assert x == (base + slope * t) % size, (f.coefficients, n, c, t)
-                            x = table[x]
+                            assert y == (base + slope * t) % size, (f.coefficients, n, c, t)
+                            y = table[y]
+                        assert y == (x + k * (a * t + b)) % size, (f.coefficients, n, c, t)
 
 
 def unit_order(a, q):

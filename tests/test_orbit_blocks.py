@@ -125,24 +125,20 @@ def test_blocks_match_the_plain_walk(case):
 
 @pytest.mark.parametrize("case", MAPS, ids=map(_ids, MAPS))
 def test_later_blocks_keep_each_position_mod_k(case):
-    # the shape the packed stream writer reads: after the first block of
-    # 2K walked residues, every block holds K positions, the last maybe
-    # fewer, each keeping the residue mod K that it has in the first
-    # stepped block and at K + i in the first block; all are arrays of
-    # one typecode
+    # the shape the packed stream writer reads: every block holds K
+    # positions, the first too and the last maybe fewer, each keeping the
+    # residue mod K that it has in the first block; all are arrays of one
+    # typecode
     f, n = case
     size = f.prime**n
     k = f.prime ** ((n + 1) // 2)
     seed = random.Random(size + 2 * f.degree).randrange(size)
     count = 3 * size + 5
-    first, *rest = _orbit_blocks(f, n, seed, count)
-    left = count - 2 * k
-    assert len(first) == 2 * k
-    assert [len(b) for b in rest] == [k] * (left // k) + [left % k] * (left % k > 0)
-    assert {(type(b), b.typecode) for b in (first, *rest)} == {(array, first.typecode)}
-    low = [x % k for x in rest[0]]
-    assert low == [x % k for x in first[k:]]
-    for block in rest:
+    got = list(_orbit_blocks(f, n, seed, count))
+    assert [len(b) for b in got] == [k] * (count // k) + [count % k] * (count % k > 0)
+    assert {(type(b), b.typecode) for b in got} == {(array, got[0].typecode)}
+    low = [x % k for x in got[0]]
+    for block in got:
         assert [x % k for x in block] == low[:len(block)]
 
 
@@ -191,9 +187,9 @@ def test_blocks_match_the_plain_walk_across_the_wrap(case):
 
 
 def test_index_past_the_block_bound_reads_its_head_from_the_walk():
-    # K = 2^17 exceeds the block bound, so the engine's one block is its
-    # lazy walk: build_psi reads the first 2K residues of it into an
-    # array, and orbit_point goes on along the same walk
+    # K = 2^17 exceeds the engine's block bound, where a stream is a lazy
+    # walk; build_psi still reads its first K residues and both step
+    # vectors from the column kernel's walk, and steps both tables
     f = IntPolynomial(2, (1, 1))
     k = 1 << 17
     assert k > dynamics._BLOCK_BOUND
@@ -294,7 +290,8 @@ def test_kernel_steps_beyond_the_lifting_decision(monkeypatch, p, coeffs, n):
     _, lifting = kernel.cost(full_cycle_by_lifting, f, n)
 
     def drained_psi(f, n):
-        # one walk of 2K residues serves both tables, read to their ends
+        # one column kernel call of 2K steps serves both tables, read to
+        # their ends
         t = build_psi(f, n)
         return flat(t.orbit_index), flat(t.orbit_point)
 
@@ -345,8 +342,9 @@ def test_deep_stream_with_the_default_count_holds_no_residues(n):
 
 
 def test_stream_in_blocks_holds_a_bounded_number_of_residues():
-    # K = 2^15: past the 2K walked residues a stream holds about four
-    # blocks of ints, 4K (8 + 28) bytes, however many it reads
+    # K = 2^15: past the column kernel's two lists of K, freed before the
+    # first block, a stream holds about four blocks of ints, 4K (8 + 28)
+    # bytes, however many it reads
     f = IntPolynomial(2, (1, 1))
     k = 1 << 15
     assert k <= dynamics._BLOCK_BOUND
@@ -356,8 +354,9 @@ def test_stream_in_blocks_holds_a_bounded_number_of_residues():
 
 
 def test_index_in_blocks_holds_a_bounded_number_of_residues():
-    # K = 2^12 at level 24: the 2K walked residues and a few blocks of K
-    # ints, K (8 + 28) bytes each, however many index residues are read
+    # K = 2^12 at level 24: the column kernel's two lists of K and a few
+    # blocks of K ints, K (8 + 28) bytes each, however many index
+    # residues are read
     f = IntPolynomial(2, (1, 1))
     k = 1 << 12
 
