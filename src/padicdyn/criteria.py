@@ -5,7 +5,10 @@ Z/p^nZ being one full cycle at every level n, and a single level
 settles it: level 2 for p > 3, level 3 for p in {2, 3}; minimal_general
 reads it off the lifting walk of dynamics.  For p = 2 and p = 3 there
 are also closed-form coefficient congruences; those run in O(degree)
-with no iteration at all.
+with no iteration at all.  At p >= 5 the maps = x + c mod p (a1 = 1 and
+a_i = 0 mod p for i >= 2) have one congruence too (_class_core), which
+minimal_general reads before it walks: a minimal verdict from it takes
+no walk, and any other verdict walks for its witness.
 
 Congruences are stated on four coefficient sums of f = a0 + a1 x + ...:
 
@@ -195,22 +198,48 @@ def minimal_z3(f: IntPolynomial) -> MinimalityVerdict:
     return _verdict(METHOD_P3, core, names, (3, 3, 3, 3, 3, 3, 9, 9), stage)
 
 
+def _class_core(c: tuple[int, ...], p: int) -> bool | None:
+    """The verdict of f = a0 + a1 x + ... (c, constant term first) at a
+    prime p >= 5 when a1 = 1 and a_i = 0 mod p for every i >= 2; None for
+    any other map.  f is minimal exactly when a0 != 0 and
+    a0 - sum(a_i / p) != 0 mod p, the sum over i >= 2 with (p - 1) | i.
+
+    Write f = x + a0 + p g(x), g with integer coefficients.  f' = 1 mod p,
+    so the orbit of 0 mod p is x_j = j a0: a full cycle exactly when
+    a0 != 0, and then its lift (dynamics.LiftStep) has a = (f^p)'(0) = 1
+    mod p and b = f^p(0) / p mod p.  f^p(0) is the sum of f(x_j) - x_j =
+    a0 + p g(x_j) over j < p, and x_j runs over every residue mod p, so
+    b = a0 + sum g(x) over x mod p.  The sum of x^i over x mod p is -1
+    mod p when i >= 1 and (p - 1) | i, else 0; (p - 1) | 1 fails for
+    p > 2, so the x term of g drops out and b = a0 - sum(a_i / p).  The
+    cycle grows into a full cycle mod p^2, the decision level, exactly
+    when b != 0.
+    """
+    if len(c) < 2 or c[1] % p != 1 or any(a % p for a in c[2:]):
+        return None
+    return c[0] % p != 0 and (c[0] - sum(c[p - 1::p - 1]) // p) % p != 0
+
+
 def minimal_general(
     f: IntPolynomial, *, table_bound: int = DEFAULT_TABLE_BOUND
 ) -> MinimalityVerdict:
     """Minimality for any prime via a full cycle at the decision level
-    (3 for p in {2,3}, else 2), decided by lifting.  When there is none,
-    the witness is the short cycle the orbit of 0 runs into at that
-    level, from the same walk; table_bound caps its length."""
+    (3 for p in {2,3}, else 2), decided by lifting; at p >= 5 a map
+    = x + c mod p that _class_core finds minimal takes no walk.  When
+    there is no full cycle, the witness is the short cycle the orbit of
+    0 runs into at that level, from the same walk; table_bound caps its
+    length."""
     p = f.prime
     level = decision_level(p)
-    shape = _orbit_shape(f, level)
-    if shape.length == p**level:
-        cond = ConditionCheck("full_cycle_at_decision_level", p**level, p**level, True)
-        return MinimalityVerdict(True, METHOD_DELTA, None, (cond,))
-    witness = _cycle_of_zero(f, shape, table_bound)
-    cond = ConditionCheck("full_cycle_at_decision_level", len(witness), p**level, False)
-    return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
+    size = p**level
+    if not (p > 3 and _class_core(f.coefficients, p)):
+        shape = _orbit_shape(f, level)
+        if shape.length != size:
+            witness = _cycle_of_zero(f, shape, table_bound)
+            cond = ConditionCheck("full_cycle_at_decision_level", len(witness), size, False)
+            return MinimalityVerdict(False, METHOD_DELTA, None, (cond,), witness)
+    cond = ConditionCheck("full_cycle_at_decision_level", size, size, True)
+    return MinimalityVerdict(True, METHOD_DELTA, None, (cond,))
 
 
 _CLOSED_FORMS = {2: (minimal_z2, _z2_core), 3: (minimal_z3, _z3_core)}
@@ -225,7 +254,8 @@ def closed_form(f: IntPolynomial) -> MinimalityVerdict | None:
 
 def decide(f: IntPolynomial) -> MinimalityVerdict:
     """Closed form where one exists (p = 2, 3), decision-level check
-    otherwise."""
+    otherwise; that check answers a minimal map = x + c mod p at p >= 5
+    from its coefficients."""
     verdict = closed_form(f)
     if verdict is None:
         verdict = minimal_general(f)

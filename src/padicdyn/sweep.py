@@ -5,6 +5,7 @@ constant term, runs every applicable decision route on each polynomial
 and counts agreement.  Routes per tuple:
 
     closed      closed-form decider (p = 2 or 3 only)
+    class       coefficient rule for maps = x + c mod p (p >= 5 only)
     delta       full cycle at the decision level, decided by lifting
                 from mod p (dynamics.full_cycle_by_lifting)
     full-cycle  brute-force orbit walk of 0 at n_max, through head and top
@@ -12,10 +13,13 @@ and counts agreement.  Routes per tuple:
 
 closed calls the record-free core that criteria._CLOSED_FORMS holds
 for the prime, the one it builds its records from; it builds no
-ConditionCheck.  The all-zero tail is built as the constant map a0,
-which every route reports as not minimal.  The index range (or the
-sorted sample) is cut into contiguous chunks, one per worker process;
-the workers are capped at the CPU count and at the number of tuples.
+ConditionCheck.  class calls criteria._class_core only on tuples whose
+a1 is 1 mod p, so every other tuple pays one modulo for it; a route
+that does not apply to a tuple is left out of its first_routes.  The
+all-zero tail is built as the constant map a0, which every route
+reports as not minimal.  The index range (or the sorted sample) is
+cut into contiguous chunks, one per worker process; the workers are
+capped at the CPU count and at the number of tuples.
 A sweep imports what only some sweeps use where it is used: random in
 the sampled branch of run_sweep, and the process pool in _pool, so
 multiprocessing loads at the first sweep on two or more workers.
@@ -45,7 +49,7 @@ import sys
 from collections import namedtuple
 from operator import mul
 
-from .criteria import _CLOSED_FORMS
+from .criteria import _CLOSED_FORMS, _class_core
 from .dynamics import IntPolynomial, decision_level, full_cycle_by_lifting, is_full_cycle
 from .padic import PadicError, _check_prime
 
@@ -150,20 +154,22 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     level = decision_level(p)
     n_max = cfg.resolved_n_max()
     _, closed_core = _CLOSED_FORMS.get(p, (None, None))
+    ruled = p > 3
     agree_min = agree_non = disagree = 0
     first = None
     for idx, coeffs, tables in _tables(cfg, indices):
         f = IntPolynomial(p, coeffs)
         closed = None if closed_core is None else closed_core(coeffs)[0]
+        rule = _class_core(coeffs, p) if ruled and coeffs[1] % p == 1 else None
         delta = full_cycle_by_lifting(f, level)
         full = _full_cycle_in(*tables, coeffs[-1]) if tables else is_full_cycle(f, n_max)
-        if delta == full and closed in (None, delta):
+        if delta == full and closed in (None, delta) and rule in (None, delta):
             agree_min += delta
             agree_non += not delta
             continue
         disagree += 1
         if first is None:
-            routes = {"closed": closed, "delta": delta, "full-cycle": full}
+            routes = {"closed": closed, "class": rule, "delta": delta, "full-cycle": full}
             first = (idx, coeffs, {k: v for k, v in routes.items() if v is not None})
     return agree_min, agree_non, disagree, first
 

@@ -44,6 +44,16 @@ class TestAnalyze:
         assert "level-3" in out
         assert "case 1" in out
 
+    def test_minimal_at_the_largest_prime_answers_at_once(self, capsys):
+        # x + 1 at the largest prime below 2^32: its coefficients decide it,
+        # where the orbit walk would take about 4.3e9 steps
+        p = 4294967291
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--prime", str(p), "--coeffs", "1,1")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err) == (0, "")
+        assert f"ok   full_cycle_at_decision_level: residue {p * p} mod {p * p}" in out
+
     def test_nonminimal_at_a_large_prime_exits_one_with_its_cycle(self, capsys):
         # the witness of (x + 1)^2 is known to hold 2,466,716 residues mod
         # p^2 before it is built; a witness walk bounded by p^2 refused it

@@ -339,12 +339,25 @@ class TestWitnessByLifting:
         assert calls[0] < 5000
 
     def test_minimal_map_costs_one_walk(self, monkeypatch):
-        # a full cycle mod 701 in 701 steps of one walk carried mod 701^2,
-        # whose first return also gives the lift to mod 701^2
+        # a full cycle mod 7 in 7 steps of one walk carried mod 7^2, whose
+        # first return also gives the lift to mod 7^2; its x^7 term keeps
+        # it out of the coefficient rule's class, so the walk decides it
+        f = IntPolynomial(7, (3, -1, 2, -2, 1, -1, 0, -2))
+        calls = counting(monkeypatch)
+        assert criteria._class_core(f.coefficients, 7) is None
+        assert minimal_general(f).minimal
+        assert calls == [7, 7]
+
+    def test_minimal_class_map_takes_no_walk(self, monkeypatch):
+        # 1 + x + 701 x^2 is = x + 1 mod 701: the coefficient rule alone
+        # answers, with the record the walk gives
         f = IntPolynomial(701, (1, 1, 701))
         calls = counting(monkeypatch)
-        assert minimal_general(f).minimal
-        assert calls == [701, 701]
+        v = minimal_general(f)
+        assert calls == [0, 0]
+        assert v.conditions == (criteria.ConditionCheck(
+            "full_cycle_at_decision_level", 701**2, 701**2, True),)
+        assert (v.minimal, v.method, v.witness) == (True, METHOD_DELTA, None)
 
     def test_minimal_map_at_p3_costs_nine_steps(self, monkeypatch):
         # 3 steps carrying f' to the first return mod 3, then 6 plain ones
@@ -445,6 +458,86 @@ class TestFusedWalk:
                 x = f.eval_mod(x, p**level)
             assert witness == tuple(cycle), (f.coefficients, p)
         assert set(kinds) == {"split", "grow", "attract", "partial"}, kinds
+
+
+def _near_odometer_maps(count, seed):
+    """(p, coefficients) of seeded maps a0 + (1 + p k) x + p h(x) at p in
+    {5, 7, 11, 13, 101} in turn, of degree 1 to 3p (at most 210), so that
+    terms with (p - 1) | i occur.  In turn a0 is drawn, a0 = 0 mod p, or
+    a0 = sum(a_i / p) over those terms mod p, which makes b = 0."""
+    rng = random.Random(seed)
+    primes = (5, 7, 11, 13, 101)
+    for i in range(count):
+        p = primes[i % len(primes)]
+        tail = [1 + p * rng.randint(-9, 9)]
+        tail += [p * rng.randint(-9, 9) for _ in range(rng.randint(0, min(3 * p, 210) - 1))]
+        tail[-1] = tail[-1] or p
+        kind = i // len(primes) % 3
+        a0 = (rng.randint(-3 * p, 3 * p) if kind == 0 else p * rng.randint(-3, 3)
+              + (kind == 2) * sum(tail[p - 2::p - 1]) // p)
+        yield p, (a0, *tail)
+
+
+def _walked(monkeypatch, f):
+    """minimal_general's verdict of f with the coefficient rule off, so
+    that the lifting walk decides it."""
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "_class_core", lambda c, p: None)
+        return minimal_general(f)
+
+
+class TestNearOdometerRule:
+    """criteria._class_core, the verdict of maps = x + c mod p at p >= 5
+    read off the coefficients, against the lifting walk and the walk
+    that remembers every residue."""
+
+    def test_matches_the_walks(self, monkeypatch):
+        # every map at p <= 13 and every twentieth at p = 101, one of each
+        # kind of a0 in turn, through the oracle walk, whose 101^2 steps
+        # cost up to 0.3 s a minimal map
+        outcomes, decided_by_the_sum = collections.Counter(), collections.Counter()
+        for i, (p, c) in enumerate(_near_odometer_maps(600, seed=34)):
+            f = IntPolynomial(p, c)
+            got = criteria._class_core(c, p)
+            assert got == full_cycle_by_lifting(f, 2), (p, c)
+            assert minimal_general(f) == _walked(monkeypatch, f), (p, c)
+            if p < 101 or i % 100 == 4:
+                order, start = oracles.orbit_from_zero(c, p, 2)
+                assert got == (start == 0 and len(order) == p**2), (p, c)
+            outcomes[p, got] += 1
+            decided_by_the_sum[p] += got != bool(c[0] % p)
+        assert all(outcomes[p, v] >= 10 for p in (5, 7, 11, 13, 101) for v in (True, False))
+        assert all(decided_by_the_sum[p] >= 5 for p in (5, 7, 11, 13, 101))
+
+    def test_none_outside_the_class(self):
+        # a class map with one a_i, i >= 2, moved off 0 mod p (a new x^2
+        # term at degree 1); one = x + c mod p only as a function, by
+        # its x^p term; and a1 off 1 mod p.  The walk decides each
+        rng = random.Random(35)
+        maps = [(7, (3, -1, 2, -2, 1, -1, 0, -2))]
+        for p, c in _near_odometer_maps(150, seed=35):
+            i = rng.randrange(2, len(c) + 1)
+            off = rng.randint(1, p - 1)
+            maps.append((p, c[:i] + (c[i] + off if i < len(c) else off,) + c[i + 1:]))
+            padded = c + (0,) * (p + 1 - len(c))
+            maps.append((p, (c[0], p * rng.randint(-3, 3), *padded[2:p], 1, *padded[p + 1:])))
+            maps.append((p, (c[0], c[1] + off, *c[2:])))
+        for p, c in maps:
+            assert criteria._class_core(c, p) is None, (p, c)
+            if p < 101:
+                f = IntPolynomial(p, c)
+                order, start = oracles.orbit_from_zero(c, p, 2)
+                assert minimal_general(f).minimal == (start == 0 and len(order) == p**2)
+
+    def test_constant_and_small_primes(self):
+        assert criteria._class_core((4,), 5) is None
+        assert criteria._class_core((4, 0), 5) is None
+        # a zero constant term: 0 is a fixed point
+        assert criteria._class_core((0, 1), 5) is False
+        assert criteria._class_core((10, 1, 5), 5) is False
+        # b = 1 - 5/5 = 0 mod 5 at x^4, while the x^3 term does not count
+        assert criteria._class_core((1, 1, 0, 0, 5), 5) is False
+        assert criteria._class_core((1, 1, 0, 5), 5) is True
 
 
 class TestDecide:

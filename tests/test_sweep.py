@@ -241,9 +241,10 @@ def _flip_on(monkeypatch, name, chosen, degree):
     """Patch the `name` route that the sweep calls to invert its verdict
     on the chosen coefficient tuples (trailing zeros included).  The
     closed-form cores are read from criteria._CLOSED_FORMS and take the
-    coefficient tuple; full_cycle_by_lifting is bound in sweep and takes
-    the polynomial."""
-    original = getattr(criteria if name.startswith("_") else sweep, name)
+    coefficient tuple; _class_core, bound in sweep, takes it and the
+    prime, and full_cycle_by_lifting, bound there too, the polynomial."""
+    closed = name.startswith("_z")
+    original = getattr(criteria if closed else sweep, name)
 
     def flipped(arg, *args):
         result = original(arg, *args)
@@ -254,7 +255,7 @@ def _flip_on(monkeypatch, name, chosen, degree):
             return not result
         return (not result[0], *result[1:])
 
-    if name.startswith("_"):
+    if closed:
         prime, record = next((p, record) for p, (record, core)
                              in criteria._CLOSED_FORMS.items() if core is original)
         monkeypatch.setitem(criteria._CLOSED_FORMS, prime, (record, flipped))
@@ -307,6 +308,27 @@ class TestDisagreements:
             assert rep.first_routes == {k: truth != (k == flipped) for k in keys}
             assert list(rep.first_routes) == list(keys)
         assert [len(pool.jobs) for pool in pools] == ([2, 2] if pooled else [])
+
+    @pytest.mark.parametrize("branch", ["table", "eval_mod"])
+    def test_class_route_reported(self, monkeypatch, branch):
+        # p = 5, a1 and a2 in [0, 11): the rule runs on the 22 tuples with
+        # a1 in {1, 6} and applies to the 6 of them with a2 in {0, 5, 10};
+        # flipped there, each splits from the walks under its own key
+        if branch == "eval_mod":
+            monkeypatch.setattr(sweep, "TABLE_ENTRIES", 0)
+        cfg = SweepConfig(5, 2, 11)
+        assert run_sweep(cfg).disagreements == 0
+        chosen = {(1, a1, a2) for a1 in (1, 6) for a2 in (0, 5, 10)}
+        _flip_on(monkeypatch, "_class_core", chosen, 2)
+        flipped, calls = sweep._class_core, []
+        monkeypatch.setattr(sweep, "_class_core",
+                            lambda c, p: calls.append(c) or flipped(c, p))
+        rep = run_sweep(cfg)
+        assert len(calls) == 22 and {c[1] for c in calls} == {1, 6}
+        assert rep.disagreements == 6
+        assert rep.first_counterexample == (1, 1, 0)
+        assert list(rep.first_routes.items()) == [
+            ("class", False), ("delta", True), ("full-cycle", True)]
 
 
 class TestSampling:
