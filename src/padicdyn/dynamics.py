@@ -3,14 +3,19 @@
 A polynomial with integer coefficients induces a compatible family of
 self-maps of Z/p^nZ, one per level n.  Everything here works on those
 finite reductions; iteration is always pointwise, never symbolic.  One
-walk of the orbit of 0 that lifts its cycle level by level (_orbit_shape)
-decides whether f is one full cycle mod p^n.  f is affine on each
-column x + p^ceil(n/2) t, so one column kernel (_column_map) gives a full
-cycle's first block and step vector (_orbit_blocks), and lifts any other
-map's cycles from those of level ceil(n/2), found the same way, down to
-a level small enough to walk the map table (reduced_map_table).
-A non-minimal verdict's witness is that lift of one cycle: 2k kernel
-calls for its k residues at level L - 1, then a multiply-add a residue.
+walk of the orbit of 0 on the coefficient tuple, which stops at the
+first level whose cycle does not lift (_full_cycle_lifts), decides
+whether f is one full cycle mod p^n; the same walk carried on to
+classify every lift (_orbit_shape) gives the shape that a witness or a
+refusal names.  Both take f and f' mod p from one Horner loop
+(_eval_slope), the only one besides IntPolynomial.eval_mod.  f is
+affine on each column x + p^ceil(n/2) t, so one column kernel
+(_column_map) gives a full cycle's first block and step vector
+(_orbit_blocks), and lifts any other map's cycles from those of level
+ceil(n/2), found the same way, down to a level small enough to walk
+the map table (reduced_map_table).  A non-minimal verdict's witness is
+that lift of one cycle: 2k kernel calls for its k residues at level
+L - 1, then a multiply-add a residue.
 """
 
 from __future__ import annotations
@@ -96,8 +101,8 @@ class IntPolynomial:
         return f
 
     def eval_mod(self, x: int, modulus: int) -> int:
-        """f(x) mod modulus.  With eval_slope_mod, the only Horner loops of
-        the package: every orbit walk and stream evaluates here, and a map
+        """f(x) mod modulus.  With _eval_slope, the only Horner loops of the
+        package: every orbit walk and stream evaluates here, and a map
         table its first degree + 1 values (reduced_map_table)."""
         # exact integers throughout and a single reduction at the end;
         # for the residues and degrees used here that is faster than
@@ -106,15 +111,6 @@ class IntPolynomial:
         for c in self._horner:
             acc = acc * x + c
         return acc % modulus
-
-    def eval_slope_mod(self, x: int, modulus: int) -> tuple[int, int]:
-        """(f(x) mod modulus, f'(x) mod p) from one Horner loop, for the
-        walks that carry the derivative of an iterate mod p."""
-        acc = slope = 0
-        for c in self._horner:
-            slope = slope * x + acc
-            acc = acc * x + c
-        return acc % modulus, slope % self.prime
 
     def __str__(self) -> str:
         parts = []
@@ -128,6 +124,17 @@ class IntPolynomial:
             else:
                 parts.append(f"{c}*x^{i}")
         return " + ".join(parts) if parts else "0"
+
+
+def _eval_slope(h: Sequence[int], x: int, modulus: int, p: int) -> tuple[int, int]:
+    """(f(x) mod modulus, f'(x) mod p) from one Horner loop over h, the
+    coefficients of f highest degree first (leading zeros allowed), for
+    the walks that carry the derivative of an iterate mod p."""
+    acc = slope = 0
+    for c in h:
+        slope = slope * x + acc
+        acc = acc * x + c
+    return acc % modulus, slope % p
 
 
 def _check_table_size(prime: int, level: int, table_bound: int) -> int:
@@ -269,40 +276,36 @@ def _order(a: int, p: int) -> int:
     return r
 
 
-def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitShape | None:
+def _orbit_shape(f: IntPolynomial, level: int) -> OrbitShape:
     """Tail and cycle of the orbit of 0 mod p^level, in constant memory:
     Brent's cycle finding mod p, which also stops at the first return to
     0, with the hare carried mod p^level and a = (f^j)'(0) mod p, so that
     a periodic 0 has level 1's lift on its return; with a tail, Brent's
     second phase and a k-step walk from the cycle give it.  Higher lifts
     need no f': split takes no step, grow and partial walk on, attract
-    walks k steps from its new base.  This walk decides every full cycle:
-    f is one mod p^level exactly when the cycle length is p^level, and a
-    full cycle mod p^n lifts to one mod p^(n+1) exactly when the lift is
-    "grow".  With stop, the walk ends at the first level with no full
-    cycle and returns the shape there; when that is level 1 it returns
-    None, with no tail phase."""
-    p = f.prime
+    walks k steps from its new base.  f is one full cycle mod p^level
+    exactly when the cycle length is p^level, but the verdict alone is
+    _full_cycle_lifts, which stops at the first broken level; the shape
+    serves the witness and the refusal that name the cycle."""
+    p, h = f.prime, f._horner
     modulus = p**level
-    fused, ev = f.eval_slope_mod, f.eval_mod
+    fused, ev = _eval_slope, f.eval_mod
     # the hare stands on f^(power - 1 + length)(0)
     power = length = 1
     tortoise = 0
-    x, a = fused(0, modulus)
+    x, a = fused(h, 0, modulus, p)
     entry = None if a else (1, x)
-    while (h := x % p) and h != tortoise:
+    while (r := x % p) and r != tortoise:
         if power == length:
-            tortoise, power, length = h, power * 2, 0
-        x, d = fused(x, modulus)
+            tortoise, power, length = r, power * 2, 0
+        x, d = fused(h, x, modulus, p)
         a = a * d % p
         if not a and entry is None:
             entry = (power + length, x)
         length += 1
-    if not h:  # 0 is periodic, and the hare stands on its first return
+    if not r:  # 0 is periodic, and the hare stands on its first return
         tail, length, base = 0, power - 1 + length, 0
-    if stop and length < p:  # with a tail, too, the cycle is shorter than p
-        return None
-    if h:
+    else:
         # Brent's second phase; the tortoise walks at the full modulus, so
         # it stops on f^tail(0)
         hare = 0
@@ -312,12 +315,12 @@ def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitSh
         while base % p != hare:
             base, hare, tail = ev(base, modulus), ev(hare, p), tail + 1
     steps = []
-    walk = h  # does base start a cycle not walked yet?
+    walk = r  # does base start a cycle not walked yet?
     for n in range(1, level):
         if walk:
             x, a, entry = base, 1, None
             for j in range(1, length + 1):
-                x, d = fused(x, modulus)
+                x, d = fused(h, x, modulus, p)
                 a = a * d % p
                 if not a and entry is None:
                     entry = (j, x)
@@ -333,11 +336,44 @@ def _orbit_shape(f: IntPolynomial, level: int, *, stop: bool = False) -> OrbitSh
         elif step.kind != "split":
             length *= p if step.kind == "grow" else _order(a, p)
             a = 1
-        if n == level - 1 or stop and step.kind != "grow":
+        if n == level - 1:
             break
         for _ in range(length - step.length):
             x = ev(x, modulus)
     return OrbitShape(tail, length, base, tuple(steps))
+
+
+def _full_cycle_lifts(c: Sequence[int], p: int, level: int) -> bool:
+    """Is the map with coefficients c, constant term first (trailing zeros
+    allowed), one full cycle mod p^level?  One walk of the orbit of 0
+    that builds no polynomial and stops at the first broken level:
+    Brent's first phase mod p, as in _orbit_shape, stops at the first
+    repeat, and f is a full cycle mod p exactly when that is 0's return
+    at step p.  Above level 1 the lift from each level n must be "grow"
+    (LiftStep): a = (f^(p^n))'(0) = 1 mod p, which is (f^p)'(0)^(p^(n-1)),
+    and b = f^(p^n)(0)/p^n != 0 mod p, with p^(n+1) - p^n steps from one
+    level's b to the next."""
+    h = c[::-1]
+    modulus = p**level
+    power = length = 1
+    tortoise = 0
+    x, a = _eval_slope(h, 0, modulus, p)
+    while (r := x % p) and r != tortoise:
+        if power == length:
+            tortoise, power, length = r, power * 2, 0
+        x, d = _eval_slope(h, x, modulus, p)
+        a = a * d % p
+        length += 1
+    if r or power - 1 + length != p or level > 1 and a != 1:
+        return False
+    for n in range(1, level):  # x = f^(p^n)(0) mod p^level
+        q = p**n
+        if not x // q % p:
+            return False
+        if n < level - 1:
+            for _ in range(q * p - q):
+                x = _eval_slope(h, x, modulus, p)[0]
+    return True
 
 
 def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tuple[int, ...]:
@@ -362,13 +398,12 @@ def _cycle_of_zero(f: IntPolynomial, shape: OrbitShape, table_bound: int) -> tup
 
 def full_cycle_by_lifting(f: IntPolynomial, n: int) -> bool:
     """Is f one full cycle mod p^n?  Decided by lifting, with no table:
-    one walk of the orbit of 0 that stops at the first broken level.  A
-    full cycle at the decision level is one at every level."""
+    one walk of the orbit of 0 that stops at the first broken level
+    (_full_cycle_lifts).  A full cycle at the decision level is one at
+    every level."""
     if n < 1:
         raise PadicError(f"level must be >= 1, got {n}")
-    level = min(n, decision_level(f.prime))
-    shape = _orbit_shape(f, level, stop=True)
-    return shape is not None and shape.length == f.prime**level
+    return _full_cycle_lifts(f.coefficients, f.prime, min(n, decision_level(f.prime)))
 
 
 def _no_full_cycle(f: IntPolynomial, n: int, size: int) -> NotFullCycleError:

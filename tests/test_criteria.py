@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import criteria
+from padicdyn import criteria, dynamics
 from padicdyn.criteria import (
     METHOD_DELTA,
     METHOD_P2,
@@ -390,27 +390,27 @@ class TestWitnessByLifting:
         calls = counting(monkeypatch)
         assert not full_cycle_by_lifting(f, 2)
         assert calls[0] < 2 * 571
-        assert _orbit_shape(f, 2, stop=True) is None
+        assert _orbit_shape(f, 1).tail > 0
 
 
 def counting(monkeypatch):
     """calls[0] counts the Horner loops run from here on, through
-    IntPolynomial.eval_mod and eval_slope_mod; calls[1] those of
-    eval_slope_mod, which compute f' as well."""
+    IntPolynomial.eval_mod and dynamics._eval_slope; calls[1] those of
+    _eval_slope, which compute f' as well."""
     calls = [0, 0]
-    eval_mod, eval_slope_mod = IntPolynomial.eval_mod, IntPolynomial.eval_slope_mod
+    eval_mod, eval_slope = IntPolynomial.eval_mod, dynamics._eval_slope
 
     def counted(f, x, m):
         calls[0] += 1
         return eval_mod(f, x, m)
 
-    def counted_slope(f, x, m):
+    def counted_slope(h, x, m, p):
         calls[0] += 1
         calls[1] += 1
-        return eval_slope_mod(f, x, m)
+        return eval_slope(h, x, m, p)
 
     monkeypatch.setattr(IntPolynomial, "eval_mod", counted)
-    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", counted_slope)
+    monkeypatch.setattr(dynamics, "_eval_slope", counted_slope)
     return calls
 
 
@@ -431,22 +431,23 @@ def _signed_maps(count, seed):
 
 class TestFusedWalk:
     def test_matches_the_rewalking_walk(self):
-        # at every level 1..L+1 with stop on and off, the fused walk's
-        # shape equals that of the walk that walks each level again and
-        # evaluates f' apart, and the witness built from it is that walk's
-        # cycle at the decision level L.  p = 101 stops at L: a grow there
-        # would make the reference walk 101^2 steps twice
+        # at every level 1..L+1 the fused walk's shape equals that of the
+        # walk that walks each level again and evaluates f' apart, the
+        # lifting verdict is that walk's with stop on, and the witness
+        # built from the shape is that walk's cycle at the decision level
+        # L.  p = 101 stops at L: a grow there would make the reference
+        # walk 101^2 steps twice
         kinds = collections.Counter()
         for f in _signed_maps(2100, seed=11):
             p = f.prime
             level = decision_level(p)
             for n in range(1, level + 1 + (p < 101)):
-                for stop in (False, True):
-                    got = _orbit_shape(f, n, stop=stop)
-                    assert got == oracles.orbit_shape_by_rewalking(f, n, stop=stop), (
-                        f.coefficients, p, n, stop)
-                    if got:
-                        kinds.update(s.kind for s in got.steps)
+                got = _orbit_shape(f, n)
+                assert got == oracles.orbit_shape_by_rewalking(f, n), (f.coefficients, p, n)
+                kinds.update(s.kind for s in got.steps)
+                stopped = oracles.orbit_shape_by_rewalking(f, n, stop=True)
+                assert full_cycle_by_lifting(f, n) == (
+                    stopped is not None and stopped.length == p**n), (f.coefficients, p, n)
             want = oracles.orbit_shape_by_rewalking(f, level)
             witness = minimal_general(f).witness
             if want.length == p**level:

@@ -93,12 +93,17 @@ class TestEvaluate:
         assert f.eval_mod(x, hi) % lo == f.eval_mod(x % lo, lo)
 
 
+def eval_slope(f, x, modulus):
+    """dynamics._eval_slope on the coefficients of f, highest degree first."""
+    return dynamics._eval_slope(f.coefficients[::-1], x, modulus, f.prime)
+
+
 class TestEvalSlope:
     def test_frozen_values(self):
         # W2 = 1 + 3x + 2x^3, W2' = 3 + 6x^2
-        assert W2.eval_slope_mod(1, 8) == (6, 1)
-        assert W2.eval_slope_mod(-3, 8) == (2, 1)  # -62 mod 8, 57 mod 2
-        assert IntPolynomial(5, (7,)).eval_slope_mod(9, 25) == (7, 0)
+        assert eval_slope(W2, 1, 8) == (6, 1)
+        assert eval_slope(W2, -3, 8) == (2, 1)  # -62 mod 8, 57 mod 2
+        assert eval_slope(IntPolynomial(5, (7,)), 9, 25) == (7, 0)
 
     @given(st.sampled_from([2, 3, 5, 7, 101]),
            st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=15),
@@ -107,7 +112,7 @@ class TestEvalSlope:
         # degrees 0-14, signed coefficients, x negative or past p^n
         f = IntPolynomial(p, tuple(coeffs))
         m = p**n
-        assert f.eval_slope_mod(x, m) == (
+        assert eval_slope(f, x, m) == (
             oracles.eval_pow_mod(f.coefficients, x, m),
             oracles.eval_pow_mod(oracles.poly_derivative(f.coefficients), x, p))
 
@@ -490,6 +495,53 @@ class TestFullCycle:
             is_full_cycle(Q3, 0)
 
 
+def _untrimmed_tuples(count, seed):
+    """(p, coefficients) at p in {2, 3, 5, 7, 11, 13, 101} in turn, degree
+    1-12 before 0, 1 or 3 trailing zeros, signed coefficients, a0 from
+    units, non-units and negatives; every other tail near-odometer, 1 +
+    p k then multiples of p, and every tenth all zero: the constant a0.
+    Last come maps full below the decision level and not at it, which
+    draws hardly reach: W2, W3, and 1 + x + 101 x^100, whose b is 0 at
+    p = 101 by its term of degree p - 1."""
+    rng = random.Random(seed)
+    primes = (2, 3, 5, 7, 11, 13, 101)
+    for i in range(count):
+        p = primes[i % len(primes)]
+        tail = [rng.randint(-40, 40) for _ in range(rng.randint(1, 12))]
+        if i // len(primes) % 2:
+            tail = [1 + p * tail[0]] + [p * c for c in tail[1:]]
+        if i // len(primes) % 10 == 9:
+            tail = [0] * len(tail)
+        a0 = rng.choice([1, -1, p, -2 * p, p + 1, -p - 1, rng.randint(-3 * p, 3 * p)])
+        yield p, (a0, *tail, *[0] * rng.choice([0, 0, 1, 3]))
+    yield from [(2, W2.coefficients + (0,)), (3, W3.coefficients + (0, 0)),
+                (101, (1, 1, *[0] * 98, 101, 0))]
+
+
+class TestFullCycleLifts:
+    """dynamics._full_cycle_lifts on coefficient tuples as the sweep
+    passes them, trailing zeros kept, against the walk that walks each
+    level again with stop on, and against the brute-force walk."""
+
+    def test_matches_the_stopping_walk_and_brute_force(self):
+        outcomes = set()
+        for p, c in _untrimmed_tuples(2800, seed=35):
+            f = IntPolynomial(p, c)
+            below = True  # a full cycle at the level before
+            for n in range(1, decision_level(p) + 1):
+                got = dynamics._full_cycle_lifts(c, p, n)
+                stopped = oracles.orbit_shape_by_rewalking(f, n, stop=True)
+                assert got == (stopped is not None and stopped.length == p**n), (p, c, n)
+                if p**n <= 3**3 or got:
+                    assert got == is_full_cycle(f, n), (p, c, n)
+                outcomes.add((p, n, "full" if got else "breaks" if below else "broken"))
+                below = got
+        # every prime reaches a full cycle and a break at every level
+        assert outcomes >= {(p, n, kind) for p in (2, 3, 5, 7, 11, 13, 101)
+                            for n in range(1, decision_level(p) + 1)
+                            for kind in ("full", "breaks")}
+
+
 class TestIterate:
     def test_frozen(self):
         assert iterate_mod(W2, 0, 4, 16) == 0  # f^4(0) = 183469056 = 64 * 2866704
@@ -567,10 +619,9 @@ class TestTaylorData:
 
 
 def lift_from(f, n):
-    """The lift from level n that the walk deciding every verdict
-    classifies, or None when it stops at a broken level first."""
-    shape = _orbit_shape(f, n + 1, stop=True)
-    return shape.steps[n - 1] if shape is not None and len(shape.steps) == n else None
+    """The lift from level n that the orbit walk classifies, or None when
+    the lifting verdict finds no full cycle at level n."""
+    return _orbit_shape(f, n + 1).steps[n - 1] if full_cycle_by_lifting(f, n) else None
 
 
 class TestLiftCheck:
@@ -601,7 +652,7 @@ class TestLiftCheck:
         assert is_full_cycle(f, 2) and not is_full_cycle(f, 3)
         assert lift_from(f, 2).kind == "split"
         assert lift_from(f, 3) is None
-        shape = _orbit_shape(f, 4, stop=True)
+        shape = _orbit_shape(f, 3)
         assert (shape.tail, shape.length, len(shape.steps)) == (0, p**2, 2)
 
     @given(poly_strategy(primes=(2, 3, 5, 7), max_degree=6, coeff=30), st.integers(1, 3))

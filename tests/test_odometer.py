@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicdyn import odometer
+from padicdyn import dynamics, odometer
 from padicdyn.criteria import decide
 from padicdyn.dynamics import (
     DEFAULT_TABLE_BOUND,
@@ -213,7 +213,7 @@ class TestConjugacyTower:
             raise AssertionError("the orbit was walked")
 
         monkeypatch.setattr(IntPolynomial, "eval_mod", refuse)
-        monkeypatch.setattr(IntPolynomial, "eval_slope_mod", refuse)
+        monkeypatch.setattr(dynamics, "_eval_slope", refuse)
         f = IntPolynomial(1000003, (1, 1))
         with pytest.raises(TableBoundError, match=r"^table of 1000003\^1 entries exceeds bound 1000$"):
             verify_conjugacy_tower(f, 1, table_bound=1000)

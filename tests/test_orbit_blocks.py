@@ -240,7 +240,7 @@ def test_bound_refuses_before_any_walk(monkeypatch, no_tables):
         raise AssertionError("the orbit was walked")
 
     monkeypatch.setattr(IntPolynomial, "eval_mod", refuse)
-    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", refuse)
+    monkeypatch.setattr(dynamics, "_eval_slope", refuse)
     f = IntPolynomial(2, (1, 1))
     for fn in (build_psi, cycle_decomposition):
         with pytest.raises(TableBoundError, match=r"^table of 2\^11 entries exceeds bound 1024$"):
@@ -253,7 +253,7 @@ def test_index_above_the_kernel_range_is_refused_before_any_walk(monkeypatch):
         raise AssertionError("the orbit was walked")
 
     monkeypatch.setattr(IntPolynomial, "eval_mod", refuse)
-    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", refuse)
+    monkeypatch.setattr(dynamics, "_eval_slope", refuse)
     refused = r"^table of 2\^64 entries exceeds bound 9223372036854775808$"
     with pytest.raises(TableBoundError, match=refused):
         build_psi(IntPolynomial(2, (1, 1)), 64, table_bound=1 << 70)
@@ -381,7 +381,7 @@ def test_small_levels_read_the_map_table(monkeypatch, p, coeffs, n):
     _, lifting = kernel.cost(full_cycle_by_lifting, f, n)
     t, calls = kernel.cost(build_psi, f, n)
     assert flat(t.orbit_point) == order and calls - lifting <= f.degree + 1
-    monkeypatch.setattr(IntPolynomial, "eval_slope_mod", None)
+    monkeypatch.setattr(dynamics, "_eval_slope", None)
     dec, calls = kernel.cost(cycle_decomposition, f, n)
     assert dec.cycles == (tuple(order),) and calls <= f.degree + 1
 

@@ -236,13 +236,32 @@ class TestTableBranches:
         assert run_sweep(cfg) == tabled
         assert tabled.disagreements == 0 and tabled.agree_minimal > 0
 
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(2, 4, 8),
+        SweepConfig(3, 3, 9, a0=-1, n_max=4),
+        SweepConfig(5, 2, 11),
+    ])
+    def test_tabled_box_builds_no_polynomial(self, monkeypatch, cfg):
+        # every route reads the coefficient tuple; only the full-cycle
+        # route past the entry cap builds the polynomial it walks
+        want = run_sweep(cfg)
+
+        def refuse(*args):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(sweep, "IntPolynomial", refuse)
+        assert run_sweep(cfg) == want
+        monkeypatch.setattr(sweep, "TABLE_ENTRIES", 0)
+        with pytest.raises(AssertionError, match="a polynomial was built"):
+            run_sweep(cfg)
+
 
 def _flip_on(monkeypatch, name, chosen, degree):
     """Patch the `name` route that the sweep calls to invert its verdict
     on the chosen coefficient tuples (trailing zeros included).  The
     closed-form cores are read from criteria._CLOSED_FORMS and take the
-    coefficient tuple; _class_core, bound in sweep, takes it and the
-    prime, and full_cycle_by_lifting, bound there too, the polynomial."""
+    coefficient tuple; _class_core and _full_cycle_lifts, bound in sweep,
+    take it and the prime, and the latter the decision level too."""
     closed = name.startswith("_z")
     original = getattr(criteria if closed else sweep, name)
 
@@ -276,7 +295,9 @@ class TestDisagreements:
         (3, 3, 4, 1, "_z3_core", ("closed", "delta", "full-cycle")),
         (3, 3, 4, 2, "_z3_core", ("closed", "delta", "full-cycle")),
         (3, 6, 2, 1, "_z3_core", ("closed", "delta", "full-cycle")),
-        (5, 2, 6, 1, "full_cycle_by_lifting", ("delta", "full-cycle")),
+        (2, 3, 4, 1, "_full_cycle_lifts", ("closed", "delta", "full-cycle")),
+        (3, 3, 4, 2, "_full_cycle_lifts", ("closed", "delta", "full-cycle")),
+        (5, 2, 6, 1, "_full_cycle_lifts", ("delta", "full-cycle")),
     ])
     def test_first_disagreement_reported(self, monkeypatch, branch, pooled,
                                          prime, degree, bound, a0, route, keys):
@@ -301,7 +322,7 @@ class TestDisagreements:
             first = (a0, *_index_to_tail(min(picks), bound, degree))
             truth = full_cycle_by_lifting(IntPolynomial(prime, first),
                                           decision_level(prime))
-            flipped = "delta" if route == "full_cycle_by_lifting" else "closed"
+            flipped = "delta" if route == "_full_cycle_lifts" else "closed"
             assert rep.total == box and rep.disagreements == len(picks)
             assert rep.agree_minimal + rep.agree_nonminimal == box - len(picks)
             assert rep.first_counterexample == first
