@@ -10,18 +10,19 @@ a_i = 0 mod p for i >= 2) have one congruence too (_class_core), which
 minimal_general reads before it walks: a minimal verdict from it takes
 no walk, and any other verdict walks for its witness.
 
-Congruences are stated on four coefficient sums of f = a0 + a1 x + ...:
+Both congruences read a0, a1, a2 and six class sums of f = a0 + a1 x +
+..., mod p^2 (_class_sums): S_r is the sum of a_i a0^(i-1) over i >= 1,
+i = r mod 6, the coefficients a unit-rescaling of the constant term to
+1 gives.  Every sum a form reads is linear in them:
 
-    even_sum       sum of a_i, i even, i >= 2
-    odd_sum        sum of a_i, i odd
-    even_weighted  sum of i * a_i, i even
-    odd_weighted   sum of i * a_i, i odd
+    even_sum       S_0 + S_2 + S_4    of a_i a0^(i-1) over even i >= 2
+    odd_sum        S_1 + S_3 + S_5    over odd i
+    even_weighted  2 S_2 + S_4 mod 3  of i a_i a0^(i-1) over even i
+    odd_weighted   S_1 + 2 S_5 mod 3  over odd i
 
-and their "primed" variants where a_i is replaced by a_i * a0^(i-1),
-which is what a unit-rescaling of the constant term does to the
-coefficients.  For a0 = 1 the two families coincide and the sums are
-kept as exact integers.  Only the p = 3 form reads the weighted sums,
-and only mod 3, so only their residues mod 3 are computed.
+as i mod 3 is 2, 1, 0 at i = 2, 4, 6 and 1, 0, 2 at i = 1, 3, 5 and
+repeats with period 6.  The p = 3 form also reads the six-step tails
+S_5 and S_2; the p = 2 form, even_sum and odd_sum mod 4.
 """
 
 from __future__ import annotations
@@ -37,27 +38,13 @@ METHOD_P3 = "closed-form-p3"
 METHOD_DELTA = "delta-rule"
 
 
-def _primed(c: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """The coefficients c, constant term first, with a_i * a0^(i-1) mod m
-    in place of a_i for i >= 1; c itself when a0 = 1."""
-    a0 = c[0]
-    if a0 == 1:
-        return c
-    return (a0, *(c[i] * pow(a0, i - 1, m) for i in range(1, len(c))))
-
-
-def _sums(c: tuple[int, ...]) -> tuple[int, int]:
-    """(even_sum, odd_sum) of the coefficients c, constant term first, as
-    exact integers."""
-    return sum(c[2::2]), sum(c[1::2])
-
-
-def _weighted_mod3(c: tuple[int, ...]) -> tuple[int, int]:
-    """(even_weighted, odd_weighted) mod 3 of the coefficients c, constant
-    term first.  i mod 3 repeats with period 6 in i: 2, 1, 0 at even i
-    = 2, 4, 6 and 1, 0, 2 at odd i = 1, 3, 5."""
-    return ((2 * sum(c[2::6]) + sum(c[4::6])) % 3,
-            (sum(c[1::6]) + 2 * sum(c[5::6])) % 3)
+def _class_sums(c: tuple[int, ...], m: int) -> list[int]:
+    """[S_0, .., S_5] mod m (module docstring) of c, constant term first."""
+    sums, power = [0] * 6, 1
+    for i in range(1, len(c)):
+        sums[i % 6] += c[i] * power
+        power = power * c[0] % m
+    return [s % m for s in sums]
 
 
 class ConditionCheck(namedtuple("ConditionCheck", "name residue modulus passed")):
@@ -92,13 +79,16 @@ class MinimalityVerdict(namedtuple(
         }
 
 
-# Each closed form has one core: it takes the coefficient tuple, constant
-# term first (trailing zeros allowed), and returns (minimal, case,
-# residues, passed), the residue and outcome of every condition in record
-# order.  The public function checks its preconditions and turns that into
-# records; a sweep calls the core alone (_CLOSED_FORMS holds both).  The
-# p = 2 and p = 3 cores read the exact sums for constant term 1 and the
-# primed sums mod p^2 otherwise.
+# Each closed form has one core: it takes a0, a1, a2 and the class sums
+# mod p^2 and returns (minimal, case, residues, passed), the residue and
+# outcome of every condition in record order.  The public function checks
+# its preconditions, sums the coefficients (_closed) and turns that into
+# records; a sweep steps the sums itself and calls the core alone
+# (_CLOSED_FORMS holds both).
+
+
+def _closed(core, c: tuple[int, ...], p: int) -> tuple:
+    return core(*(c + (0, 0))[:3], _class_sums(c, p * p))
 
 
 def _verdict(method: str, core: tuple, names: tuple[str, ...],
@@ -113,9 +103,8 @@ _Z2_NAMES = ("a0_unit_mod_2", "a1_odd", "odd_sum_odd", "full_sum_one_mod_4",
              "lift_step_one_mod_4")
 
 
-def _z2_core(c: tuple[int, ...]) -> tuple:
-    a0, a1, a2 = (c + (0, 0))[:3]
-    even, odd = _sums(_primed(c, 4))
+def _z2_core(a0: int, a1: int, a2: int, s: list[int]) -> tuple:
+    even, odd = s[0] + s[2] + s[4], s[1] + s[3] + s[5]
     residues = (a0 % 2, a1 % 2, odd % 2, (even + odd) % 4,
                 (2 * a2 * a0 + a1 * odd) % 4)
     # every condition asks for residue 1
@@ -131,7 +120,7 @@ def minimal_z2(f: IntPolynomial) -> MinimalityVerdict:
     """
     if f.prime != 2:
         raise PadicError(f"minimal_z2 needs prime 2, got {f.prime}")
-    core = _z2_core(f.coefficients)
+    core = _closed(_z2_core, f.coefficients, 2)
     unit, _, _, full, _ = core[2]
     # level 1 needs a0 and the full sum odd, level 2 the first four conditions
     if unit != 1 or full % 2 != 1:
@@ -150,11 +139,9 @@ _Z3_NAMES = ("a0_unit_mod_3", "even_sum_zero_mod_3", "odd_sum_one_mod_3",
              "even_weighted_mod_3", "odd_weighted_mod_3", "a1_mod_3")
 
 
-def _z3_core(c: tuple[int, ...]) -> tuple:
-    a0, a1, a2 = (c + (0, 0))[:3]
-    primed = _primed(c, 9)
-    even, odd = _sums(primed)
-    pattern = (*_weighted_mod3(primed), a1 % 3)
+def _z3_core(a0: int, a1: int, a2: int, s: list[int]) -> tuple:
+    even, odd = s[0] + s[2] + s[4], s[1] + s[3] + s[5]
+    pattern = ((2 * s[2] + s[4]) % 3, (s[1] + 2 * s[5]) % 3, a1 % 3)
     case = _Z3_CASES.get(pattern)
     matched = case is not None
     unit, r_even, r_odd = a0 % 3, even % 3, odd % 3
@@ -163,13 +150,13 @@ def _z3_core(c: tuple[int, ...]) -> tuple:
     if not matched:
         return False, None, residues, passed
     # shift = the quantity excluded mod 9; correction = the case's
-    # second excluded value, built from a2 and a sparse six-step sum
+    # second excluded value, built from a2 and a six-step tail
     if case in (1, 3):
         shift = (odd + 5) % 9
-        tail = sum(primed[5::6])
+        tail = s[5]
     else:
         shift = (even + 6) % 9
-        tail = sum(primed[2::6])
+        tail = s[2]
     correction = (_Z3_A2_FACTOR[case] * a2 * a0 + 3 * tail) % 9
     gap = (shift - correction) % 9
     passed += (shift != 0, gap != 0)
@@ -185,7 +172,7 @@ def minimal_z3(f: IntPolynomial) -> MinimalityVerdict:
     """
     if f.prime != 3:
         raise PadicError(f"minimal_z3 needs prime 3, got {f.prime}")
-    core = _z3_core(f.coefficients)
+    core = _closed(_z3_core, f.coefficients, 3)
     case = core[1]
     names = _Z3_NAMES if case is None else _Z3_NAMES + (
         f"case{case}_shift_nonzero_mod_9", f"case{case}_shift_vs_correction_mod_9")

@@ -13,30 +13,33 @@ and counts agreement.  Routes per tuple:
                 (below) or, past their size cap, dynamics.is_full_cycle
 
 closed calls the record-free core that criteria._CLOSED_FORMS holds
-for the prime, the one it builds its records from; it builds no
-ConditionCheck.  class calls criteria._class_core only on tuples whose
-a1 is 1 mod p, so every other tuple pays one modulo for it; a route
-that does not apply to a tuple is left out of its first_routes.  Only
-is_full_cycle takes an IntPolynomial, built for it alone: every other
-route reads the tuple, trailing zeros and all.  The all-zero tail is
-the constant map a0, which every route reports as not minimal.  The
-index range (or the sorted sample) is cut into contiguous chunks, one
-per worker process; the workers are capped at the CPU count and at the
-number of tuples.
+for the prime, the one its records come from, on a0, a1, a2 and the
+class sums (below); it builds no ConditionCheck.  class calls
+criteria._class_core only on tuples whose a1 is 1 mod p, so every
+other tuple pays one modulo for it; a route that does not apply to a
+tuple is left out of its first_routes.  Only is_full_cycle takes an
+IntPolynomial, built for it alone: every other route reads the tuple,
+trailing zeros and all.  The all-zero tail is the constant map a0,
+which every route reports as not minimal.  The index range (or the
+sorted sample) is cut into contiguous chunks, one per worker process;
+the workers are capped at the CPU count and at the number of tuples.
 A sweep imports what only some sweeps use where it is used: random in
 the sampled branch of run_sweep, and the process pool in _pool, so
 multiprocessing loads at the first sweep on two or more workers.
 Neither loads with padicdyn.  Tests replace _pool with an in-process
 stand-in.
 
-A chunk steps its tuples as an odometer (see _tables) and keeps two
-tables mod p^n_max: head[x] = a0 + a1 x + .. + a_(d-1) x^(d-1), changed
-in one pass when a digit before a_d steps (once every bound tuples), and
-top[x] = x^d.  The brute-force route walks x -> head[x] + a_d top[x]
-from 0 to its first repeated residue: f is one full cycle exactly when
-that took p^n_max steps and stopped on 0.  The powers x^i (i < d), the
-d - 1 step rows, top, head and the head replacing it fit in (2d + 1) *
-p^n_max entries; tables are used only while that is at most TABLE_ENTRIES.
+A chunk steps its tuples as an odometer (see _tables).  At p = 2 and
+3 it steps sums = [S_0, .., S_5] (criteria._class_sums, mod p^2) by a
+fixed change per digit that steps, a0^(d-1) in S_(d mod 6) for ad.
+It keeps two tables mod p^n_max: head[x] = a0 + a1 x + .. +
+a_(d-1) x^(d-1), changed in one pass when a digit before a_d steps
+(once every bound tuples), and top[x] = x^d.  The brute-force route
+walks x -> head[x] + a_d top[x] from 0 to its first repeated residue:
+f is one full cycle exactly when that took p^n_max steps and stopped
+on 0.  The powers x^i (i < d), the d - 1 step rows, top, head and the
+head replacing it fit in (2d + 1) * p^n_max entries; tables are used
+only while that is at most TABLE_ENTRIES.
 
 The work budget counts tuples, each weighed by its brute-force walk of
 up to p^n_max steps in units of 27, the p = 3 decision-level walk:
@@ -52,7 +55,7 @@ import sys
 from collections import namedtuple
 from operator import mul
 
-from .criteria import _CLOSED_FORMS, _class_core
+from .criteria import _CLOSED_FORMS, _class_core, _class_sums
 from .dynamics import IntPolynomial, _full_cycle_lifts, decision_level, is_full_cycle
 from .padic import PadicError, _check_prime
 
@@ -97,23 +100,29 @@ def _index_to_tail(idx: int, bound: int, degree: int) -> list[int]:
 
 
 def _tables(cfg: SweepConfig, indices: range | list[int]):
-    """(index, coefficients, tables) for each index in order: the tuple
-    (a0, a1..ad) and tables = (head, top) (module docstring), or None
-    past TABLE_ENTRIES.  From one index to the next the digits a1..ad
-    step as an odometer: ad goes up by one, and a digit that passes
-    bound - 1 returns to 0 and carries into the one before it.  Only the
-    first index and one after a gap in a sample go through
-    _index_to_tail, and head is rebuilt from their digits."""
+    """(index, coefficients, sums, tables) for each index in order: the
+    tuple (a0, a1..ad), sums (None at p > 3; a list the next step changes
+    in place) and tables = (head, top) (module docstring), None past
+    TABLE_ENTRIES.  The digits a1..ad step as an odometer: ad goes up by
+    one, and a digit that passes bound - 1 returns to 0 and carries into
+    the one before it.  sums and head are rebuilt from _index_to_tail
+    only at the first index and after a gap in a sample."""
     bound, degree, a0 = cfg.bound, cfg.degree, cfg.a0
     n_max = cfg.resolved_n_max()
-    tables = top = None
+    tables = top = sums = None
+    # a carry into digit a_i (i <= d; ad + 1 is the common step) raises it
+    # by one and wraps every later digit from bound - 1 to 0: it adds
+    # steps[i - 1] to head, and to the class sums those of (a0, 0, .., 0, 1,
+    # 1 - bound, .., 1 - bound), as their nonzero (class, change) pairs
+    m = cfg.prime**2 if cfg.prime in _CLOSED_FORMS else 0
+    moves = [[(r, v) for r, v in enumerate(_class_sums(
+        (a0, *[0] * i, 1, *[1 - bound] * (degree - 1 - i)), m)) if v] if m else ()
+        for i in range(degree)]
     # p^n_max >= 2^n_max passes the cap once n_max reaches its bit length,
     # so a deep n_max gets no table before p^n_max is computed
     if (n_max < TABLE_ENTRIES.bit_length()
             and (2 * degree + 1) * (modulus := cfg.prime**n_max) <= TABLE_ENTRIES):
-        # rows[x] = (x, .., x^(d-1)), so map(mul, digits, row) leaves out ad;
-        # a carry into digit a_i, i < d, raises it by one and wraps every
-        # later digit from bound - 1 to 0, which adds steps[i - 1] to head
+        # rows[x] = (x, .., x^(d-1)), so map(mul, digits, row) leaves out ad
         rows = [tuple(pow(x, i, modulus) for i in range(1, degree)) for x in range(modulus)]
         steps = [[(row[i] + (1 - bound) * sum(row[i + 1:])) % modulus for row in rows]
                  for i in range(degree - 1)]
@@ -127,14 +136,18 @@ def _tables(cfg: SweepConfig, indices: range | list[int]):
                 digits[pos] = 0
                 pos -= 1
             digits[pos] += 1
+            for r, v in moves[pos]:
+                sums[r] = (sums[r] + v) % m
             if top and pos < degree - 1:
                 tables = ([(y + v) % modulus for y, v in zip(tables[0], steps[pos])], top)
         else:
             digits = _index_to_tail(idx, bound, degree)
+            if m:
+                sums = _class_sums((a0, *digits), m)
             if top:
                 tables = ([(a0 + sum(map(mul, digits, row))) % modulus for row in rows], top)
         last = idx
-        yield idx, (a0, *digits), tables
+        yield idx, (a0, *digits), sums, tables
 
 
 def _full_cycle_in(head: list[int], top: list[int], ad: int) -> bool:
@@ -153,15 +166,15 @@ def _run_chunk(args) -> tuple[int, int, int, tuple | None]:
     """Agreement counts of one chunk, and (index, tuple, routes) of its
     first disagreement, or None."""
     cfg, indices = args
-    p = cfg.prime
+    p, a0 = cfg.prime, cfg.a0
     level = decision_level(p)
     n_max = cfg.resolved_n_max()
     _, closed_core = _CLOSED_FORMS.get(p, (None, None))
-    ruled = p > 3
+    ruled, wide = p > 3, cfg.degree > 1
     agree_min = agree_non = disagree = 0
     first = None
-    for idx, coeffs, tables in _tables(cfg, indices):
-        closed = None if closed_core is None else closed_core(coeffs)[0]
+    for idx, coeffs, sums, tables in _tables(cfg, indices):
+        closed = closed_core and closed_core(a0, coeffs[1], coeffs[2] if wide else 0, sums)[0]
         rule = _class_core(coeffs, p) if ruled and coeffs[1] % p == 1 else None
         delta = _full_cycle_lifts(coeffs, p, level)
         full = (_full_cycle_in(*tables, coeffs[-1]) if tables

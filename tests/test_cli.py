@@ -756,8 +756,8 @@ class TestSweep:
         # the closed form at p = 3 flipped on every tuple, so each one splits
         record, core = criteria._CLOSED_FORMS[3]
 
-        def flipped(coeffs):
-            minimal, *rest = core(coeffs)
+        def flipped(*args):
+            minimal, *rest = core(*args)
             return (not minimal, *rest)
 
         monkeypatch.setitem(criteria._CLOSED_FORMS, 3, (record, flipped))

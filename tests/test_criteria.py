@@ -53,40 +53,60 @@ class TestDecisionLevel:
         assert decision_level(101) == 2
 
 
-def _weighted(c):
-    # (even_weighted, odd_weighted) as exact integers, by their definition
-    return (sum(i * a for i, a in enumerate(c) if i % 2 == 0),
-            sum(i * a for i, a in enumerate(c) if i % 2 == 1))
+def _core(core, c, prime):
+    """The verdict of a closed-form core, read as a sweep reads it: from
+    a0, a1, a2 and the class sums mod p^2 of c."""
+    return core(*(c + (0, 0))[:3], criteria._class_sums(c, prime**2))[0]
+
+
+def _read(s, m):
+    # (even_sum, odd_sum) mod m and (even_weighted, odd_weighted) mod 3,
+    # read from the class sums as the module docstring sets out
+    return ((s[0] + s[2] + s[4]) % m, (s[1] + s[3] + s[5]) % m,
+            (2 * s[2] + s[4]) % 3, (s[1] + 2 * s[5]) % 3)
 
 
 class TestCoefficientSums:
-    # (even_sum, odd_sum) exact, and (even_weighted, odd_weighted) mod 3,
-    # the only residue of them the cores read; of the coefficients as they
-    # are, or primed mod m
+    # S_r = sum of a_i a0^(i-1) over i >= 1, i = r mod 6, reduced mod m,
+    # and the sums the forms read, each linear in them
     def test_frozen(self):
-        assert criteria._sums(W3.coefficients) == (0, 10)
-        assert criteria._weighted_mod3(W3.coefficients) == (0, 26 % 3)
-        assert criteria._sums(W2.coefficients) == (0, 5)
-        assert criteria._weighted_mod3(W2.coefficients) == (0, 9 % 3)
+        assert criteria._class_sums(W3.coefficients, 9) == [0, 4, 0, 4, 0, 2]
+        assert _read(criteria._class_sums(W3.coefficients, 9), 9) == (0, 10 % 9, 0, 26 % 3)
+        assert criteria._class_sums(W2.coefficients, 4) == [0, 3, 0, 2, 0, 0]
+        assert _read(criteria._class_sums(W2.coefficients, 4), 4)[:2] == (0, 5 % 4)
+        assert criteria._class_sums((-2, 1, 1, 1, 1, 1, 1, 1), 9) == [
+            (-2) ** 5 % 9, (1 + (-2) ** 6) % 9, -2 % 9, 4, -8 % 9, 16 % 9]
 
     def test_primed_reduces_to_plain_for_unit_constant_one(self):
-        for sums in (criteria._sums, criteria._weighted_mod3):
-            plain = sums(Q3.coefficients)
-            primed = sums(criteria._primed(Q3.coefficients, 9))
-            assert tuple(s % 9 for s in primed) == tuple(s % 9 for s in plain)
+        # at a0 = 1 every weight a0^(i-1) is 1: S_r sums the a_i themselves
+        for c in (Q3.coefficients, W3.coefficients, (1, 5, -7, 2, 8, 3, 1, 4)):
+            plain = [sum(a for i, a in enumerate(c) if i >= 1 and i % 6 == r) % 9
+                     for r in range(6)]
+            assert criteria._class_sums(c, 9) == plain, c
 
     def test_primed_weights(self):
-        primed = criteria._primed((2, 5, 7), 9)
-        even, odd = (s % 9 for s in criteria._sums(primed))
-        even_w, odd_w = criteria._weighted_mod3(primed)
+        s = criteria._class_sums((2, 5, 7), 9)
+        assert s == [0, 5, 7 * 2 % 9, 0, 0, 0]
+        even, odd, even_w, odd_w = _read(s, 9)
         assert odd == 5 % 9
         assert even == (7 * 2) % 9
         assert even_w == (2 * 7 * 2) % 3
         assert odd_w == 5 % 3
 
-    @given(st.lists(st.integers(-10**6, 10**6), max_size=20))
-    def test_weighted_mod3_matches_the_definition(self, c):
-        assert criteria._weighted_mod3(tuple(c)) == tuple(s % 3 for s in _weighted(c))
+    @given(st.integers(-60, 60), st.lists(st.integers(-10**6, 10**6), max_size=20),
+           st.sampled_from([4, 9]))
+    def test_weighted_mod3_matches_the_definition(self, a0, tail, m):
+        c = (a0, *tail)
+        primed = {i: a * a0 ** (i - 1) for i, a in enumerate(c) if i >= 1}
+        s = criteria._class_sums(c, m)
+        assert s == [sum(b for i, b in primed.items() if i % 6 == r) % m for r in range(6)]
+        even = sum(b for i, b in primed.items() if i % 2 == 0)
+        odd = sum(b for i, b in primed.items() if i % 2 == 1)
+        assert _read(s, m)[:2] == (even % m, odd % m)
+        if m == 9:
+            assert _read(s, m)[2:] == (
+                sum(i * b for i, b in primed.items() if i % 2 == 0) % 3,
+                sum(i * b for i, b in primed.items() if i % 2 == 1) % 3)
 
 
 class TestMinimalZ2:
@@ -633,7 +653,7 @@ class TestCores:
                 want = oracles.full_cycle_oracle(f.coefficients, prime, 3)
                 assert record(f).minimal == want, (record.__name__, coeffs)
                 for c in (f.coefficients, coeffs + (0, 0)):
-                    assert core(c)[0] == want, (core.__name__, c)
+                    assert _core(core, c, prime) == want, (core.__name__, c)
                 seen.add(want)
         # both verdicts occur wherever a0 is a unit
         assert seen == ({True, False} if a0 % prime else {False})
@@ -691,7 +711,7 @@ class TestClassReductions:
             rep = oracles.class_representative(coeffs, prime)
             want = oracles.full_cycle_oracle(rep, prime, 3)
             assert oracles.full_cycle_oracle(coeffs, prime, 3) == want, (coeffs, rep)
-            assert core(coeffs)[0] == want, (coeffs, rep)
+            assert _core(core, coeffs, prime) == want, (coeffs, rep)
             seen.add(want)
         assert seen == {True, False}
 
@@ -706,7 +726,7 @@ class TestClassReductions:
             member = _class_member(rng, rep, rng.randint(9, 45))
             assert oracles.class_representative(member, 3) == rep, member
             assert oracles.full_cycle_oracle(member, 3, 3) == want, (member, rep)
-            assert criteria._z3_core(member)[0] == want, (member, rep)
+            assert _core(criteria._z3_core, member, 3) == want, (member, rep)
             minimal += want
         assert 0 < minimal < 600
 

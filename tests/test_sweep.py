@@ -10,6 +10,8 @@ from padicdyn.padic import PadicError
 from padicdyn.sweep import (SweepConfig, _full_cycle_in, _index_to_tail, _split, _tables,
                             run_sweep)
 
+import oracles
+
 
 class TestConfig:
     def test_resolved_n_max(self):
@@ -120,6 +122,21 @@ class TestDifferentials:
         # both verdicts occur, so neither side of the comparison is vacuous
         assert rep.agree_minimal > 0 and rep.agree_nonminimal > 0
 
+    @pytest.mark.parametrize("cfg", [SweepConfig(3, 8, 3, a0=-2), SweepConfig(2, 7, 2, a0=3)])
+    def test_wrapped_tails_match_the_oracle(self, cfg):
+        # degree above 6, so a six-step class sum takes two stepped
+        # coefficients, each weighed by a power of a0 != 1: every tuple's
+        # verdict is the brute-force oracle's at the decision level.  At
+        # p = 3 bound 3 rather than 2, whose box missed stepped sums that
+        # leave out a0's powers
+        rep = run_sweep(cfg)
+        want = [oracles.full_cycle_oracle((cfg.a0, *_index_to_tail(i, cfg.bound, cfg.degree)),
+                                          cfg.prime, decision_level(cfg.prime))
+                for i in range(cfg.bound**cfg.degree)]
+        assert rep.disagreements == 0, (rep.first_counterexample, rep.first_routes)
+        assert (rep.agree_minimal, rep.agree_nonminimal) == (sum(want), len(want) - sum(want))
+        assert 0 < sum(want) < len(want)
+
     @pytest.mark.parametrize("prime,a0", [
         (2, 1), (2, 5), (2, -1), (3, 1), (3, 5), (3, -1),
     ])
@@ -178,7 +195,7 @@ class TestTables:
         n_max = cfg.resolved_n_max()
         modulus = cfg.prime**n_max
         seen = []
-        for idx, coeffs, (head, top) in _tables(cfg, indices):
+        for idx, coeffs, _, (head, top) in _tables(cfg, indices):
             assert coeffs == (cfg.a0, *_index_to_tail(idx, cfg.bound, cfg.degree))
             f = IntPolynomial(cfg.prime, coeffs)
             assert tuple((y + coeffs[-1] * t) % modulus for y, t in zip(head, top)) == \
@@ -193,7 +210,36 @@ class TestTables:
     def test_no_table_above_the_entry_cap(self, indices):
         # 5 * 1009^2 entries: the full-cycle route walks through eval_mod
         rows = list(_tables(SweepConfig(1009, 2, 4, a0=3), indices))
-        assert rows == [(i, (3, *_index_to_tail(i, 4, 2)), None) for i in indices]
+        assert rows == [(i, (3, *_index_to_tail(i, 4, 2)), None, None) for i in indices]
+
+    @pytest.mark.parametrize("cfg,indices", [
+        # bound 2: every other step carries, up to the full width
+        (SweepConfig(3, 6, 2), range(2**6)),
+        (SweepConfig(2, 5, 2, a0=3), range(2**5)),
+        # degree 7 and above: two coefficients in one six-step class
+        (SweepConfig(3, 8, 3, a0=-4), range(3**8)),
+        (SweepConfig(3, 7, 4, a0=2), range(4**7 - 3000, 4**7)),
+        (SweepConfig(2, 8, 3, a0=5), range(3**8)),
+        (SweepConfig(3, 13, 2, a0=-1), range(2**13)),
+        # runs and gaps, and a sample of a box above the budget
+        (SweepConfig(3, 4, 9, a0=-1), _runs(9**4, 3)),
+        (SweepConfig(2, 7, 5), _runs(5**7, 4)),
+        (SweepConfig(3, 9, 27, a0=2), sorted(random.Random(5).sample(range(27**9), 400))),
+        # degree 1 and bounds up to p^2 and past it
+        (SweepConfig(3, 1, 9, a0=-4), range(9)),
+        (SweepConfig(2, 1, 11, a0=5), range(11)),
+        (SweepConfig(2, 3, 8, a0=1, n_max=4), range(8**3)),
+        (SweepConfig(3, 3, 27, a0=1), range(27**3)),
+    ])
+    def test_stepped_sums_match_the_class_sums(self, cfg, indices):
+        m, seen = cfg.prime**2, []
+        for idx, coeffs, sums, _ in _tables(cfg, indices):
+            assert sums == criteria._class_sums(coeffs, m), (idx, coeffs)
+            seen.append(idx)
+        assert seen == list(indices)
+
+    def test_no_sums_above_three(self):
+        assert {sums for _, _, sums, _ in _tables(SweepConfig(5, 3, 4, a0=2), range(64))} == {None}
 
 
 class TestFullCycleWalk:
@@ -259,24 +305,28 @@ class TestTableBranches:
 def _flip_on(monkeypatch, name, chosen, degree):
     """Patch the `name` route that the sweep calls to invert its verdict
     on the chosen coefficient tuples (trailing zeros included).  The
-    closed-form cores are read from criteria._CLOSED_FORMS and take the
-    coefficient tuple; _class_core and _full_cycle_lifts, bound in sweep,
-    take it and the prime, and the latter the decision level too."""
+    closed-form cores are read from criteria._CLOSED_FORMS and take a0,
+    a1, a2 and the class sums, so they flip on those of the chosen tuples
+    (each box below has no two tuples that share them); _class_core and
+    _full_cycle_lifts, bound in sweep, take the tuple and the prime, and
+    the latter the decision level too."""
     closed = name.startswith("_z")
     original = getattr(criteria if closed else sweep, name)
+    if closed:
+        prime, record = next((p, record) for p, (record, core)
+                             in criteria._CLOSED_FORMS.items() if core is original)
+        chosen = {(*c[:3], *criteria._class_sums(c, prime**2)) for c in chosen}
 
-    def flipped(arg, *args):
-        result = original(arg, *args)
-        coeffs = arg if isinstance(arg, tuple) else arg.coefficients
-        if coeffs + (0,) * (degree + 1 - len(coeffs)) not in chosen:
+    def flipped(*args):
+        result = original(*args)
+        key = (*args[:3], *args[3]) if closed else args[0] + (0,) * (degree + 1 - len(args[0]))
+        if key not in chosen:
             return result
         if isinstance(result, bool):
             return not result
         return (not result[0], *result[1:])
 
     if closed:
-        prime, record = next((p, record) for p, (record, core)
-                             in criteria._CLOSED_FORMS.items() if core is original)
         monkeypatch.setitem(criteria._CLOSED_FORMS, prime, (record, flipped))
     else:
         monkeypatch.setattr(sweep, name, flipped)
